@@ -36,7 +36,7 @@ from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
 from .policy import PolicyBackend, PolicyRequest
-from .retrieval import RetrievalRequest, RetrieverBackend
+from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import Question, Retrieved, SelfAnswer, State, Step
 
@@ -205,7 +205,7 @@ class ExpansionLedger:
     policy_calls: int = 0  # termination votes + candidate generations
     rollout_calls: int = 0  # completions issued inside rollout simulations
     finalize_calls: int = 0  # terminal-answer generations (not expansion work)
-    retrieval_calls: int = 0
+    retrieval_calls: int = 0  # logical; build_tree sends each distinct request once
     nodes_expanded: int = 0
     leaf_nodes: int = 0  # full-node strategy only
     wall_time: float = 0.0
@@ -297,6 +297,7 @@ class TreeBuilder:
         self.history_template = history_template
         self._lock = threading.Lock()
         self._ledger = ExpansionLedger()
+        self._memo: RetrieverBackend = retriever  # a fresh MemoRetriever during build_tree
         self._question: Optional[Question] = None
 
     # ------------------------------------------------------------------ plumbing
@@ -331,7 +332,7 @@ class TreeBuilder:
         return response.text
 
     def _retrieve(self, query: str, layer: int) -> Tuple:
-        docs = self.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
+        docs = self._memo.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
         self._bump(layer, "retrieval_calls")
         return tuple(docs)
 
@@ -359,7 +360,7 @@ class TreeBuilder:
         transcript = run_agent(
             self._question,
             self.policy,
-            self.retriever,
+            self._memo,
             templates=self.templates,
             history_template=self.history_template,
             initial_state=state,
@@ -921,6 +922,7 @@ class TreeBuilder:
         """
         self._question = question
         self._ledger = ExpansionLedger()
+        self._memo = MemoRetriever(self.retriever)
         started = time.monotonic()
         try:
             if self.config.strategy == "pruning":
@@ -932,4 +934,5 @@ class TreeBuilder:
         finally:
             self._ledger.wall_time = time.monotonic() - started
             self._question = None
+            self._memo = self.retriever
         return result

@@ -1,9 +1,11 @@
-"""Shared fixtures: questions, scripted scenario policies, and HTTP stubs."""
+"""Shared fixtures: questions, scripted scenario policies, a counting retriever,
+and HTTP stubs."""
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -11,8 +13,9 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from ragtree.engine import ExpansionConfig, derive_seed
+from ragtree.errors import BackendUnavailable
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
-from ragtree.retrieval import LexicalRetriever
+from ragtree.retrieval import LexicalRetriever, RetrievalRequest, RetrieverBackend
 from ragtree.scripted import infer_role
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
@@ -160,6 +163,30 @@ TEST_CORPUS = [
 @pytest.fixture
 def retriever() -> LexicalRetriever:
     return LexicalRetriever(TEST_CORPUS)
+
+
+class CountingRetriever:
+    """Records every request that reaches it, then delegates.
+
+    Each call sleeps ``delay_s`` first, so concurrent callers overlap; the
+    first ``fail_first`` calls raise :class:`BackendUnavailable` instead.
+    """
+
+    def __init__(self, inner: RetrieverBackend, delay_s: float = 0.0, fail_first: int = 0):
+        self.inner = inner
+        self.delay_s = delay_s
+        self.fail_first = fail_first
+        self.requests = []
+        self._lock = threading.Lock()
+
+    def retrieve(self, request: RetrievalRequest):
+        with self._lock:
+            self.requests.append(request)
+            fail = len(self.requests) <= self.fail_first
+        time.sleep(self.delay_s)
+        if fail:
+            raise BackendUnavailable("scripted retriever failure")
+        return self.inner.retrieve(request)
 
 
 # ------------------------------------------------------------------ HTTP stubs

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
@@ -126,22 +127,30 @@ class TestExpandCommand:
             Question(id=f"q{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))
             for i in range(4)
         ]
+        # Rollouts search, so sibling rollouts in the pool share retrievals.
         policy = make_bench_policy(
-            {q.text: q.gold_answers[0] for q in questions}, rollout_searches=0
+            {q.text: q.gold_answers[0] for q in questions}, rollout_searches=1
         )
         retriever = make_bench_retriever()
-        cfg = ExpansionConfig(k=2, n=1, t_max=1, majority_samples=1)
-        seq_out, par_out = str(tmp_path / "seq"), str(tmp_path / "par")
-        seq = expand_batch(questions, lambda: TreeBuilder(policy, retriever, cfg), seq_out, resume=False)
-        par = expand_batch(
-            questions, lambda: TreeBuilder(policy, retriever, cfg), par_out, resume=False,
-            concurrency=4,
-        )
-        assert [i.question_id for i in seq.items] == [i.question_id for i in par.items]
-        for question in questions:
-            seq_bytes = snapshot_path(seq_out, question.id).read_bytes()
-            par_bytes = snapshot_path(par_out, question.id).read_bytes()
-            assert seq_bytes == par_bytes
+        for strategy in ("pruning", "no_pruning", "full_node"):
+            seq_cfg = ExpansionConfig(
+                k=2, n=2, t_max=2, strategy=strategy, majority_samples=2, rollout_cap="fixed"
+            )
+            par_cfg = replace(seq_cfg, concurrency=4)
+            seq_out, par_out = str(tmp_path / strategy / "seq"), str(tmp_path / strategy / "par")
+            seq = expand_batch(
+                questions, lambda: TreeBuilder(policy, retriever, seq_cfg), seq_out, resume=False
+            )
+            par = expand_batch(
+                questions, lambda: TreeBuilder(policy, retriever, par_cfg), par_out, resume=False,
+                concurrency=4,
+            )
+            assert [i.status for i in seq.items] == ["ok"] * len(questions)
+            assert [i.question_id for i in seq.items] == [i.question_id for i in par.items]
+            for question in questions:
+                seq_bytes = snapshot_path(seq_out, question.id).read_bytes()
+                par_bytes = snapshot_path(par_out, question.id).read_bytes()
+                assert seq_bytes == par_bytes
 
 
 class TestExportCommands:

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from conftest import GOLD, Scenario, overlap_answer
+from conftest import GOLD, CountingRetriever, Scenario, overlap_answer
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
+from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
-from ragtree.types import Retrieved, SelfAnswer, State
+from ragtree.types import Question, Retrieved, SelfAnswer, State
 
 
 def make_builder(scenario: Scenario, retriever) -> TreeBuilder:
@@ -457,3 +458,34 @@ class TestConcurrency:
 
         # ledger totals and tree contents join deterministically by index
         assert build_with(1) == build_with(4)
+
+
+class TestRetrievalMemo:
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_backend_sees_each_distinct_request_once(self, concurrency):
+        question = Question(id="memo-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(
+            k=3, n=4, t_max=4, majority_samples=3, rollout_cap="fixed", concurrency=concurrency
+        )
+        retriever = CountingRetriever(make_bench_retriever())
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
+        result = TreeBuilder(policy, retriever, cfg).build_tree(question)
+        assert result.ledger.expansion_count("pruning") == 624
+        # 12 sub-query candidates plus 432 rollout searches, logically
+        assert result.ledger.retrieval_calls == 444
+        distinct = {(r.query, r.top_k) for r in retriever.requests}
+        assert len(retriever.requests) == len(distinct) == 15
+
+    def test_calls_outside_build_tree_are_not_memoized(self):
+        question = Question(id="memo-direct", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=2, n=2, t_max=3, rollout_cap="fixed")
+        retriever = CountingRetriever(make_bench_retriever())
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
+        builder = TreeBuilder(policy, retriever, cfg)
+        builder.build_tree(question)
+        sent = len(retriever.requests)
+        for index in range(2):
+            builder.run_rollout(State(question), None, layer=0, seed_parts=("direct", index))
+        # each rollout searches twice; neither the last build's memo nor a
+        # builder-wide one serves them
+        assert len(retriever.requests) - sent == 4

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import GOLD, Scenario, overlap_answer
-from ragtree.engine import ExpansionConfig, TreeBuilder
+from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import ExportError
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import (
@@ -150,3 +152,30 @@ class TestTerminateBranchScoring:
         snapshot = snapshot_from_dict(build_result_to_dict(result))
         decisions = [p for p in export_dpo(snapshot, margin=0.1) if p.pair_type == "decision"]
         assert any(p.chosen.startswith("Final answer:") for p in decisions)
+
+
+class TestGoldenSnapshots:
+    """Pinned snapshot bytes: a change that moves them must say why."""
+
+    # strategy -> (t_max, SHA-256 of the encoded snapshot), built with k=2, n=2,
+    # a fixed rollout horizon and rollouts that search t_max - 1 times.
+    GOLDEN = {
+        "pruning": (3, "84cd2f827180b7a3ed1330e6e66ed306c3c06b896477c6829945cd00322a8ddc"),
+        "no_pruning": (3, "353b28a8c5e07a559e3bbf2c35832684087263034bf2242928f38833455b844c"),
+        "full_node": (2, "34b84616942feee43880ef607597af04b2c755e6025ee0679d76ca62d1ccd768"),
+    }
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN))
+    def test_snapshot_digest(self, strategy, concurrency):
+        t_max, digest = self.GOLDEN[strategy]
+        question = Question(id="golden-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(
+            k=2, n=2, t_max=t_max, strategy=strategy, majority_samples=2,
+            rollout_cap="fixed", concurrency=concurrency,
+        )
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=t_max - 1)
+        result = TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
+        assert result.ledger.expansion_count(strategy) == theoretical_counts(cfg, t_max)
+        encoded = dumps_snapshot(build_result_to_dict(result))
+        assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == digest
