@@ -106,8 +106,12 @@ def expand_batch(
     """Expand every question, writing one snapshot per question plus a manifest.
 
     With ``resume`` enabled, questions whose snapshot already exists and
-    validates are skipped without touching any backend. Each worker uses its
-    own builder, so backends only need to be shareable, not the tree state.
+    validates are skipped without touching any backend. ``builder_factory``
+    is called once per question; since a builder keeps no per-build state, it
+    may return one shared builder, and concurrent builds on it still get their
+    own ledgers and retrieval memos (direct ``run_rollout`` or ``expand_*``
+    calls get their own unmemoized counters). Backends only need to be
+    shareable.
     """
     Path(output_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()

@@ -186,10 +186,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         gold = {q.text: q.gold_answers[0] for q in questions}
         policy = make_bench_policy(gold, rollout_searches=t_max - 1)
+        builder = TreeBuilder(policy, retriever, expansion)
         measured = []
         elapsed = []
         for question in questions:
-            builder = TreeBuilder(policy, retriever, expansion)
             started = time.monotonic()
             result = builder.build_tree(question)
             elapsed.append(time.monotonic() - started)

@@ -27,7 +27,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from .agent import run_agent
@@ -163,9 +163,8 @@ class ChainRecord:
     nodes: List[TreeNode]
     final_answer: Optional[str] = None
     final_score: float = 0.0
-    terminated_by: Optional[str] = None  # "vote" | "cap"
-    final_state: Optional[State] = None  # terminal state (steps + answer)
-    pending_state: Optional[State] = None  # engine-internal: frontier during a build
+    terminated_by: Optional[str] = None  # "vote" | "cap"; None while the chain is live
+    final_state: Optional[State] = None  # the chain's steps, plus its answer if it got one
 
     def retrieval_steps(self) -> int:
         if self.final_state is None:
@@ -191,6 +190,7 @@ class FullNode:
 
 @dataclass
 class LayerCounters:
+    # Field order is the key order of a snapshot's per-layer ledger.
     policy_calls: int = 0
     rollout_calls: int = 0
     retrieval_calls: int = 0
@@ -224,16 +224,7 @@ class ExpansionLedger:
             "retrieval_calls": self.retrieval_calls,
             "nodes_expanded": self.nodes_expanded,
             "leaf_nodes": self.leaf_nodes,
-            "per_layer": {
-                str(layer): {
-                    "policy_calls": c.policy_calls,
-                    "rollout_calls": c.rollout_calls,
-                    "retrieval_calls": c.retrieval_calls,
-                    "finalize_calls": c.finalize_calls,
-                    "nodes_expanded": c.nodes_expanded,
-                }
-                for layer, c in sorted(self.per_layer.items())
-            },
+            "per_layer": {str(layer): asdict(c) for layer, c in sorted(self.per_layer.items())},
         }
         if include_timing:
             record["wall_time"] = self.wall_time
@@ -279,8 +270,30 @@ class RetrievalExpansion:
     alt: Optional[Candidate] = None
 
 
+@dataclass
+class _Build:
+    """What one build owns: its question, ledger, retriever and ledger lock."""
+
+    question: Question
+    retriever: RetrieverBackend  # a fresh MemoRetriever inside build_tree
+    ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def bump(self, layer: int, counter: str) -> None:
+        with self.lock:
+            setattr(self.ledger, counter, getattr(self.ledger, counter) + 1)
+            per_layer = self.ledger.per_layer.setdefault(layer, LayerCounters())
+            setattr(per_layer, counter, getattr(per_layer, counter) + 1)
+
+
 class TreeBuilder:
-    """Expands one question at a time against the configured backends."""
+    """Expands questions against the configured backends.
+
+    The builder holds no per-build state: ``build_tree`` passes a fresh
+    ``_Build`` down, so one builder can serve concurrent builds. Direct calls
+    to ``expand_termination``, ``expand_retrieval`` or ``run_rollout`` without
+    one get their own unmemoized ``_Build``.
+    """
 
     def __init__(
         self,
@@ -295,22 +308,12 @@ class TreeBuilder:
         self.config = config
         self.templates = templates or load_default_templates()
         self.history_template = history_template
-        self._lock = threading.Lock()
-        self._ledger = ExpansionLedger()
-        self._memo: RetrieverBackend = retriever  # a fresh MemoRetriever during build_tree
-        self._question: Optional[Question] = None
 
     # ------------------------------------------------------------------ plumbing
 
-    def _bump(self, layer: int, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self._ledger, counter, getattr(self._ledger, counter) + amount)
-            per_layer = self._ledger.per_layer.setdefault(layer, LayerCounters())
-            if hasattr(per_layer, counter):
-                setattr(per_layer, counter, getattr(per_layer, counter) + amount)
-
     def _complete(
         self,
+        build: _Build,
         role: PolicyRole,
         prompt: str,
         layer: int,
@@ -325,19 +328,21 @@ class TreeBuilder:
             prompt=prompt,
             temperature=temperature,
             max_tokens=self.config.max_tokens,
-            seed=derive_seed(self.config.seed, self._question.id, *seed_parts),
+            seed=derive_seed(self.config.seed, build.question.id, *seed_parts),
         )
         response = self.policy.complete(request)
-        self._bump(layer, counter)
+        build.bump(layer, counter)
         return response.text
 
-    def _retrieve(self, query: str, layer: int) -> Tuple:
-        docs = self._memo.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
-        self._bump(layer, "retrieval_calls")
+    def _retrieve(self, build: _Build, query: str, layer: int) -> Tuple:
+        docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
+        build.bump(layer, "retrieval_calls")
         return tuple(docs)
 
-    def _score(self, answer: str) -> float:
-        return score_answer(self.config.score_metric, answer, self._question.gold_answers)
+    def _score(self, build: _Build, answer: Optional[str]) -> float:
+        if answer is None:
+            return 0.0
+        return score_answer(self.config.score_metric, answer, build.question.gold_answers)
 
     # ------------------------------------------------------------------ rollouts
 
@@ -352,15 +357,16 @@ class TreeBuilder:
         pending_sub_question: Optional[str],
         layer: int,
         seed_parts: Tuple,
+        build: Optional[_Build] = None,
     ) -> RolloutResult:
         """Simulate one completion from the given state and score its final answer."""
-        self._question = state.question
+        build = build or _Build(state.question, self.retriever)
         effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
         horizon = self._rollout_horizon(effective_depth)
         transcript = run_agent(
-            self._question,
+            build.question,
             self.policy,
-            self._memo,
+            build.retriever,
             templates=self.templates,
             history_template=self.history_template,
             initial_state=state,
@@ -369,19 +375,16 @@ class TreeBuilder:
             max_searches=max(0, horizon - 1),
             top_k=self.config.top_k,
             temperature=self.config.sampling_temperature,
-            seed=derive_seed(self.config.seed, self._question.id, "rollout", *seed_parts),
-            on_policy_call=lambda: self._bump(layer, "rollout_calls"),
-            on_retrieval_call=lambda: self._bump(layer, "retrieval_calls"),
+            seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
+            on_policy_call=lambda: build.bump(layer, "rollout_calls"),
+            on_retrieval_call=lambda: build.bump(layer, "retrieval_calls"),
         )
-        answer = transcript.final_answer
-        score = self._score(answer) if answer is not None else 0.0
         return RolloutResult(
             transcript=transcript.raw_text,
-            final_answer=answer,
-            score=score,
+            final_answer=transcript.final_answer,
+            score=self._score(build, transcript.final_answer),
             steps_taken=transcript.steps_taken,
         )
-
 
     @staticmethod
     def mean_reward(scores: Sequence[float]) -> float:
@@ -392,6 +395,7 @@ class TreeBuilder:
 
     def _score_entries(
         self,
+        build: _Build,
         layer: int,
         kind: CandidateKind,
         entries: Sequence[Tuple[str, Tuple]],
@@ -399,31 +403,25 @@ class TreeBuilder:
     ) -> Tuple[Candidate, ...]:
         """Attach ``n`` scored rollouts to each (content, documents) entry."""
         n = self.config.n
-        jobs = []
-        for index, (base_state, pending) in enumerate(rollout_bases):
-            for r in range(n):
-                jobs.append((index, r, base_state, pending))
+        jobs = [
+            (index, r, base_state, pending)
+            for index, (base_state, pending) in enumerate(rollout_bases)
+            for r in range(n)
+        ]
 
-        results: Dict[Tuple[int, int], RolloutResult] = {}
-
-        def run(job):
+        def run(job) -> RolloutResult:
             index, r, base_state, pending = job
-            return (index, r), self.run_rollout(
-                base_state, pending, layer, (layer, kind, index, r)
-            )
+            return self.run_rollout(base_state, pending, layer, (layer, kind, index, r), build)
 
         if self.config.concurrency > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                for key, result in pool.map(run, jobs):
-                    results[key] = result
+                results = list(pool.map(run, jobs))
         else:
-            for job in jobs:
-                key, result = run(job)
-                results[key] = result
+            results = [run(job) for job in jobs]
 
         candidates = []
         for index, (content, documents) in enumerate(entries):
-            rollouts = tuple(results[(index, r)] for r in range(n))
+            rollouts = tuple(results[index * n : (index + 1) * n])
             candidates.append(
                 Candidate(
                     kind=kind,
@@ -439,6 +437,7 @@ class TreeBuilder:
 
     def _generate_texts(
         self,
+        build: _Build,
         role: PolicyRole,
         prompt: str,
         parse: Callable[[str], Optional[str]],
@@ -447,36 +446,30 @@ class TreeBuilder:
         count: int,
     ) -> List[str]:
         """Sample ``count`` parses, retrying malformed output, then deduplicate."""
-        texts: List[str] = []
+        unique: Dict[str, str] = {}
         for index in range(count):
             parsed = None
             for attempt in range(self.config.malformed_retries + 1):
                 raw = self._complete(
-                    role, prompt, layer, "policy_calls", ("cand", kind, layer, index, attempt)
+                    build, role, prompt, layer, "policy_calls", ("cand", kind, layer, index, attempt)
                 )
                 parsed = parse(raw)
                 if parsed is not None:
                     break
             if parsed is not None:
-                texts.append(parsed)
-        seen = set()
-        unique: List[str] = []
-        for text in texts:
-            key = normalize_answer(text)
-            if key not in seen:
-                seen.add(key)
-                unique.append(text)
-        return unique
+                unique.setdefault(normalize_answer(parsed), parsed)
+        return list(unique.values())
 
-    def _finalize_answer(self, state: State, layer: int) -> Optional[str]:
+    def _finalize_answer(self, build: _Build, state: State, layer: int) -> Optional[str]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
         prompt = self.templates.render(
             PolicyRole.TERMINATION,
-            question=self._question.text,
+            question=build.question.text,
             iter_history=render_history(state, template=self.history_template),
         )
         for attempt in range(self.config.malformed_retries + 1):
             raw = self._complete(
+                build,
                 PolicyRole.TERMINATION,
                 prompt,
                 layer,
@@ -506,13 +499,15 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ decision expansion
 
-    def expand_termination(self, state: State, layer: int) -> TerminationExpansion:
+    def expand_termination(
+        self, state: State, layer: int, build: Optional[_Build] = None
+    ) -> TerminationExpansion:
         """Vote on stopping; on continue, pick the best sub-question by rollout reward."""
-        self._question = state.question
+        build = build or _Build(state.question, self.retriever)
         cfg = self.config
         prompt = self.templates.render(
             PolicyRole.TERMINATION,
-            question=self._question.text,
+            question=build.question.text,
             iter_history=render_history(state, template=self.history_template),
         )
         terminate_votes = continue_votes = 0
@@ -520,7 +515,8 @@ class TreeBuilder:
             parsed = None
             for attempt in range(cfg.malformed_retries + 1):
                 raw = self._complete(
-                    PolicyRole.TERMINATION, prompt, layer, "policy_calls", ("vote", layer, v, attempt)
+                    build, PolicyRole.TERMINATION, prompt, layer, "policy_calls",
+                    ("vote", layer, v, attempt),
                 )
                 parsed = parse_termination(raw)
                 if parsed.kind != "malformed":
@@ -532,29 +528,31 @@ class TreeBuilder:
         votes = TerminationVotes(terminate=terminate_votes, continue_=continue_votes)
 
         if votes.majority_terminate:
-            answer = self._finalize_answer(state, layer)
+            answer = self._finalize_answer(build, state, layer)
             if answer is None:
                 raise NodeExpansionFailed(
-                    self._question.id, layer, "terminate vote won but no answer was produced"
+                    build.question.id, layer, "terminate vote won but no answer was produced"
                 )
             expansion = TerminationExpansion(votes=votes, terminated=True, terminal_answer=answer)
             if cfg.score_terminate_branch:
-                expansion = replace(expansion, candidates=self._sub_question_candidates(state, layer))
+                expansion = replace(
+                    expansion, candidates=self._sub_question_candidates(build, state, layer)
+                )
             return expansion
 
-        candidates = self._sub_question_candidates(state, layer)
+        candidates = self._sub_question_candidates(build, state, layer)
         if not candidates:
             raise NodeExpansionFailed(
-                self._question.id, layer, "every sub-question candidate was malformed"
+                build.question.id, layer, "every sub-question candidate was malformed"
             )
         best = self._argmax(candidates)
         candidates = self._retain(candidates, best)
 
         probe = None
         if cfg.score_terminate_branch:
-            answer = self._finalize_answer(state, layer)
+            answer = self._finalize_answer(build, state, layer)
             if answer is not None:
-                probe = (answer, self._score(answer))
+                probe = (answer, self._score(build, answer))
         return TerminationExpansion(
             votes=votes,
             terminated=False,
@@ -563,17 +561,25 @@ class TreeBuilder:
             terminate_probe=probe,
         )
 
-    def _sub_question_candidates(self, state: State, layer: int) -> Tuple[Candidate, ...]:
-        prompt = self.templates.render(PolicyRole.SUB_QUESTION, question=self._question.text)
+    def _sub_question_candidates(
+        self, build: _Build, state: State, layer: int
+    ) -> Tuple[Candidate, ...]:
+        prompt = self.templates.render(PolicyRole.SUB_QUESTION, question=build.question.text)
         texts = self._generate_texts(
-            PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question", self.config.k
+            build, PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question",
+            self.config.k,
         )
         entries = [(text, ()) for text in texts]
         bases = [(state, text) for text in texts]
-        return self._score_entries(layer, "sub_question", entries, bases)
+        return self._score_entries(build, layer, "sub_question", entries, bases)
 
     def expand_retrieval(
-        self, state: State, layer: int, sub_question: str, force_both: bool = False
+        self,
+        state: State,
+        layer: int,
+        sub_question: str,
+        force_both: bool = False,
+        build: Optional[_Build] = None,
     ) -> RetrievalExpansion:
         """Resolve a sub-question: self-knowledge first, retrieval unless skipped.
 
@@ -582,16 +588,16 @@ class TreeBuilder:
         no-pruning strategy) always expands both branches and compares their
         best rewards, preferring the cheaper self-answer branch on ties.
         """
-        self._question = state.question
+        build = build or _Build(state.question, self.retriever)
         cfg = self.config
 
         sa_prompt = self.templates.render(PolicyRole.SELF_ANSWER, question=sub_question)
         sa_texts = self._generate_texts(
-            PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer, "self_answer", cfg.k
+            build, PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer, "self_answer", cfg.k
         )
         sa_entries = [(text, ()) for text in sa_texts]
         sa_bases = [(state.with_step(Step(sub_question, SelfAnswer(text))), None) for text in sa_texts]
-        sa_candidates = self._score_entries(layer, "self_answer", sa_entries, sa_bases)
+        sa_candidates = self._score_entries(build, layer, "self_answer", sa_entries, sa_bases)
 
         best_sa = self._argmax(sa_candidates) if sa_candidates else None
         skip = (
@@ -611,23 +617,23 @@ class TreeBuilder:
 
         sq_prompt = self.templates.render(PolicyRole.SUB_QUERY, question=sub_question)
         sq_texts = self._generate_texts(
-            PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer, "sub_query", cfg.k
+            build, PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer, "sub_query", cfg.k
         )
         sq_entries = []
         sq_bases = []
         for text in sq_texts:
-            documents = self._retrieve(text, layer)
+            documents = self._retrieve(build, text, layer)
             sq_entries.append((text, documents))
             sq_bases.append((state.with_step(Step(sub_question, Retrieved(text, documents))), None))
-        sq_candidates = self._score_entries(layer, "sub_query", sq_entries, sq_bases)
+        sq_candidates = self._score_entries(build, layer, "sub_query", sq_entries, sq_bases)
 
         if not sq_candidates and best_sa is None:
             raise NodeExpansionFailed(
-                self._question.id, layer, "both resolution branches produced no candidates"
+                build.question.id, layer, "both resolution branches produced no candidates"
             )
         if not sq_candidates and not force_both:
             raise NodeExpansionFailed(
-                self._question.id, layer, "every sub-query candidate was malformed"
+                build.question.id, layer, "every sub-query candidate was malformed"
             )
 
         best_sq = self._argmax(sq_candidates) if sq_candidates else None
@@ -669,190 +675,126 @@ class TreeBuilder:
             return Step(sub_question, SelfAnswer(candidate.content))
         return Step(sub_question, Retrieved(candidate.content, candidate.documents))
 
-    def _expand_layer(self, state: State, layer: int, force_both: bool) -> Tuple[Optional[TreeNode], TerminationExpansion, Optional[RetrievalExpansion]]:
+    def _expand_layer(
+        self, build: _Build, state: State, layer: int, force_both: bool
+    ) -> Tuple[TreeNode, TerminationExpansion, Optional[RetrievalExpansion]]:
         """One full layer expansion; returns (node, termination, retrieval)."""
-        self._bump(layer, "nodes_expanded")
-        termination = self.expand_termination(state, layer)
-        if termination.terminated:
-            node = TreeNode(
-                layer=layer,
-                state=state,
-                votes=termination.votes,
-                sub_question_candidates=termination.candidates,
-                terminal_answer=termination.terminal_answer,
-            )
-            return node, termination, None
-
-        retrieval = self.expand_retrieval(
-            state, layer, termination.chosen.content, force_both=force_both
-        )
+        build.bump(layer, "nodes_expanded")
+        termination = self.expand_termination(state, layer, build)
         node = TreeNode(
             layer=layer,
             state=state,
             votes=termination.votes,
             sub_question_candidates=termination.candidates,
-            self_answer_candidates=retrieval.self_answer_candidates,
-            sub_query_candidates=retrieval.sub_query_candidates,
-            chosen_kind=retrieval.chosen_kind,
+            terminal_answer=termination.terminal_answer,
             terminate_probe=termination.terminate_probe,
         )
+        if termination.terminated:
+            return node, termination, None
+        retrieval = self.expand_retrieval(
+            state, layer, termination.chosen.content, force_both, build
+        )
+        node.self_answer_candidates = retrieval.self_answer_candidates
+        node.sub_query_candidates = retrieval.sub_query_candidates
+        node.chosen_kind = retrieval.chosen_kind
         return node, termination, retrieval
 
-    def _finish_chain(self, chain: ChainRecord, state: State, terminated_by: str, answer: Optional[str]) -> None:
+    def _finish_chain(
+        self, build: _Build, chain: ChainRecord, state: State, terminated_by: str,
+        answer: Optional[str],
+    ) -> None:
         chain.terminated_by = terminated_by
         chain.final_answer = answer
-        chain.final_score = self._score(answer) if answer is not None else 0.0
-        chain.final_state = state.with_answer(answer) if answer is not None else None
-        chain.pending_state = None
-        for i in range(len(chain.nodes) - 1):
-            chain.nodes[i].child = chain.nodes[i + 1]
-        if chain.nodes:
-            chain.nodes[-1].child = None
+        chain.final_score = self._score(build, answer)
+        chain.final_state = state if answer is None else state.with_answer(answer)
+        for parent, child in zip(chain.nodes, chain.nodes[1:]):
+            parent.child = child
 
-    def _build_pruning(self) -> BuildResult:
+    def _build_pruning(self, build: _Build) -> List[ChainRecord]:
         cfg = self.config
-        state = State(self._question)
+        state = State(build.question)
         chain = ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])
         for layer in range(1, cfg.t_max + 1):
-            node, termination, retrieval = self._expand_layer(state, layer, force_both=False)
+            node, termination, retrieval = self._expand_layer(build, state, layer, force_both=False)
             chain.nodes.append(node)
             if termination.terminated:
-                self._finish_chain(chain, state, "vote", termination.terminal_answer)
-                return BuildResult(self._question, cfg, chains=[chain], ledger=self._ledger)
-            step = self._step_for(retrieval.chosen, termination.chosen.content)
-            state = state.with_step(step)
-        answer = self._finalize_answer(state, cfg.t_max)
+                self._finish_chain(build, chain, state, "vote", termination.terminal_answer)
+                return [chain]
+            state = state.with_step(self._step_for(retrieval.chosen, termination.chosen.content))
+        answer = self._finalize_answer(build, state, cfg.t_max)
         if answer is None:
             raise NodeExpansionFailed(
-                self._question.id, cfg.t_max, "no terminal answer at the iteration cap"
+                build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
             )
-        self._finish_chain(chain, state, "cap", answer)
-        return BuildResult(self._question, cfg, chains=[chain], ledger=self._ledger)
+        self._finish_chain(build, chain, state, "cap", answer)
+        return [chain]
 
-    def _build_no_pruning(self) -> BuildResult:
+    def _build_no_pruning(self, build: _Build) -> List[ChainRecord]:
         """Memoryless iterative deepening, keeping both resolution branches alive.
 
-        At round ``i`` every live chain is rebuilt from the root to depth ``i``
-        (no cached prefixes), so the round performs ``i`` full layer expansions
-        per chain over ``i`` live chains. The trunk spawns one deviation chain
-        per round: the resolution branch it did not take at the new layer.
-        Deviation chains extend greedily and do not fork further.
+        At round ``i`` every live chain (``terminated_by is None``) is rebuilt
+        from the root to depth ``i`` (no cached prefixes), so the round performs
+        ``i`` full layer expansions per chain over ``i`` live chains. The trunk
+        spawns one deviation chain per round: the resolution branch it did not
+        take at the new layer. A deviation takes that branch at its fork layer
+        on every rebuild, then extends greedily and does not fork further.
         """
         cfg = self.config
-        trunk = ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])
-        chains: List[ChainRecord] = [trunk]
-        done: Dict[int, bool] = {0: False}
-
+        chains = [ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])]
+        frontier: Dict[int, State] = {}  # chain_id -> the state a live chain has reached
         for rnd in range(1, cfg.t_max + 1):
-            spawned: List[ChainRecord] = []
-            for chain in list(chains):
-                if done.get(chain.chain_id, False):
-                    continue
-                state = State(self._question)
-                nodes: List[TreeNode] = []
-                terminated = False
-                for layer in range(1, rnd + 1):
-                    node, termination, retrieval = self._expand_layer(state, layer, force_both=True)
-                    nodes.append(node)
-                    if termination.terminated:
-                        chain.nodes = nodes
-                        self._finish_chain(chain, state, "vote", termination.terminal_answer)
-                        done[chain.chain_id] = True
-                        terminated = True
-                        break
-                    take = retrieval.chosen
-                    if chain.fork_layer == layer and retrieval.alt is not None:
-                        take = retrieval.alt
-                        node.chosen_kind = retrieval.alt_kind
-                        self._swap_retained(node, retrieval)
-                    if chain.chain_id == 0 and layer == rnd and retrieval.alt is not None:
-                        fork = self._materialize_deviation(
-                            len(chains) + len(spawned), nodes, state, retrieval, termination, layer
-                        )
-                        spawned.append(fork)
-                    state = state.with_step(self._step_for(take, termination.chosen.content))
-                if not terminated:
-                    chain.nodes = nodes
-                    chain.pending_state = state
-            for fork in spawned:
-                chains.append(fork)
-                done[fork.chain_id] = False
-            if all(done.get(c.chain_id, False) for c in chains):
+            live = [chain for chain in chains if chain.terminated_by is None]
+            if not live:
                 break
+            for chain in live:
+                chain.nodes = []
+                state = State(build.question)
+                for layer in range(1, rnd + 1):
+                    node, termination, retrieval = self._expand_layer(
+                        build, state, layer, force_both=True
+                    )
+                    chain.nodes.append(node)
+                    if termination.terminated:
+                        self._finish_chain(build, chain, state, "vote", termination.terminal_answer)
+                        break
+                    sub_question = termination.chosen.content
+                    taken = retrieval.chosen
+                    if retrieval.alt is not None and layer == chain.fork_layer:
+                        taken = self._take_alt(node, retrieval)
+                    elif retrieval.alt is not None and chain.chain_id == 0 and layer == rnd:
+                        fork = ChainRecord(
+                            chain_id=len(chains),
+                            fork_layer=layer,
+                            fork_kind=retrieval.alt_kind,
+                            nodes=[replace(n, child=None) for n in chain.nodes],
+                        )
+                        alt = self._take_alt(fork.nodes[-1], retrieval)
+                        frontier[fork.chain_id] = state.with_step(self._step_for(alt, sub_question))
+                        chains.append(fork)
+                    state = state.with_step(self._step_for(taken, sub_question))
+                frontier[chain.chain_id] = state
 
         for chain in chains:
-            if done.get(chain.chain_id, False):
-                continue
-            state = chain.pending_state
-            answer = self._finalize_answer(state, cfg.t_max)
-            if answer is None:
-                chain.terminated_by = "cap"
-                chain.final_answer = None
-                chain.final_score = 0.0
-            else:
-                self._finish_chain(chain, state, "cap", answer)
-        return BuildResult(self._question, cfg, chains=chains, ledger=self._ledger)
+            if chain.terminated_by is None:
+                state = frontier[chain.chain_id]
+                answer = self._finalize_answer(build, state, cfg.t_max)
+                self._finish_chain(build, chain, state, "cap", answer)
+        return chains
 
     @staticmethod
-    def _swap_retained(node: TreeNode, retrieval: RetrievalExpansion) -> None:
-        """Flip retained flags so the node reflects the deviation's path."""
-        alt_kind = node.chosen_kind
+    def _take_alt(node: TreeNode, retrieval: RetrievalExpansion) -> Candidate:
+        """Move a fork node's ``chosen_kind`` and retained flag to the branch not taken."""
         alt = retrieval.alt
-
-        def mark(cands: Tuple[Candidate, ...], keep: Optional[Candidate]) -> Tuple[Candidate, ...]:
-            return tuple(
-                replace(c, retained=(keep is not None and c.content == keep.content))
-                for c in cands
-            )
-
-        if alt_kind == "self_answer":
-            node.self_answer_candidates = mark(node.self_answer_candidates, alt)
-            node.sub_query_candidates = mark(node.sub_query_candidates, None)
-        else:
-            node.sub_query_candidates = mark(node.sub_query_candidates, alt)
-            node.self_answer_candidates = mark(node.self_answer_candidates, None)
-
-    def _materialize_deviation(
-        self,
-        chain_id: int,
-        trunk_nodes: List[TreeNode],
-        state: State,
-        retrieval: RetrievalExpansion,
-        termination: TerminationExpansion,
-        layer: int,
-    ) -> ChainRecord:
-        """Record the non-chosen branch at ``layer`` as a new chain."""
-        nodes = [self._clone_node(n) for n in trunk_nodes[:-1]]
-        fork_node = self._clone_node(trunk_nodes[-1])
-        fork_node.chosen_kind = retrieval.alt_kind
-        self._swap_retained(fork_node, retrieval)
-        nodes.append(fork_node)
-        chain = ChainRecord(
-            chain_id=chain_id,
-            fork_layer=layer,
-            fork_kind=retrieval.alt_kind,
-            nodes=nodes,
+        node.chosen_kind = retrieval.alt_kind
+        node.self_answer_candidates = tuple(
+            replace(c, retained=c is alt) for c in node.self_answer_candidates
         )
-        chain.pending_state = state.with_step(
-            self._step_for(retrieval.alt, termination.chosen.content)
+        node.sub_query_candidates = tuple(
+            replace(c, retained=c is alt) for c in node.sub_query_candidates
         )
-        return chain
+        return alt
 
-    @staticmethod
-    def _clone_node(node: TreeNode) -> TreeNode:
-        return TreeNode(
-            layer=node.layer,
-            state=node.state,
-            votes=node.votes,
-            sub_question_candidates=node.sub_question_candidates,
-            self_answer_candidates=node.self_answer_candidates,
-            sub_query_candidates=node.sub_query_candidates,
-            chosen_kind=node.chosen_kind,
-            terminal_answer=node.terminal_answer,
-            terminate_probe=node.terminate_probe,
-        )
-
-    def _build_full_node(self) -> BuildResult:
+    def _build_full_node(self, build: _Build) -> FullNode:
         """Keep every execution branch, skip rollouts, and count leaf-layer nodes.
 
         Each state expands k sampled sub-questions plus the direct-resolution
@@ -861,18 +803,19 @@ class TreeBuilder:
         2k(k+1) children per state.
         """
         cfg = self.config
-        question = self._question
+        question = build.question
 
         def expand(state: State, depth: int) -> FullNode:
             layer = depth + 1
             if depth >= cfg.t_max:
-                with self._lock:
-                    self._ledger.leaf_nodes += 1
+                with build.lock:
+                    build.ledger.leaf_nodes += 1
                 return FullNode(depth=depth, state=state)
-            self._bump(layer, "nodes_expanded")
+            build.bump(layer, "nodes_expanded")
             prompt = self.templates.render(PolicyRole.SUB_QUESTION, question=question.text)
             sampled = self._generate_texts(
-                PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question", cfg.k
+                build, PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question",
+                cfg.k,
             )
             branch_questions = [(question.text, "direct")] + [(t, "sampled") for t in sampled]
             branches: List[FullBranch] = []
@@ -880,15 +823,15 @@ class TreeBuilder:
             for text, origin in branch_questions:
                 sa_prompt = self.templates.render(PolicyRole.SELF_ANSWER, question=text)
                 answers = self._generate_texts(
-                    PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer,
+                    build, PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer,
                     f"self_answer:{origin}:{text[:40]}", cfg.k,
                 )
                 sq_prompt = self.templates.render(PolicyRole.SUB_QUERY, question=text)
                 queries = self._generate_texts(
-                    PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer,
+                    build, PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer,
                     f"sub_query:{origin}:{text[:40]}", cfg.k,
                 )
-                retrieved = tuple((q, self._retrieve(q, layer)) for q in queries)
+                retrieved = tuple((q, self._retrieve(build, q, layer)) for q in queries)
                 branches.append(
                     FullBranch(
                         sub_question=text,
@@ -909,30 +852,25 @@ class TreeBuilder:
                 depth=depth, state=state, branches=tuple(branches), children=tuple(children)
             )
 
-        root = expand(State(question), 0)
-        return BuildResult(question, cfg, chains=[], full_root=root, ledger=self._ledger)
+        return expand(State(question), 0)
 
     # ------------------------------------------------------------------ entry point
 
     def build_tree(self, question: Question) -> BuildResult:
         """Expand one question under the configured strategy.
 
+        The build gets its own ledger and a fresh single-flight retrieval memo.
         Raises :class:`NodeExpansionFailed` when a layer cannot produce any
         usable candidate; batch drivers catch this and record a failure.
         """
-        self._question = question
-        self._ledger = ExpansionLedger()
-        self._memo = MemoRetriever(self.retriever)
+        build = _Build(question, MemoRetriever(self.retriever))
         started = time.monotonic()
-        try:
-            if self.config.strategy == "pruning":
-                result = self._build_pruning()
-            elif self.config.strategy == "no_pruning":
-                result = self._build_no_pruning()
-            else:
-                result = self._build_full_node()
-        finally:
-            self._ledger.wall_time = time.monotonic() - started
-            self._question = None
-            self._memo = self.retriever
+        result = BuildResult(question, self.config, ledger=build.ledger)
+        if self.config.strategy == "pruning":
+            result.chains = self._build_pruning(build)
+        elif self.config.strategy == "no_pruning":
+            result.chains = self._build_no_pruning(build)
+        else:
+            result.full_root = self._build_full_node(build)
+        build.ledger.wall_time = time.monotonic() - started
         return result

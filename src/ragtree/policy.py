@@ -7,16 +7,15 @@ function of the request, which is what makes seeded reruns byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Protocol, Tuple
 
 import requests
 
 from .errors import BackendUnavailable, ConfigurationError
+from .httpclient import HttpJsonClient
 from .templates import PolicyRole
 
 
@@ -44,21 +43,21 @@ class PolicyResponse:
     text: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    parsed: object = None  # filled in by the caller after role-specific parsing
 
 
 class PolicyBackend(Protocol):
     def complete(self, request: PolicyRequest) -> PolicyResponse: ...
 
 
-class HttpPolicyBackend:
+class HttpPolicyBackend(HttpJsonClient):
     """Client for a chat-completions-compatible endpoint.
 
     POSTs ``{base_url}/chat/completions`` with ``model``, ``messages``,
-    ``temperature``, ``max_tokens`` and optional ``seed`` / ``stop``. Transient
-    failures (transport errors, 5xx) are retried with exponential backoff;
-    4xx responses are configuration errors and are not retried.
+    ``temperature``, ``max_tokens`` and optional ``seed`` / ``stop``, retrying
+    as :class:`HttpJsonClient` does.
     """
+
+    endpoint = "policy endpoint"
 
     def __init__(
         self,
@@ -69,18 +68,9 @@ class HttpPolicyBackend:
         max_retries: int = 3,
         backoff_s: float = 0.25,
     ):
-        self.base_url = base_url.rstrip("/")
+        super().__init__(base_url, timeout, max_retries, backoff_s)
         self.model = model
         self.auth_env = auth_env
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -100,27 +90,7 @@ class HttpPolicyBackend:
             payload["seed"] = request.seed
         if request.stop:
             payload["stop"] = list(request.stop)
-
-        url = f"{self.base_url}/chat/completions"
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self._session().post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-            else:
-                if resp.status_code < 300:
-                    return self._parse_body(resp)
-                if 400 <= resp.status_code < 500:
-                    raise ConfigurationError(
-                        f"policy endpoint rejected request ({resp.status_code}): {resp.text[:500]}"
-                    )
-                last_error = BackendUnavailable(f"policy endpoint returned {resp.status_code}")
-            if attempt < self.max_retries:
-                time.sleep(self.backoff_s * (2**attempt))
-        raise BackendUnavailable(f"policy endpoint unreachable after {self.max_retries + 1} attempts: {last_error}")
+        return self._parse_body(self._post("/chat/completions", payload, self._headers()))
 
     @staticmethod
     def _parse_body(resp: requests.Response) -> PolicyResponse:

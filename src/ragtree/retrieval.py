@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Protocol, Sequence, Tuple
 
 import requests
 
-from .errors import BackendUnavailable, ConfigurationError, DatasetError
+from .errors import BackendUnavailable, DatasetError
+from .httpclient import HttpJsonClient
 from .metrics import normalize_answer
 from .types import Document
 
@@ -34,53 +34,18 @@ class RetrieverBackend(Protocol):
     def retrieve(self, request: RetrievalRequest) -> List[Document]: ...
 
 
-class HttpRetrieverBackend:
+class HttpRetrieverBackend(HttpJsonClient):
     """POSTs ``{base_url}/retrieve`` with ``{"query", "top_k"}``.
 
     Expects ``{"docs": [{"title", "text", "score"}, ...]}`` ordered by
-    descending score.
+    descending score. Retries as :class:`HttpJsonClient` does.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.25,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    endpoint = "retriever"
 
     def retrieve(self, request: RetrievalRequest) -> List[Document]:
-        payload = {"query": request.query, "top_k": request.top_k}
-        url = f"{self.base_url}/retrieve"
-        last_error = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self._session().post(url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-            else:
-                if resp.status_code < 300:
-                    return self._parse_body(resp, request.top_k)
-                if 400 <= resp.status_code < 500:
-                    raise ConfigurationError(
-                        f"retriever rejected request ({resp.status_code}): {resp.text[:500]}"
-                    )
-                last_error = BackendUnavailable(f"retriever returned {resp.status_code}")
-            if attempt < self.max_retries:
-                time.sleep(self.backoff_s * (2**attempt))
-        raise BackendUnavailable(
-            f"retriever unreachable after {self.max_retries + 1} attempts: {last_error}"
-        )
+        resp = self._post("/retrieve", {"query": request.query, "top_k": request.top_k})
+        return self._parse_body(resp, request.top_k)
 
     @staticmethod
     def _parse_body(resp: requests.Response, top_k: int) -> List[Document]:

@@ -30,6 +30,12 @@ from .types import Document, Question, Resolution, Retrieved, SelfAnswer, State,
 
 SCHEMA_VERSION = 1
 
+# The ExpansionConfig fields a snapshot echoes, in their on-disk order.
+_CONFIG_ECHO = (
+    "k", "n", "t_max", "tau", "score_metric", "strategy", "seed", "majority_samples",
+    "rollout_cap", "top_k",
+)
+
 
 @dataclass
 class Snapshot:
@@ -105,12 +111,7 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 
 def _chain_to_dict(chain: ChainRecord) -> dict:
-    if chain.final_state is not None:
-        steps = list(chain.final_state.steps)
-    elif chain.pending_state is not None:
-        steps = list(chain.pending_state.steps)
-    else:
-        steps = []
+    steps = chain.final_state.steps if chain.final_state is not None else ()
     return {
         "chain_id": chain.chain_id,
         "fork_layer": chain.fork_layer,
@@ -149,27 +150,22 @@ def _full_node_to_dict(node: FullNode, step: Optional[Step]) -> dict:
     }
 
 
-def build_result_to_dict(result: BuildResult) -> dict:
+def _header(question: Question, config: ExpansionConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "question": {
-            "id": result.question.id,
-            "text": result.question.text,
-            "gold_answers": list(result.question.gold_answers),
+            "id": question.id,
+            "text": question.text,
+            "gold_answers": list(question.gold_answers),
         },
-        "strategy": result.config.strategy,
-        "config": {
-            "k": result.config.k,
-            "n": result.config.n,
-            "t_max": result.config.t_max,
-            "tau": result.config.tau,
-            "score_metric": result.config.score_metric,
-            "strategy": result.config.strategy,
-            "seed": result.config.seed,
-            "majority_samples": result.config.majority_samples,
-            "rollout_cap": result.config.rollout_cap,
-            "top_k": result.config.top_k,
-        },
+        "strategy": config.strategy,
+        "config": {name: getattr(config, name) for name in _CONFIG_ECHO},
+    }
+
+
+def build_result_to_dict(result: BuildResult) -> dict:
+    return {
+        **_header(result.question, result.config),
         "failure": None,
         "chains": [_chain_to_dict(c) for c in result.chains],
         "full_tree": (
@@ -181,25 +177,7 @@ def build_result_to_dict(result: BuildResult) -> dict:
 
 def failure_to_dict(question: Question, config: ExpansionConfig, layer: int, reason: str) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "question": {
-            "id": question.id,
-            "text": question.text,
-            "gold_answers": list(question.gold_answers),
-        },
-        "strategy": config.strategy,
-        "config": {
-            "k": config.k,
-            "n": config.n,
-            "t_max": config.t_max,
-            "tau": config.tau,
-            "score_metric": config.score_metric,
-            "strategy": config.strategy,
-            "seed": config.seed,
-            "majority_samples": config.majority_samples,
-            "rollout_cap": config.rollout_cap,
-            "top_k": config.top_k,
-        },
+        **_header(question, config),
         "failure": {"layer": layer, "reason": reason},
         "chains": [],
         "full_tree": None,
@@ -287,7 +265,7 @@ def _chain_from_dict(record: dict, question: Question) -> ChainRecord:
     nodes = [_node_from_dict(n, question, steps) for n in record["nodes"]]
     for i in range(len(nodes) - 1):
         nodes[i].child = nodes[i + 1]
-    chain = ChainRecord(
+    return ChainRecord(
         chain_id=record["chain_id"],
         fork_layer=record["fork_layer"],
         fork_kind=record["fork_kind"],
@@ -295,12 +273,8 @@ def _chain_from_dict(record: dict, question: Question) -> ChainRecord:
         final_answer=record["final_answer"],
         final_score=record["final_score"],
         terminated_by=record["terminated_by"],
+        final_state=State(question, tuple(steps), record["final_answer"]),
     )
-    if record["final_answer"] is not None:
-        chain.final_state = State(question, tuple(steps), record["final_answer"])
-    else:
-        chain.pending_state = State(question, tuple(steps))
-    return chain
 
 
 def _full_node_from_dict(record: dict, state: State, depth: int) -> FullNode:
@@ -331,18 +305,7 @@ def snapshot_from_dict(record: dict) -> Snapshot:
         raise ExportError(f"unsupported snapshot schema version: {version!r}")
     q = record["question"]
     question = Question(id=q["id"], text=q["text"], gold_answers=tuple(q["gold_answers"]))
-    config = ExpansionConfig(
-        k=record["config"]["k"],
-        n=record["config"]["n"],
-        t_max=record["config"]["t_max"],
-        tau=record["config"]["tau"],
-        score_metric=record["config"]["score_metric"],
-        strategy=record["config"]["strategy"],
-        seed=record["config"]["seed"],
-        majority_samples=record["config"]["majority_samples"],
-        rollout_cap=record["config"]["rollout_cap"],
-        top_k=record["config"]["top_k"],
-    )
+    config = ExpansionConfig(**{name: record["config"][name] for name in _CONFIG_ECHO})
     full_root = None
     if record.get("full_tree") is not None:
         full_root = _full_node_from_dict(record["full_tree"], State(question), 0)

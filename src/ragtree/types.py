@@ -9,10 +9,7 @@ with the documents it retrieved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Tuple, Union
-
-TerminationChoice = Literal["terminate", "continue"]
-RetrievalMode = Literal["self_knowledge", "retrieve"]
+from typing import Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,3 @@ class State:
             raise ValueError("state already terminal")
         return State(self.question, self.steps, answer)
 
-
-@dataclass(frozen=True)
-class Action:
-    """A joint action: whether to stop, and if not, how to resolve the next step."""
-
-    termination: TerminationChoice
-    retrieval: Optional[RetrievalMode] = None
-
-    def __post_init__(self):
-        if self.termination == "continue" and self.retrieval is None:
-            raise ValueError("continuing requires a retrieval mode")
-        if self.termination == "terminate" and self.retrieval is not None:
-            raise ValueError("terminating admits no retrieval mode")

@@ -258,10 +258,16 @@ class StubPolicyServer:
 
 
 class StubRetrieverServer:
-    def __init__(self, retriever: LexicalRetriever):
+    """Retrieval endpoint backed by an in-memory retriever.
+
+    ``fail_first`` makes the first N requests return ``fail_status``.
+    """
+
+    def __init__(self, retriever: LexicalRetriever, fail_first: int = 0, fail_status: int = 500):
         outer = self
         self.retriever = retriever
         self.requests_seen = 0
+        self._fail_remaining = fail_first
         self._lock = threading.Lock()
 
         class Handler(BaseHTTPRequestHandler):
@@ -273,8 +279,12 @@ class StubRetrieverServer:
                 payload = json.loads(self.rfile.read(length))
                 with outer._lock:
                     outer.requests_seen += 1
-                from ragtree.retrieval import RetrievalRequest
-
+                    if outer._fail_remaining > 0:
+                        outer._fail_remaining -= 1
+                        self.send_response(fail_status)
+                        self.end_headers()
+                        self.wfile.write(b"boom")
+                        return
                 docs = outer.retriever.retrieve(
                     RetrievalRequest(query=payload["query"], top_k=payload["top_k"])
                 )

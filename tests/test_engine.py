@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -146,25 +150,27 @@ class TestRetrievalGate:
             "sa weak": overlap_answer(1),
             "sa zero": "offtrack",
         }
-        builder = make_builder(scenario, retriever)
+        counting = CountingRetriever(retriever)
+        builder = make_builder(scenario, counting)
         expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
         assert expansion.skipped_retrieval
         assert expansion.chosen_kind == "self_answer"
         assert expansion.chosen.content == "sa strong"
         assert expansion.sub_query_candidates == ()
-        assert builder._ledger.retrieval_calls == 0
+        assert counting.requests == []
 
     def test_low_self_answers_expand_sub_queries(self, scenario, retriever):
         scenario.set_candidates("self_answer", 1, ["sa a", "sa b", "sa c"])
         scenario.set_candidates("sub_query", 1, ["mq a", "mq b", "mq c"])
         scenario.rollout_answers = {"mq a": overlap_answer(2)}
-        builder = make_builder(scenario, retriever)
+        counting = CountingRetriever(retriever)
+        builder = make_builder(scenario, counting)
         expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
         assert not expansion.skipped_retrieval
         assert expansion.chosen_kind == "sub_query"
         assert len(expansion.sub_query_candidates) == 3
         # one retrieval per deduplicated sub-query
-        assert builder._ledger.retrieval_calls == 3
+        assert [r.query for r in counting.requests] == ["mq a", "mq b", "mq c"]
         # retrieved documents attach to the candidate and its chain step
         assert len(expansion.chosen.documents) == scenario.config.top_k
 
@@ -489,3 +495,64 @@ class TestRetrievalMemo:
         # each rollout searches twice; neither the last build's memo nor a
         # builder-wide one serves them
         assert len(retriever.requests) - sent == 4
+
+
+class SlowPolicy:
+    """Sleeps before each completion so concurrent builds interleave."""
+
+    def __init__(self, inner, delay_s: float = 0.001):
+        self.inner = inner
+        self.delay_s = delay_s
+
+    def complete(self, request):
+        time.sleep(self.delay_s)
+        return self.inner.complete(request)
+
+
+class TestBuilderHoldsNoBuildState:
+    def test_direct_calls_leave_a_finished_ledger_alone(self):
+        question = Question(id="ledger-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=2, n=2, t_max=3, majority_samples=2, rollout_cap="fixed")
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
+        builder = TreeBuilder(policy, make_bench_retriever(), cfg)
+        result = builder.build_tree(question)
+        before = result.ledger.to_dict()
+        builder.run_rollout(State(question), None, layer=1, seed_parts=("direct", 0))
+        builder.expand_termination(State(question), 1)
+        assert result.ledger.to_dict() == before
+
+    @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
+    def test_one_builder_shared_by_concurrent_builds(self, strategy):
+        from ragtree.snapshot import build_result_to_dict, dumps_snapshot
+
+        words = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        questions = [
+            Question(id=f"shared-{a}", text=f"what follows {a}?", gold_answers=(b,))
+            for a, b in zip(words, words[1:])
+        ]
+        cfg = ExpansionConfig(
+            k=2, n=1, t_max=2, majority_samples=2, rollout_cap="fixed", strategy=strategy
+        )
+        gold = {q.text: q.gold_answers[0] for q in questions}
+        policy = SlowPolicy(make_bench_policy(gold, rollout_searches=1))
+        retriever = make_bench_retriever()
+
+        def snapshot(builder: TreeBuilder, question: Question) -> str:
+            return dumps_snapshot(build_result_to_dict(builder.build_tree(question)))
+
+        expected = [snapshot(TreeBuilder(policy, retriever, cfg), q) for q in questions]
+        shared = TreeBuilder(policy, retriever, cfg)
+        barrier = threading.Barrier(len(questions))
+
+        def build(question: Question) -> str:
+            barrier.wait(timeout=10)
+            return snapshot(shared, question)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(questions)) as pool:
+                built = list(pool.map(build, questions))
+        finally:
+            sys.setswitchinterval(interval)
+        assert built == expected

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import CountingRetriever, StubRetrieverServer, TEST_CORPUS
-from ragtree.errors import BackendUnavailable, DatasetError
+from ragtree.errors import BackendUnavailable, ConfigurationError, DatasetError
 from ragtree.retrieval import (
     HttpRetrieverBackend,
     LexicalRetriever,
@@ -83,6 +83,43 @@ class TestHttpRetriever:
             assert len(docs) == 2
             assert docs[0].title == "gamma"
             assert docs[0].score >= docs[1].score
+        finally:
+            server.close()
+
+    def test_transient_500s_then_success(self):
+        server = StubRetrieverServer(LexicalRetriever(TEST_CORPUS), fail_first=2)
+        try:
+            backend = HttpRetrieverBackend(base_url=server.base_url, max_retries=2, backoff_s=0.01)
+            docs = backend.retrieve(RetrievalRequest(query="gamma", top_k=1))
+            assert [d.title for d in docs] == ["gamma"]
+            assert server.requests_seen == 3
+        finally:
+            server.close()
+
+    def test_exhausted_retries_raise_backend_unavailable(self):
+        server = StubRetrieverServer(LexicalRetriever(TEST_CORPUS), fail_first=10)
+        try:
+            backend = HttpRetrieverBackend(base_url=server.base_url, max_retries=2, backoff_s=0.01)
+            with pytest.raises(BackendUnavailable):
+                backend.retrieve(RetrievalRequest(query="gamma"))
+            assert server.requests_seen == 3
+        finally:
+            server.close()
+
+    def test_unreachable_endpoint_raises_backend_unavailable(self):
+        backend = HttpRetrieverBackend(
+            base_url="http://127.0.0.1:9", max_retries=1, backoff_s=0.01, timeout=0.2
+        )
+        with pytest.raises(BackendUnavailable):
+            backend.retrieve(RetrievalRequest(query="gamma"))
+
+    def test_4xx_raises_configuration_error_without_retry(self):
+        server = StubRetrieverServer(LexicalRetriever(TEST_CORPUS), fail_first=1, fail_status=400)
+        try:
+            backend = HttpRetrieverBackend(base_url=server.base_url, backoff_s=0.01)
+            with pytest.raises(ConfigurationError):
+                backend.retrieve(RetrievalRequest(query="gamma"))
+            assert server.requests_seen == 1
         finally:
             server.close()
 

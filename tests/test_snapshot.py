@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from conftest import GOLD, Scenario, overlap_answer
-from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.engine import BuildResult, ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import ExportError
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import (
@@ -179,3 +179,54 @@ class TestGoldenSnapshots:
         assert result.ledger.expansion_count(strategy) == theoretical_counts(cfg, t_max)
         encoded = dumps_snapshot(build_result_to_dict(result))
         assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == digest
+
+
+class TestNoPruningCharacterization:
+    """no_pruning paths the golden digests miss, pinned by snapshot bytes."""
+
+    DIGESTS = {
+        "cap_without_answer": "9dad3530e9c86575b47a8a3d391d4f0e1e565cdb092dd05c683056abf1465371",
+        "vote_at_layer_two": "e48879ebc88fe86947fb377730b6977eaba1ba32269fc9ef825bf05e48a4cded",
+    }
+
+    @staticmethod
+    def encode(scenario, retriever) -> dict:
+        result = TreeBuilder(scenario.policy(), retriever, scenario.config).build_tree(
+            scenario.question
+        )
+        record = build_result_to_dict(result)
+        loaded = snapshot_from_dict(record)
+        again = build_result_to_dict(BuildResult(loaded.question, loaded.config, loaded.chains))
+        assert again["chains"] == record["chains"]
+        return record
+
+    @staticmethod
+    def digest(record: dict) -> str:
+        return hashlib.sha256(dumps_snapshot(record).encode("utf-8")).hexdigest()
+
+    def test_failed_finalization_keeps_cap_chain_steps(self, scenario, retriever):
+        scenario.config = ExpansionConfig(
+            k=2, n=1, t_max=2, majority_samples=2, strategy="no_pruning", malformed_retries=0
+        )
+        scenario.finalize_answer = ""  # an empty <answer> parses as malformed
+        record = self.encode(scenario, retriever)
+        assert len(record["chains"]) == 3
+        for chain in record["chains"]:
+            assert chain["terminated_by"] == "cap"
+            assert chain["final_answer"] is None
+            assert len(chain["steps"]) == scenario.config.t_max
+        assert self.digest(record) == self.DIGESTS["cap_without_answer"]
+
+    def test_votes_terminate_at_layer_two(self, scenario, retriever):
+        scenario.config = ExpansionConfig(
+            k=2, n=1, t_max=3, majority_samples=2, strategy="no_pruning"
+        )
+        scenario.set_votes(2, ["terminate", "terminate"])
+        scenario.finalize_answer = GOLD
+        record = self.encode(scenario, retriever)
+        assert [c["terminated_by"] for c in record["chains"]] == ["vote", "vote"]
+        assert [c["fork_layer"] for c in record["chains"]] == [0, 1]
+        for chain in record["chains"]:
+            assert chain["final_answer"] == GOLD
+            assert len(chain["steps"]) == 1
+        assert self.digest(record) == self.DIGESTS["vote_at_layer_two"]

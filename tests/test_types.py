@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from ragtree.types import (
-    Action,
     Document,
     Question,
     Retrieved,
@@ -68,14 +67,3 @@ class TestState:
         assert base.depth == 0
         assert extended.depth == 1
 
-
-class TestAction:
-    def test_continue_requires_retrieval_mode(self):
-        with pytest.raises(ValueError):
-            Action(termination="continue")
-        Action(termination="continue", retrieval="retrieve")
-
-    def test_terminate_forbids_retrieval_mode(self):
-        with pytest.raises(ValueError):
-            Action(termination="terminate", retrieval="self_knowledge")
-        Action(termination="terminate")
