@@ -10,6 +10,7 @@ expansion and the evaluation of trained models.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -207,15 +208,19 @@ def evaluate_dataset(
     seed: Optional[int] = 0,
     exclude_failures_from_means: bool = False,
     transcripts_path: Optional[str] = None,
+    concurrency: int = 1,
 ) -> EvaluationReport:
     """Run the agent on every question and aggregate EM/F1.
 
     Unanswered episodes (caps, failures) score 0 unless
-    ``exclude_failures_from_means`` drops them from the averages.
+    ``exclude_failures_from_means`` drops them from the averages. With
+    ``concurrency`` above 1, questions run on a pool of that many threads.
+    Each question's seed comes from its index, so items and transcripts keep
+    the input order, and backends that answer a request the same way each
+    time give the same contents at any concurrency.
     """
-    transcripts: List[AgentTranscript] = []
-    items: List[dict] = []
-    for index, question in enumerate(questions):
+
+    def run_one(index: int, question: Question) -> Tuple[AgentTranscript, dict]:
         transcript = run_agent(
             question,
             policy,
@@ -228,21 +233,27 @@ def evaluate_dataset(
             temperature=temperature,
             seed=None if seed is None else seed * 100003 + index,
         )
-        transcripts.append(transcript)
         answered = transcript.final_answer is not None
         em = exact_match(transcript.final_answer, question.gold_answers) if answered else 0.0
         f1 = f1_score(transcript.final_answer, question.gold_answers) if answered else 0.0
-        items.append(
-            {
-                "id": question.id,
-                "answer": transcript.final_answer,
-                "em": em,
-                "f1": f1,
-                "searches": transcript.searches_used,
-                "steps": transcript.steps_taken,
-                "failure": transcript.failure,
-            }
-        )
+        item = {
+            "id": question.id,
+            "answer": transcript.final_answer,
+            "em": em,
+            "f1": f1,
+            "searches": transcript.searches_used,
+            "steps": transcript.steps_taken,
+            "failure": transcript.failure,
+        }
+        return transcript, item
+
+    if concurrency > 1 and len(questions) > 1:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            done = list(pool.map(run_one, range(len(questions)), questions))
+    else:
+        done = [run_one(index, question) for index, question in enumerate(questions)]
+    transcripts = [transcript for transcript, _ in done]
+    items = [item for _, item in done]
 
     scored = [i for i in items if not (exclude_failures_from_means and i["failure"])]
     denom = max(1, len(scored))

@@ -241,6 +241,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         temperature=args.temperature,
         seed=config.expansion.seed,
         transcripts_path=args.transcripts,
+        concurrency=config.concurrency,
     )
     record = report.to_dict()
     if args.out:

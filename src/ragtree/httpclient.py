@@ -1,14 +1,19 @@
-"""JSON POST with retries, shared by the HTTP policy and retriever clients."""
+"""JSON POST with retries, shared by the HTTP policy and retriever clients.
+
+``requests`` is imported on the first POST, not with the package, so runs on
+the scripted and lexical backends never load the HTTP stack.
+"""
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
-
-import requests
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BackendUnavailable, ConfigurationError
+
+if TYPE_CHECKING:
+    import requests
 
 
 class HttpJsonClient:
@@ -31,6 +36,8 @@ class HttpJsonClient:
         self._local = threading.local()
 
     def _post(self, path: str, payload: dict, headers: Optional[dict] = None) -> requests.Response:
+        import requests
+
         if not hasattr(self._local, "session"):
             self._local.session = requests.Session()
         last_error: Optional[Exception] = None

@@ -10,13 +10,14 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Protocol, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, Tuple
 
 from .errors import BackendUnavailable, ConfigurationError
 from .httpclient import HttpJsonClient
 from .templates import PolicyRole
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)

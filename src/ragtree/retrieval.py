@@ -8,14 +8,15 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Protocol, Sequence, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence, Tuple
 
 from .errors import BackendUnavailable, DatasetError
 from .httpclient import HttpJsonClient
 from .metrics import normalize_answer
 from .types import Document
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import threading
 
 import pytest
 
 from ragtree.agent import evaluate_dataset, run_agent
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
+from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
@@ -203,3 +206,71 @@ class TestEvaluateDataset:
         )
         assert report.failures == 1
         assert report.em == 1.0  # the failed item is excluded
+
+
+class TestEvaluateConcurrency:
+    """Question-level fan-out keeps the report and transcripts of a serial run."""
+
+    QUESTIONS = [
+        Question(id=f"c{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))
+        for i in range(8)
+    ]
+
+    @staticmethod
+    def seeded_policy() -> ScriptedPolicyBackend:
+        """Output depends on the request seed: a malformed completion when it is
+        a multiple of 5, otherwise searches while it is odd, then an answer that
+        is right when the seed is a multiple of 4."""
+
+        def handler(request: PolicyRequest) -> str:
+            number = re.search(r"probe number (\d+)", request.prompt).group(1)
+            if request.seed % 5 == 0:
+                return "no action here"
+            if request.seed % 2:
+                return f"<think> seed {request.seed} </think> <search> beta {number} </search>"
+            answer = number if request.seed % 4 == 0 else request.seed
+            return f"<answer> fact {answer} </answer>"
+
+        return rollout_policy(handler)
+
+    def _run(self, policy, retriever, concurrency, tmp_path):
+        path = tmp_path / f"transcripts-{concurrency}.jsonl"
+        report = evaluate_dataset(
+            self.QUESTIONS,
+            policy,
+            retriever,
+            seed=3,
+            transcripts_path=str(path),
+            concurrency=concurrency,
+        )
+        return report.to_dict(include_items=True), path.read_bytes()
+
+    @pytest.mark.parametrize("backends", ["bench", "seeded"])
+    def test_fan_out_matches_serial(self, backends, tmp_path):
+        if backends == "bench":
+            gold = {q.text: q.gold_answers[0] for q in self.QUESTIONS[::2]}
+            make = lambda: (make_bench_policy(gold, rollout_searches=2), make_bench_retriever())
+        else:
+            make = lambda: (self.seeded_policy(), LexicalRetriever(TEST_CORPUS))
+        serial = self._run(*make(), 1, tmp_path)
+        fanned = self._run(*make(), 4, tmp_path)
+        assert fanned == serial
+        report = serial[0]
+        assert [item["id"] for item in report["items"]] == [q.id for q in self.QUESTIONS]
+        assert 0 < report["em"] < 1
+
+    def test_questions_run_concurrently(self, retriever):
+        # Each question's first completion waits for all four; run serially,
+        # the first wait times out and its BrokenBarrierError fails the test.
+        barrier = threading.Barrier(4, timeout=10)
+
+        def handler(request: PolicyRequest) -> str:
+            if "<information>" not in request.prompt:
+                barrier.wait()
+            return "<answer> fact 0 </answer>"
+
+        report = evaluate_dataset(
+            self.QUESTIONS[:4], rollout_policy(handler), retriever, concurrency=4
+        )
+        assert report.failures == 0
+        assert report.em == 0.25

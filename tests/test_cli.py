@@ -6,6 +6,7 @@ import csv
 import json
 from dataclasses import replace
 
+from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
@@ -207,7 +208,8 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         assert [row["strategy"] for row in rows] == ["pruning", "no_pruning", "full_node"]
         for row in rows:
             assert int(row["measured_count"]) == int(row["theoretical_count"])
@@ -243,3 +245,25 @@ class TestEvaluateCommand:
         assert report["f1"] == 1.0
         assert report["failures"] == 0
         assert len(transcripts.read_text().splitlines()) == 2
+
+    def test_concurrency_flag_reaches_evaluation(self, tmp_path, monkeypatch):
+        dataset = write_dataset(tmp_path, n=4)
+        config = write_config(tmp_path)
+        seen = []
+        original = cli.evaluate_dataset
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["concurrency"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_dataset", spy)
+        outputs = []
+        for concurrency in ("1", "4"):
+            report = tmp_path / f"report-{concurrency}.json"
+            transcripts = tmp_path / f"transcripts-{concurrency}.jsonl"
+            argv = ["evaluate", "--dataset", dataset, "--config", config, "--out", str(report)]
+            argv += ["--transcripts", str(transcripts), "--concurrency", concurrency]
+            assert main(argv) == 0
+            outputs.append((report.read_bytes(), transcripts.read_bytes()))
+        assert seen == [1, 4]
+        assert outputs[0] == outputs[1]
