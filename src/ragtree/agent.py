@@ -10,10 +10,9 @@ expansion and the evaluation of trained models.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
 from .metrics import exact_match, f1_score
@@ -25,6 +24,23 @@ from .types import Document, Question, State
 from .errors import RagTreeError
 
 STOP_SEQUENCES = ("</search>", "</answer>")
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def fan_out(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads above 1.
+
+    Results keep the order of ``items``. ``concurrent.futures`` is imported
+    only when a call fans out, so serial runs never load it.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent import futures
+
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -38,8 +54,8 @@ class AgentEvent:
 class AgentTranscript:
     question_id: str
     events: List[AgentEvent] = field(default_factory=list)
-    searches_used: int = 0
-    steps_taken: int = 0
+    searches_used: int = 0  # completed retrieval calls
+    steps_taken: int = 0  # completed policy calls
     terminated: bool = False
     final_answer: Optional[str] = None
     failure: Optional[str] = None
@@ -88,8 +104,6 @@ def run_agent(
     top_k: int = 3,
     temperature: float = 0.7,
     seed: Optional[int] = None,
-    on_policy_call: Optional[Callable[[], None]] = None,
-    on_retrieval_call: Optional[Callable[[], None]] = None,
 ) -> AgentTranscript:
     """Drive one episode until ``<answer>``, a cap, or a failure.
 
@@ -119,8 +133,6 @@ def run_agent(
         except RagTreeError as exc:
             transcript.failure = f"policy backend failed: {exc}"
             break
-        if on_policy_call:
-            on_policy_call()
         transcript.steps_taken += 1
 
         text = response.text
@@ -151,8 +163,6 @@ def run_agent(
         except RagTreeError as exc:
             transcript.failure = f"retriever failed: {exc}"
             break
-        if on_retrieval_call:
-            on_retrieval_call()
         transcript.searches_used += 1
         transcript.events.append(AgentEvent("search", content))
         transcript.events.append(AgentEvent("information", "", tuple(docs)))
@@ -220,7 +230,8 @@ def evaluate_dataset(
     time give the same contents at any concurrency.
     """
 
-    def run_one(index: int, question: Question) -> Tuple[AgentTranscript, dict]:
+    def run_one(job: Tuple[int, Question]) -> Tuple[AgentTranscript, dict]:
+        index, question = job
         transcript = run_agent(
             question,
             policy,
@@ -247,11 +258,7 @@ def evaluate_dataset(
         }
         return transcript, item
 
-    if concurrency > 1 and len(questions) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            done = list(pool.map(run_one, range(len(questions)), questions))
-    else:
-        done = [run_one(index, question) for index, question in enumerate(questions)]
+    done = fan_out(run_one, list(enumerate(questions)), concurrency)
     transcripts = [transcript for transcript, _ in done]
     items = [item for _, item in done]
 

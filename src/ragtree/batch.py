@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
+from .agent import fan_out
 from .engine import TreeBuilder
 from .errors import NodeExpansionFailed, RagTreeError
 from .snapshot import (
@@ -19,9 +19,9 @@ from .snapshot import (
 from .types import Question
 
 
-def snapshot_path(output_dir: str, question_id: str) -> Path:
+def snapshot_path(out_dir: str, question_id: str) -> Path:
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in question_id)
-    return Path(output_dir) / f"{safe}.json"
+    return Path(out_dir) / f"{safe}.json"
 
 
 def _snapshot_is_valid(path: Path, question_id: str) -> bool:
@@ -32,6 +32,7 @@ def _snapshot_is_valid(path: Path, question_id: str) -> bool:
     return (
         record.get("schema_version") == SCHEMA_VERSION
         and record.get("question", {}).get("id") == question_id
+        and record.get("failure") is None
     )
 
 
@@ -98,7 +99,7 @@ class Manifest:
 def expand_batch(
     questions: Sequence[Question],
     builder_factory: Callable[[], TreeBuilder],
-    output_dir: str,
+    out_dir: str,
     resume: bool = True,
     concurrency: int = 1,
     on_progress: Optional[Callable[[str, str], None]] = None,
@@ -106,19 +107,20 @@ def expand_batch(
     """Expand every question, writing one snapshot per question plus a manifest.
 
     With ``resume`` enabled, questions whose snapshot already exists and
-    validates are skipped without touching any backend. ``builder_factory``
-    is called once per question; since a builder keeps no per-build state, it
-    may return one shared builder, and concurrent builds on it still get their
-    own ledgers and retrieval memos (direct ``run_rollout`` or ``expand_*``
-    calls get their own unmemoized counters). Backends only need to be
-    shareable.
+    validates are skipped without touching any backend; a snapshot that
+    records a failure does not validate, so its question is expanded again.
+    ``builder_factory`` is called once per question; since a builder keeps no
+    per-build state, it may return one shared builder, and concurrent builds
+    on it still get their own ledgers and retrieval memos (direct
+    ``run_rollout`` or ``expand_*`` calls get their own unmemoized counters).
+    Backends only need to be shareable.
     """
-    Path(output_dir).mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()
 
     pending: List[Question] = []
     for question in questions:
-        path = snapshot_path(output_dir, question.id)
+        path = snapshot_path(out_dir, question.id)
         if resume and path.exists() and _snapshot_is_valid(path, question.id):
             manifest.items.append(ManifestItem(question.id, "skipped", str(path)))
             if on_progress:
@@ -127,7 +129,7 @@ def expand_batch(
             pending.append(question)
 
     def expand_one(question: Question) -> ManifestItem:
-        path = snapshot_path(output_dir, question.id)
+        path = snapshot_path(out_dir, question.id)
         builder = builder_factory()
         try:
             result = builder.build_tree(question)
@@ -142,13 +144,7 @@ def expand_batch(
         counters = {key: getattr(result.ledger, key) for key in _LEDGER_KEYS}
         return ManifestItem(question.id, "ok", str(path), ledger=counters)
 
-    if concurrency > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            done = list(pool.map(expand_one, pending))
-    else:
-        done = [expand_one(q) for q in pending]
-
-    for item in done:
+    for item in fan_out(expand_one, pending, concurrency):
         manifest.items.append(item)
         if on_progress:
             on_progress(item.question_id, item.status)
@@ -156,5 +152,5 @@ def expand_batch(
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])
-    manifest.save(str(Path(output_dir) / "manifest.json"))
+    manifest.save(str(Path(out_dir) / "manifest.json"))
     return manifest

@@ -21,23 +21,27 @@ from .config import (
     load_dataset,
 )
 from .engine import TreeBuilder, theoretical_counts
-from .errors import ExportError, RagTreeError
+from .errors import ConfigurationError, ExportError, RagTreeError
 from .export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import make_bench_policy, make_bench_retriever
 from .snapshot import load_snapshot
 
 
-def _add_expansion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, help="candidate executions per decision")
-    parser.add_argument("--n", type=int, help="rollouts per candidate")
+def _add_expansion_flags(
+    parser: argparse.ArgumentParser, concurrency_help: str, tree: bool = True
+) -> None:
+    """Config overrides; ``tree=False`` (evaluate) leaves out the tree-only flags."""
+    if tree:
+        parser.add_argument("--k", type=int, help="candidate executions per decision")
+        parser.add_argument("--n", type=int, help="rollouts per candidate")
+        parser.add_argument("--threshold", type=float, help="retrieval-skip threshold tau")
+        parser.add_argument(
+            "--strategy", choices=["pruning", "no_pruning", "full_node"], help="expansion strategy"
+        )
+        parser.add_argument("--metric", choices=["f1", "em"], help="rollout correctness metric")
     parser.add_argument("--tmax", type=int, help="maximum decision iterations")
-    parser.add_argument("--threshold", type=float, help="retrieval-skip threshold tau")
-    parser.add_argument(
-        "--strategy", choices=["pruning", "no_pruning", "full_node"], help="expansion strategy"
-    )
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--metric", choices=["f1", "em"], help="rollout correctness metric")
-    parser.add_argument("--concurrency", type=int, help="max in-flight requests")
+    parser.add_argument("--concurrency", type=int, help=concurrency_help)
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,26 +60,18 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
 
-    expansion = config.expansion
+    renamed = {"tmax": "t_max", "threshold": "tau", "metric": "score_metric"}
     overrides = {}
-    for flag, field_name in (
-        ("k", "k"),
-        ("n", "n"),
-        ("tmax", "t_max"),
-        ("threshold", "tau"),
-        ("strategy", "strategy"),
-        ("seed", "seed"),
-        ("metric", "score_metric"),
-    ):
+    for flag in ("k", "n", "tmax", "threshold", "strategy", "seed", "metric", "concurrency"):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "concurrency", None) is not None:
-        overrides["concurrency"] = args.concurrency
-        config = replace(config, concurrency=args.concurrency)
-    if overrides:
-        expansion = replace(expansion, **overrides)
-        config = replace(config, expansion=expansion)
+            overrides[renamed.get(flag, flag)] = value
+    try:
+        config = replace(config, expansion=replace(config.expansion, **overrides))
+        if "concurrency" in overrides:
+            config = replace(config, concurrency=overrides["concurrency"])
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid flag value: {exc}") from None
 
     policy = config.policy
     if getattr(args, "policy_kind", None):
@@ -266,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     resume_group = expand.add_mutually_exclusive_group()
     resume_group.add_argument("--resume", dest="resume", action="store_true", default=None)
     resume_group.add_argument("--no-resume", dest="resume", action="store_false")
-    _add_expansion_flags(expand)
+    _add_expansion_flags(
+        expand,
+        "batch workers, and rollout threads in each question's build: "
+        "up to concurrency squared requests in flight",
+    )
     _add_backend_flags(expand)
     expand.set_defaults(func=_cmd_expand)
 
@@ -304,11 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="depth cap for the full-node strategy (its cost is exponential)",
     )
-    _add_expansion_flags(bench)
+    _add_expansion_flags(bench, "rollout threads in each question's build")
     _add_backend_flags(bench)
     bench.set_defaults(func=_cmd_bench)
 
-    evaluate = sub.add_parser("evaluate", help="run the search agent over a dataset")
+    # No abbreviations, so an expansion-only flag such as --n is rejected, not read as --name.
+    evaluate = sub.add_parser(
+        "evaluate", help="run the search agent over a dataset", allow_abbrev=False
+    )
     evaluate.add_argument("--dataset", help="question JSONL file")
     evaluate.add_argument("--out", help="report JSON path")
     evaluate.add_argument("--transcripts", help="transcript JSONL path")
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--max-steps", type=int, default=8)
     evaluate.add_argument("--max-searches", type=int, default=4)
     evaluate.add_argument("--temperature", type=float, default=0.0)
-    _add_expansion_flags(evaluate)
+    _add_expansion_flags(evaluate, "questions evaluated at once", tree=False)
     _add_backend_flags(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
 

@@ -7,7 +7,7 @@ The config file is JSON and round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -33,7 +33,6 @@ class PolicySettings:
     self_answer_base_url: Optional[str] = None
     self_answer_model: Optional[str] = None
     # Scripted-backend knobs (deterministic fixture; used by bench and demos).
-    scripted_profile: str = "bench"
     scripted_rollout_searches: Optional[int] = None
     scripted_terminate_after: Optional[int] = None
 
@@ -52,7 +51,6 @@ class RetrieverSettings:
 class PathSettings:
     dataset: Optional[str] = None
     templates_dir: Optional[str] = None
-    output_dir: str = "runs"
 
 
 @dataclass(frozen=True)
@@ -65,24 +63,19 @@ class RunConfig:
     resume: bool = True
     doc_char_budget: int = 1500
 
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, record: dict) -> "RunConfig":
-        known = {"expansion", "policy", "retriever", "paths", "concurrency", "resume", "doc_char_budget"}
-        unknown = set(record) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            expansion=ExpansionConfig(**record.get("expansion", {})),
-            policy=PolicySettings(**record.get("policy", {})),
-            retriever=RetrieverSettings(**record.get("retriever", {})),
-            paths=PathSettings(**record.get("paths", {})),
-            concurrency=record.get("concurrency", 1),
-            resume=record.get("resume", True),
-            doc_char_budget=record.get("doc_char_budget", 1500),
-        )
+        try:
+            return _from_record(cls, record, "config")
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid config: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -111,6 +104,22 @@ class RunConfig:
         from dataclasses import replace
 
         return replace(DEFAULT_TEMPLATE, doc_char_budget=self.doc_char_budget)
+
+
+def _from_record(cls, record: dict, where: str):
+    """``cls(**record)`` that names unknown keys. A field with a default factory is a
+    settings section, built the same way from its own record."""
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(record) - set(known)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in record.items():
+        section = known[key].default_factory
+        values[key] = value if section is MISSING else _from_record(section, value, key)
+    return cls(**values)
 
 
 def load_dataset(path: str) -> List[Question]:

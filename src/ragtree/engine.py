@@ -25,12 +25,10 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
-from .agent import run_agent
+from .agent import fan_out, run_agent
 from .errors import NodeExpansionFailed
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
@@ -42,6 +40,7 @@ from .types import Question, Retrieved, SelfAnswer, State, Step
 
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,6 @@ class ExpansionLedger:
     retrieval_calls: int = 0  # logical; build_tree sends each distinct request once
     nodes_expanded: int = 0
     leaf_nodes: int = 0  # full-node strategy only
-    wall_time: float = 0.0
     per_layer: Dict[int, LayerCounters] = field(default_factory=dict)
 
     def expansion_count(self, strategy: Strategy) -> int:
@@ -216,8 +214,8 @@ class ExpansionLedger:
             return self.leaf_nodes
         return self.policy_calls + self.rollout_calls
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        record = {
+    def to_dict(self) -> dict:
+        return {
             "policy_calls": self.policy_calls,
             "rollout_calls": self.rollout_calls,
             "finalize_calls": self.finalize_calls,
@@ -226,9 +224,6 @@ class ExpansionLedger:
             "leaf_nodes": self.leaf_nodes,
             "per_layer": {str(layer): asdict(c) for layer, c in sorted(self.per_layer.items())},
         }
-        if include_timing:
-            record["wall_time"] = self.wall_time
-        return record
 
 
 @dataclass
@@ -270,6 +265,12 @@ class RetrievalExpansion:
     alt: Optional[Candidate] = None
 
 
+def _vote_kind(raw: str) -> Optional[str]:
+    """A termination vote's kind, or None for malformed output."""
+    kind = parse_termination(raw).kind
+    return None if kind == "malformed" else kind
+
+
 @dataclass
 class _Build:
     """What one build owns: its question, ledger, retriever and ledger lock."""
@@ -279,11 +280,11 @@ class _Build:
     ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def bump(self, layer: int, counter: str) -> None:
+    def bump(self, layer: int, counter: str, amount: int = 1) -> None:
         with self.lock:
-            setattr(self.ledger, counter, getattr(self.ledger, counter) + 1)
+            setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
             per_layer = self.ledger.per_layer.setdefault(layer, LayerCounters())
-            setattr(per_layer, counter, getattr(per_layer, counter) + 1)
+            setattr(per_layer, counter, getattr(per_layer, counter) + amount)
 
 
 class TreeBuilder:
@@ -311,28 +312,35 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ plumbing
 
-    def _complete(
+    def _sample(
         self,
         build: _Build,
         role: PolicyRole,
         prompt: str,
+        parse: Callable[[str], Optional[T]],
         layer: int,
         counter: str,
         seed_parts: Tuple,
         temperature: Optional[float] = None,
-    ) -> str:
+    ) -> Optional[T]:
+        """Complete until ``parse`` accepts the output (returns non-None), retrying
+        malformed output up to ``malformed_retries`` times; seeds end in the attempt."""
         if temperature is None:
             temperature = self.config.sampling_temperature
-        request = PolicyRequest(
-            role=role,
-            prompt=prompt,
-            temperature=temperature,
-            max_tokens=self.config.max_tokens,
-            seed=derive_seed(self.config.seed, build.question.id, *seed_parts),
-        )
-        response = self.policy.complete(request)
-        build.bump(layer, counter)
-        return response.text
+        for attempt in range(self.config.malformed_retries + 1):
+            request = PolicyRequest(
+                role=role,
+                prompt=prompt,
+                temperature=temperature,
+                max_tokens=self.config.max_tokens,
+                seed=derive_seed(self.config.seed, build.question.id, *seed_parts, attempt),
+            )
+            response = self.policy.complete(request)
+            build.bump(layer, counter)
+            parsed = parse(response.text)
+            if parsed is not None:
+                return parsed
+        return None
 
     def _retrieve(self, build: _Build, query: str, layer: int) -> Tuple:
         docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
@@ -376,9 +384,9 @@ class TreeBuilder:
             top_k=self.config.top_k,
             temperature=self.config.sampling_temperature,
             seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
-            on_policy_call=lambda: build.bump(layer, "rollout_calls"),
-            on_retrieval_call=lambda: build.bump(layer, "retrieval_calls"),
         )
+        build.bump(layer, "rollout_calls", transcript.steps_taken)
+        build.bump(layer, "retrieval_calls", transcript.searches_used)
         return RolloutResult(
             transcript=transcript.raw_text,
             final_answer=transcript.final_answer,
@@ -413,11 +421,7 @@ class TreeBuilder:
             index, r, base_state, pending = job
             return self.run_rollout(base_state, pending, layer, (layer, kind, index, r), build)
 
-        if self.config.concurrency > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                results = list(pool.map(run, jobs))
-        else:
-            results = [run(job) for job in jobs]
+        results = fan_out(run, jobs, self.config.concurrency)
 
         candidates = []
         for index, (content, documents) in enumerate(entries):
@@ -448,14 +452,9 @@ class TreeBuilder:
         """Sample ``count`` parses, retrying malformed output, then deduplicate."""
         unique: Dict[str, str] = {}
         for index in range(count):
-            parsed = None
-            for attempt in range(self.config.malformed_retries + 1):
-                raw = self._complete(
-                    build, role, prompt, layer, "policy_calls", ("cand", kind, layer, index, attempt)
-                )
-                parsed = parse(raw)
-                if parsed is not None:
-                    break
+            parsed = self._sample(
+                build, role, prompt, parse, layer, "policy_calls", ("cand", kind, layer, index)
+            )
             if parsed is not None:
                 unique.setdefault(normalize_answer(parsed), parsed)
         return list(unique.values())
@@ -467,20 +466,10 @@ class TreeBuilder:
             question=build.question.text,
             iter_history=render_history(state, template=self.history_template),
         )
-        for attempt in range(self.config.malformed_retries + 1):
-            raw = self._complete(
-                build,
-                PolicyRole.TERMINATION,
-                prompt,
-                layer,
-                "finalize_calls",
-                ("finalize", layer, attempt),
-                temperature=self.config.answer_temperature,
-            )
-            parsed = parse_termination(raw)
-            if parsed.kind == "terminate":
-                return parsed.answer
-        return None
+        return self._sample(
+            build, PolicyRole.TERMINATION, prompt, lambda raw: parse_termination(raw).answer,
+            layer, "finalize_calls", ("finalize", layer), self.config.answer_temperature,
+        )
 
     @staticmethod
     def _argmax(candidates: Sequence[Candidate]) -> int:
@@ -510,22 +499,16 @@ class TreeBuilder:
             question=build.question.text,
             iter_history=render_history(state, template=self.history_template),
         )
-        terminate_votes = continue_votes = 0
-        for v in range(cfg.majority_samples):
-            parsed = None
-            for attempt in range(cfg.malformed_retries + 1):
-                raw = self._complete(
-                    build, PolicyRole.TERMINATION, prompt, layer, "policy_calls",
-                    ("vote", layer, v, attempt),
-                )
-                parsed = parse_termination(raw)
-                if parsed.kind != "malformed":
-                    break
-            if parsed is not None and parsed.kind == "terminate":
-                terminate_votes += 1
-            elif parsed is not None and parsed.kind == "continue":
-                continue_votes += 1
-        votes = TerminationVotes(terminate=terminate_votes, continue_=continue_votes)
+        kinds = [
+            self._sample(
+                build, PolicyRole.TERMINATION, prompt, _vote_kind, layer, "policy_calls",
+                ("vote", layer, v),
+            )
+            for v in range(cfg.majority_samples)
+        ]
+        votes = TerminationVotes(
+            terminate=kinds.count("terminate"), continue_=kinds.count("continue")
+        )
 
         if votes.majority_terminate:
             answer = self._finalize_answer(build, state, layer)
@@ -864,7 +847,6 @@ class TreeBuilder:
         usable candidate; batch drivers catch this and record a failure.
         """
         build = _Build(question, MemoRetriever(self.retriever))
-        started = time.monotonic()
         result = BuildResult(question, self.config, ledger=build.ledger)
         if self.config.strategy == "pruning":
             result.chains = self._build_pruning(build)
@@ -872,5 +854,4 @@ class TreeBuilder:
             result.chains = self._build_no_pruning(build)
         else:
             result.full_root = self._build_full_node(build)
-        build.ledger.wall_time = time.monotonic() - started
         return result

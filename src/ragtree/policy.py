@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, Tuple
 
 from .errors import BackendUnavailable, ConfigurationError
@@ -155,10 +155,9 @@ class RoutedPolicyBackend:
 
     default: PolicyBackend
     self_answer: Optional[PolicyBackend] = None
-    routed_roles: Tuple[PolicyRole, ...] = field(default=(PolicyRole.SELF_ANSWER,))
 
     def complete(self, request: PolicyRequest) -> PolicyResponse:
         backend = self.default
-        if self.self_answer is not None and request.role in self.routed_roles:
+        if self.self_answer is not None and request.role == PolicyRole.SELF_ANSWER:
             backend = self.self_answer
         return backend.complete(request)

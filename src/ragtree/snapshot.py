@@ -171,7 +171,7 @@ def build_result_to_dict(result: BuildResult) -> dict:
         "full_tree": (
             None if result.full_root is None else _full_node_to_dict(result.full_root, None)
         ),
-        "ledger": result.ledger.to_dict(include_timing=False),
+        "ledger": result.ledger.to_dict(),
     }
 
 

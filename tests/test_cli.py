@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
@@ -100,6 +103,29 @@ class TestExpandCommand:
         failed = json.loads((out / "q1.json").read_text())
         assert failed["failure"]["reason"]
         assert failed["chains"] == []
+
+    def test_resume_reexpands_a_failed_snapshot(self, tmp_path):
+        questions = [
+            Question(id="q0", text="what is probe number 0?", gold_answers=("fact 0",)),
+            Question(id="q1", text="what is probe number 1?", gold_answers=("fact 1",)),
+        ]
+        healthy = make_bench_policy({q.text: q.gold_answers[0] for q in questions})
+        handlers = dict(healthy.handlers)
+        handlers[PolicyRole.SUB_QUESTION] = lambda request: (
+            "never a tag" if "probe number 1" in request.prompt
+            else healthy.handlers[PolicyRole.SUB_QUESTION](request)
+        )
+        broken = ScriptedPolicyBackend(handlers)
+        cfg = ExpansionConfig(k=2, n=1, t_max=1, majority_samples=1)
+        out = str(tmp_path / "snapshots")
+
+        retriever = make_bench_retriever()
+        first = expand_batch(questions, lambda: TreeBuilder(broken, retriever, cfg), out)
+        assert [i.status for i in first.items] == ["ok", "failed"]
+
+        again = expand_batch(questions, lambda: TreeBuilder(healthy, retriever, cfg), out)
+        assert [i.status for i in again.items] == ["skipped", "ok"]
+        assert json.loads(snapshot_path(out, "q1").read_text())["failure"] is None
 
     def test_resume_makes_zero_backend_calls(self, tmp_path):
         questions = [
@@ -267,3 +293,61 @@ class TestEvaluateCommand:
             outputs.append((report.read_bytes(), transcripts.read_bytes()))
         assert seen == [1, 4]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flag", [["--k", "9"], ["--n", "7"], ["--threshold", "0.1"], ["--strategy", "full_node"],
+                 ["--metric", "em"]],
+    )
+    def test_tree_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        dataset = write_dataset(tmp_path, n=1)
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--dataset", dataset, "--config", config] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+class TestBadSettings:
+    """Out-of-range or unknown settings end with ``error: ...`` and status 2."""
+
+    def _expand(self, tmp_path, config_path, *flags):
+        dataset = write_dataset(tmp_path, n=1)
+        argv = ["expand", "--dataset", dataset, "--config", config_path]
+        return main(argv + ["--out", str(tmp_path / "snapshots"), *flags])
+
+    def _assert_error(self, capsys, code, needle):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+
+    def test_out_of_range_flag(self, tmp_path, capsys):
+        code = self._expand(tmp_path, write_config(tmp_path), "--k", "0")
+        self._assert_error(capsys, code, "must be positive")
+
+    def test_out_of_range_concurrency_flag(self, tmp_path, capsys):
+        code = self._expand(tmp_path, write_config(tmp_path), "--concurrency", "0")
+        self._assert_error(capsys, code, "concurrency")
+
+    def _config_file(self, tmp_path, **changes):
+        record = json.loads(Path(write_config(tmp_path)).read_text(encoding="utf-8"))
+        for key, value in changes.items():
+            if isinstance(value, dict):
+                record.setdefault(key, {}).update(value)
+            else:
+                record[key] = value
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return str(path)
+
+    def test_top_level_concurrency_in_config_file(self, tmp_path, capsys):
+        code = self._expand(tmp_path, self._config_file(tmp_path, concurrency=0))
+        self._assert_error(capsys, code, "concurrency")
+        assert not (tmp_path / "snapshots").exists()
+
+    def test_out_of_range_value_in_config_file(self, tmp_path, capsys):
+        code = self._expand(tmp_path, self._config_file(tmp_path, expansion={"k": 0}))
+        self._assert_error(capsys, code, "must be positive")
+
+    def test_unknown_key_in_config_section(self, tmp_path, capsys):
+        code = self._expand(tmp_path, self._config_file(tmp_path, policy={"bogus": 1}))
+        self._assert_error(capsys, code, "bogus")

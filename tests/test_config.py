@@ -28,7 +28,7 @@ class TestRunConfig:
             expansion=ExpansionConfig(k=2, n=3, t_max=2, tau=0.5, strategy="no_pruning"),
             policy=PolicySettings(kind="scripted"),
             retriever=RetrieverSettings(kind="lexical"),
-            paths=PathSettings(output_dir="out"),
+            paths=PathSettings(dataset="questions.jsonl"),
             concurrency=2,
             resume=False,
         )

@@ -1,4 +1,4 @@
-"""Offline runs never load the HTTP stack.
+"""Offline runs never load the HTTP stack, and serial ones no thread pool.
 
 Each probe runs in a fresh interpreter, because this test session's
 ``sys.modules`` already holds whatever any other test imported.
@@ -18,11 +18,16 @@ OFFLINE_RUN = """
 import json, sys
 
 HTTP_STACK = ("requests", "urllib3")
+POOL = ("concurrent.futures", "logging")
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in HTTP_STACK)
 
+def pool_loaded():
+    return sorted(m for m in POOL if m in sys.modules)
+
 preloaded = loaded()
+pool_preloaded = pool_loaded()
 
 import ragtree, ragtree.cli
 from ragtree.agent import evaluate_dataset
@@ -49,6 +54,7 @@ export_dpo(snapshot)
 report = evaluate_dataset([question], policy, retriever)
 assert report.n == 1 and report.failures == 0, report
 offline = loaded()
+pool = pool_loaded()
 
 # An HTTP backend still loads the stack on its first request.
 from ragtree.errors import BackendUnavailable
@@ -59,7 +65,10 @@ try:
     backend.retrieve(RetrievalRequest(query="gamma"))
 except BackendUnavailable:
     pass
-print(json.dumps({"preloaded": preloaded, "offline": offline, "http": loaded()}))
+print(json.dumps({
+    "preloaded": preloaded, "offline": offline, "http": loaded(),
+    "pool_preloaded": pool_preloaded, "pool": pool,
+}))
 """
 
 
@@ -81,4 +90,7 @@ def test_offline_run_never_imports_the_http_stack():
     modules = run_probe()
     assert modules["preloaded"] == [], "the interpreter loads the HTTP stack before ragtree"
     assert modules["offline"] == [], "an offline run imported the HTTP stack"
+    assert modules["pool_preloaded"] == [], "the interpreter loads the thread pool before ragtree"
+    assert modules["pool"] == [], "a serial offline run imported concurrent.futures or logging"
     assert "requests" in modules["http"]
+
