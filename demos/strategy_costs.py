@@ -3,32 +3,19 @@
 Run: python demos/strategy_costs.py
 """
 
-import time
-
-from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
-from ragtree.scripted import make_bench_policy, make_bench_retriever
+from ragtree.engine import ExpansionConfig, theoretical_counts
+from ragtree.scripted import strategy_costs
 from ragtree.types import Question
 
 question = Question(id="cost-demo", text="what follows alpha?", gold_answers=("beta",))
 
 print(f"{'strategy':12s} {'depth':>5s} {'measured':>9s} {'theoretical':>11s} {'seconds':>8s}")
-for strategy, depth in [("pruning", 4), ("no_pruning", 4), ("full_node", 2)]:
-    config = ExpansionConfig(
-        k=3,
-        n=4,
-        t_max=depth,
-        strategy=strategy,
-        majority_samples=3,  # the closed forms assume k termination votes
-        rollout_cap="fixed",  # and full-horizon rollouts
+# Pruning and no_pruning build to depth 4, full_node to depth 2.
+for cost in strategy_costs([question], ExpansionConfig(k=3, n=4, t_max=4), full_node_t_max=2):
+    print(
+        f"{cost.strategy:12s} {cost.depth:5d} {cost.measured:9d} {cost.theoretical:11d} "
+        f"{cost.seconds:8.2f}"
     )
-    policy = make_bench_policy({question.text: "beta"}, rollout_searches=depth - 1)
-    builder = TreeBuilder(policy, make_bench_retriever(), config)
-    started = time.monotonic()
-    result = builder.build_tree(question)
-    elapsed = time.monotonic() - started
-    measured = result.ledger.expansion_count(strategy)
-    expected = theoretical_counts(config, depth, strategy)
-    print(f"{strategy:12s} {depth:5d} {measured:9d} {expected:11d} {elapsed:8.2f}")
 
 pruning = theoretical_counts(ExpansionConfig(k=3, n=4), 4, "pruning")
 no_pruning = theoretical_counts(ExpansionConfig(k=3, n=4), 4, "no_pruning")

@@ -216,14 +216,12 @@ def evaluate_dataset(
     top_k: int = 3,
     temperature: float = 0.0,
     seed: Optional[int] = 0,
-    exclude_failures_from_means: bool = False,
     transcripts_path: Optional[str] = None,
     concurrency: int = 1,
 ) -> EvaluationReport:
     """Run the agent on every question and aggregate EM/F1.
 
-    Unanswered episodes (caps, failures) score 0 unless
-    ``exclude_failures_from_means`` drops them from the averages. With
+    Unanswered episodes (caps, failures) score 0 and count in the means. With
     ``concurrency`` above 1, questions run on a pool of that many threads.
     Each question's seed comes from its index, so items and transcripts keep
     the input order, and backends that answer a request the same way each
@@ -262,15 +260,14 @@ def evaluate_dataset(
     transcripts = [transcript for transcript, _ in done]
     items = [item for _, item in done]
 
-    scored = [i for i in items if not (exclude_failures_from_means and i["failure"])]
-    denom = max(1, len(scored))
+    denom = max(1, len(items))
     report = EvaluationReport(
         dataset=dataset_name,
         n=len(items),
-        em=sum(i["em"] for i in scored) / denom,
-        f1=sum(i["f1"] for i in scored) / denom,
-        avg_searches=sum(i["searches"] for i in scored) / denom,
-        avg_steps=sum(i["steps"] for i in scored) / denom,
+        em=sum(i["em"] for i in items) / denom,
+        f1=sum(i["f1"] for i in items) / denom,
+        avg_searches=sum(i["searches"] for i in items) / denom,
+        avg_steps=sum(i["steps"] for i in items) / denom,
         failures=sum(1 for i in items if i["failure"]),
         per_item=items,
     )

@@ -6,7 +6,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
@@ -20,10 +19,10 @@ from .config import (
     build_templates,
     load_dataset,
 )
-from .engine import TreeBuilder, theoretical_counts
+from .engine import TreeBuilder
 from .errors import ConfigurationError, ExportError, RagTreeError
 from .export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
-from .scripted import make_bench_policy, make_bench_retriever
+from .scripted import strategy_costs
 from .snapshot import load_snapshot
 
 
@@ -160,49 +159,24 @@ def _cmd_export_dpo(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the three strategies under the count-closure regime and emit a CSV.
-
-    The regime pins majority_samples to k and fixes the rollout horizon at
-    t_max so the measured counts close with the published formulas.
-    """
+    """Run the strategies under the count-closure regime and emit a CSV."""
     config = _load_config(args)
     questions = load_dataset(_require_dataset(config))
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    retriever = make_bench_retriever()
-
-    rows = []
-    for strategy in strategies:
-        t_max = args.full_node_tmax if strategy == "full_node" else config.expansion.t_max
-        expansion = replace(
-            config.expansion,
-            strategy=strategy,
-            t_max=t_max,
-            majority_samples=config.expansion.k,
-            rollout_cap="fixed",
-        )
-        gold = {q.text: q.gold_answers[0] for q in questions}
-        policy = make_bench_policy(gold, rollout_searches=t_max - 1)
-        builder = TreeBuilder(policy, retriever, expansion)
-        measured = []
-        elapsed = []
-        for question in questions:
-            started = time.monotonic()
-            result = builder.build_tree(question)
-            elapsed.append(time.monotonic() - started)
-            measured.append(result.ledger.expansion_count(strategy))
-        theoretical = theoretical_counts(expansion, t_max, strategy)
-        rows.append(
-            {
-                "strategy": strategy,
-                "k": expansion.k,
-                "n": expansion.n,
-                "l": t_max,
-                "questions": len(questions),
-                "measured_count": sum(measured) // len(measured),
-                "theoretical_count": theoretical,
-                "avg_wall_time_s": f"{sum(elapsed) / len(elapsed):.4f}",
-            }
-        )
+    expansion = config.expansion
+    rows = [
+        {
+            "strategy": cost.strategy,
+            "k": expansion.k,
+            "n": expansion.n,
+            "l": cost.depth,
+            "questions": len(questions),
+            "measured_count": cost.measured,
+            "theoretical_count": cost.theoretical,
+            "avg_wall_time_s": f"{cost.seconds:.4f}",
+        }
+        for cost in strategy_costs(questions, expansion, strategies, args.full_node_tmax)
+    ]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,9 @@ The config file is JSON and round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from .engine import ExpansionConfig
 from .errors import ConfigurationError, DatasetError
@@ -32,9 +32,6 @@ class PolicySettings:
     # Optional second endpoint serving self-knowledge answers (the trainee model).
     self_answer_base_url: Optional[str] = None
     self_answer_model: Optional[str] = None
-    # Scripted-backend knobs (deterministic fixture; used by bench and demos).
-    scripted_rollout_searches: Optional[int] = None
-    scripted_terminate_after: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -101,25 +98,39 @@ class RunConfig:
     def history_template(self) -> HistoryTemplate:
         if self.doc_char_budget == DEFAULT_TEMPLATE.doc_char_budget:
             return DEFAULT_TEMPLATE
-        from dataclasses import replace
-
         return replace(DEFAULT_TEMPLATE, doc_char_budget=self.doc_char_budget)
 
 
 def _from_record(cls, record: dict, where: str):
-    """``cls(**record)`` that names unknown keys. A field with a default factory is a
-    settings section, built the same way from its own record."""
+    """``cls(**record)`` that names unknown keys and wrongly typed values. A field with
+    a default factory is a settings section, built the same way from its own record."""
     if not isinstance(record, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
     unknown = set(record) - set(known)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
     values = {}
     for key, value in record.items():
         section = known[key].default_factory
-        values[key] = value if section is MISSING else _from_record(section, value, key)
+        if section is not MISSING:
+            value = _from_record(section, value, key)
+        elif not _has_type(value, hints[key]):
+            hint = hints[key]
+            expected = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
+            raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
+        values[key] = value
     return cls(**values)
+
+
+def _has_type(value, hint) -> bool:
+    """A bool is no int, an int passes as a float, and null passes where the field is
+    Optional. A Literal field takes any string; its dataclass checks the value."""
+    if get_origin(hint) is Union:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    hint = {float: (int, float), Literal: str}.get(get_origin(hint) or hint, hint)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def load_dataset(path: str) -> List[Question]:
@@ -164,37 +175,23 @@ def load_dataset(path: str) -> List[Question]:
 def build_policy_backend(config: RunConfig, questions: Optional[List[Question]] = None) -> PolicyBackend:
     settings = config.policy
     if settings.kind == "http":
-        default = HttpPolicyBackend(
-            base_url=settings.base_url,
-            model=settings.model,
-            auth_env=settings.auth_env,
-            timeout=settings.timeout,
-            max_retries=settings.max_retries,
-            backoff_s=settings.backoff_s,
-        )
-        if settings.self_answer_base_url:
-            trainee = HttpPolicyBackend(
-                base_url=settings.self_answer_base_url,
-                model=settings.self_answer_model or settings.model,
-                auth_env=settings.auth_env,
-                timeout=settings.timeout,
-                max_retries=settings.max_retries,
-                backoff_s=settings.backoff_s,
+
+        def client(base_url: str, model: str) -> HttpPolicyBackend:
+            return HttpPolicyBackend(
+                base_url, model, settings.auth_env, settings.timeout, settings.max_retries,
+                settings.backoff_s,
             )
-            return RoutedPolicyBackend(default=default, self_answer=trainee)
-        return default
+
+        default = client(settings.base_url, settings.model)
+        if not settings.self_answer_base_url:
+            return default
+        trainee = client(settings.self_answer_base_url, settings.self_answer_model or settings.model)
+        return RoutedPolicyBackend(default=default, self_answer=trainee)
     if settings.kind == "scripted":
         from .scripted import make_bench_policy
 
         gold = {q.text: q.gold_answers[0] for q in questions or []}
-        rollout_searches = settings.scripted_rollout_searches
-        if rollout_searches is None:
-            rollout_searches = config.expansion.t_max - 1
-        return make_bench_policy(
-            gold,
-            rollout_searches=rollout_searches,
-            terminate_after=settings.scripted_terminate_after,
-        )
+        return make_bench_policy(gold, rollout_searches=config.expansion.t_max - 1)
     raise ConfigurationError(f"unknown policy backend kind {settings.kind!r}")
 
 

@@ -238,11 +238,6 @@ class BuildResult:
     def trunk(self) -> Optional[ChainRecord]:
         return self.chains[0] if self.chains else None
 
-    @property
-    def root(self) -> Optional[TreeNode]:
-        trunk = self.trunk
-        return trunk.nodes[0] if trunk and trunk.nodes else None
-
 
 @dataclass(frozen=True)
 class TerminationExpansion:
@@ -269,6 +264,13 @@ def _vote_kind(raw: str) -> Optional[str]:
     """A termination vote's kind, or None for malformed output."""
     kind = parse_termination(raw).kind
     return None if kind == "malformed" else kind
+
+
+_CANDIDATE_PARSERS: Dict[PolicyRole, Callable[[str], Optional[str]]] = {
+    PolicyRole.SUB_QUESTION: parse_sub_question,
+    PolicyRole.SELF_ANSWER: parse_self_answer,
+    PolicyRole.SUB_QUERY: parse_sub_query,
+}
 
 
 @dataclass
@@ -342,11 +344,6 @@ class TreeBuilder:
                 return parsed
         return None
 
-    def _retrieve(self, build: _Build, query: str, layer: int) -> Tuple:
-        docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
-        build.bump(layer, "retrieval_calls")
-        return tuple(docs)
-
     def _score(self, build: _Build, answer: Optional[str]) -> float:
         if answer is None:
             return 0.0
@@ -404,60 +401,65 @@ class TreeBuilder:
     def _score_entries(
         self,
         build: _Build,
+        state: State,
         layer: int,
         kind: CandidateKind,
         entries: Sequence[Tuple[str, Tuple]],
-        rollout_bases: Sequence[Tuple[State, Optional[str]]],
+        sub_question: Optional[str] = None,
     ) -> Tuple[Candidate, ...]:
-        """Attach ``n`` scored rollouts to each (content, documents) entry."""
+        """Candidates for the (content, documents) entries, each with ``n`` scored
+        rollouts from ``state`` plus the candidate: a pending sub-question, or a step
+        that resolves ``sub_question``."""
         n = self.config.n
-        jobs = [
-            (index, r, base_state, pending)
-            for index, (base_state, pending) in enumerate(rollout_bases)
-            for r in range(n)
+        unscored = [Candidate(kind, content, documents=documents) for content, documents in entries]
+        bases = [
+            (state, c.content) if kind == "sub_question"
+            else (state.with_step(self._step_for(c, sub_question)), None)
+            for c in unscored
         ]
 
-        def run(job) -> RolloutResult:
-            index, r, base_state, pending = job
+        def run(job: Tuple[int, int]) -> RolloutResult:
+            index, r = job
+            base_state, pending = bases[index]
             return self.run_rollout(base_state, pending, layer, (layer, kind, index, r), build)
 
+        jobs = [(index, r) for index in range(len(unscored)) for r in range(n)]
         results = fan_out(run, jobs, self.config.concurrency)
-
         candidates = []
-        for index, (content, documents) in enumerate(entries):
+        for index, candidate in enumerate(unscored):
             rollouts = tuple(results[index * n : (index + 1) * n])
-            candidates.append(
-                Candidate(
-                    kind=kind,
-                    content=content,
-                    rollouts=rollouts,
-                    reward=self.mean_reward([r.score for r in rollouts]),
-                    documents=documents,
-                )
-            )
+            reward = self.mean_reward([r.score for r in rollouts])
+            candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
         return tuple(candidates)
 
     # ------------------------------------------------------------------ generation
 
     def _generate_texts(
-        self,
-        build: _Build,
-        role: PolicyRole,
-        prompt: str,
-        parse: Callable[[str], Optional[str]],
-        layer: int,
-        kind: str,
-        count: int,
+        self, build: _Build, role: PolicyRole, question: str, layer: int, kind: str
     ) -> List[str]:
-        """Sample ``count`` parses, retrying malformed output, then deduplicate."""
+        """Sample ``k`` candidates for ``question`` from the role's template, retrying
+        malformed output, then deduplicate."""
+        prompt = self.templates.render(role, question=question)
         unique: Dict[str, str] = {}
-        for index in range(count):
+        for index in range(self.config.k):
             parsed = self._sample(
-                build, role, prompt, parse, layer, "policy_calls", ("cand", kind, layer, index)
+                build, role, prompt, _CANDIDATE_PARSERS[role], layer, "policy_calls",
+                ("cand", kind, layer, index),
             )
             if parsed is not None:
                 unique.setdefault(normalize_answer(parsed), parsed)
         return list(unique.values())
+
+    def _sub_queries(
+        self, build: _Build, sub_question: str, layer: int, kind: str
+    ) -> List[Tuple[str, Tuple]]:
+        """Sampled sub-queries for ``sub_question``, each with its retrieved documents."""
+        retrieved = []
+        for query in self._generate_texts(build, PolicyRole.SUB_QUERY, sub_question, layer, kind):
+            docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
+            build.bump(layer, "retrieval_calls")
+            retrieved.append((query, tuple(docs)))
+        return retrieved
 
     def _finalize_answer(self, build: _Build, state: State, layer: int) -> Optional[str]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
@@ -547,14 +549,10 @@ class TreeBuilder:
     def _sub_question_candidates(
         self, build: _Build, state: State, layer: int
     ) -> Tuple[Candidate, ...]:
-        prompt = self.templates.render(PolicyRole.SUB_QUESTION, question=build.question.text)
         texts = self._generate_texts(
-            build, PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question",
-            self.config.k,
+            build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question"
         )
-        entries = [(text, ()) for text in texts]
-        bases = [(state, text) for text in texts]
-        return self._score_entries(build, layer, "sub_question", entries, bases)
+        return self._score_entries(build, state, layer, "sub_question", [(t, ()) for t in texts])
 
     def expand_retrieval(
         self,
@@ -572,21 +570,18 @@ class TreeBuilder:
         best rewards, preferring the cheaper self-answer branch on ties.
         """
         build = build or _Build(state.question, self.retriever)
-        cfg = self.config
-
-        sa_prompt = self.templates.render(PolicyRole.SELF_ANSWER, question=sub_question)
         sa_texts = self._generate_texts(
-            build, PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer, "self_answer", cfg.k
+            build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer"
         )
-        sa_entries = [(text, ()) for text in sa_texts]
-        sa_bases = [(state.with_step(Step(sub_question, SelfAnswer(text))), None) for text in sa_texts]
-        sa_candidates = self._score_entries(build, layer, "self_answer", sa_entries, sa_bases)
+        sa_candidates = self._score_entries(
+            build, state, layer, "self_answer", [(t, ()) for t in sa_texts], sub_question
+        )
 
         best_sa = self._argmax(sa_candidates) if sa_candidates else None
         skip = (
             not force_both
             and best_sa is not None
-            and sa_candidates[best_sa].reward >= cfg.tau
+            and sa_candidates[best_sa].reward >= self.config.tau
         )
         if skip:
             sa_candidates = self._retain(sa_candidates, best_sa)
@@ -598,17 +593,10 @@ class TreeBuilder:
                 chosen=sa_candidates[best_sa],
             )
 
-        sq_prompt = self.templates.render(PolicyRole.SUB_QUERY, question=sub_question)
-        sq_texts = self._generate_texts(
-            build, PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer, "sub_query", cfg.k
+        sq_entries = self._sub_queries(build, sub_question, layer, "sub_query")
+        sq_candidates = self._score_entries(
+            build, state, layer, "sub_query", sq_entries, sub_question
         )
-        sq_entries = []
-        sq_bases = []
-        for text in sq_texts:
-            documents = self._retrieve(build, text, layer)
-            sq_entries.append((text, documents))
-            sq_bases.append((state.with_step(Step(sub_question, Retrieved(text, documents))), None))
-        sq_candidates = self._score_entries(build, layer, "sub_query", sq_entries, sq_bases)
 
         if not sq_candidates and best_sa is None:
             raise NodeExpansionFailed(
@@ -795,42 +783,21 @@ class TreeBuilder:
                     build.ledger.leaf_nodes += 1
                 return FullNode(depth=depth, state=state)
             build.bump(layer, "nodes_expanded")
-            prompt = self.templates.render(PolicyRole.SUB_QUESTION, question=question.text)
             sampled = self._generate_texts(
-                build, PolicyRole.SUB_QUESTION, prompt, parse_sub_question, layer, "sub_question",
-                cfg.k,
+                build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
             )
-            branch_questions = [(question.text, "direct")] + [(t, "sampled") for t in sampled]
             branches: List[FullBranch] = []
             children: List[FullNode] = []
-            for text, origin in branch_questions:
-                sa_prompt = self.templates.render(PolicyRole.SELF_ANSWER, question=text)
+            for text, origin in [(question.text, "direct")] + [(t, "sampled") for t in sampled]:
+                tag = f"{origin}:{text[:40]}"
                 answers = self._generate_texts(
-                    build, PolicyRole.SELF_ANSWER, sa_prompt, parse_self_answer, layer,
-                    f"self_answer:{origin}:{text[:40]}", cfg.k,
+                    build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"
                 )
-                sq_prompt = self.templates.render(PolicyRole.SUB_QUERY, question=text)
-                queries = self._generate_texts(
-                    build, PolicyRole.SUB_QUERY, sq_prompt, parse_sub_query, layer,
-                    f"sub_query:{origin}:{text[:40]}", cfg.k,
-                )
-                retrieved = tuple((q, self._retrieve(build, q, layer)) for q in queries)
-                branches.append(
-                    FullBranch(
-                        sub_question=text,
-                        origin=origin,
-                        self_answers=tuple(answers),
-                        sub_queries=retrieved,
-                    )
-                )
-                for answer in answers:
-                    children.append(
-                        expand(state.with_step(Step(text, SelfAnswer(answer))), depth + 1)
-                    )
-                for query, documents in retrieved:
-                    children.append(
-                        expand(state.with_step(Step(text, Retrieved(query, documents))), depth + 1)
-                    )
+                retrieved = self._sub_queries(build, text, layer, f"sub_query:{tag}")
+                branches.append(FullBranch(text, origin, tuple(answers), tuple(retrieved)))
+                steps = [Step(text, SelfAnswer(a)) for a in answers]
+                steps += [Step(text, Retrieved(q, docs)) for q, docs in retrieved]
+                children.extend(expand(state.with_step(step), depth + 1) for step in steps)
             return FullNode(
                 depth=depth, state=state, branches=tuple(branches), children=tuple(children)
             )

@@ -22,6 +22,7 @@ from .snapshot import Snapshot
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
+Side = Tuple[str, float]  # a DPO pair side: (text, reward)
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,17 @@ def _node_pairs(
     chain_final_score: float,
 ) -> List[DpoPair]:
     pairs: List[DpoPair] = []
+
+    def pair(pair_type: str, prompt: str, chosen: Side, rejected: Side) -> None:
+        """Keep the (text, reward) pair when ``chosen`` wins by at least the margin."""
+        if chosen[1] - rejected[1] >= margin:
+            pairs.append(DpoPair(question_id, node.layer, pair_type, prompt, chosen[0],
+                                 rejected[0], chosen[1], rejected[1]))
+
+    def ranked(first: Side, second: Side) -> Tuple[Side, Side]:
+        """(winner, loser); a tie goes to ``first``."""
+        return (first, second) if first[1] >= second[1] else (second, first)
+
     state_prefix = serialize_state(node.state, template)
     chosen_sub_question = _retained_candidate(node.sub_question_candidates)
     resolution_prefix = None
@@ -196,86 +208,37 @@ def _node_pairs(
     for kind in ("sub_question", "self_answer", "sub_query"):
         candidates = node.candidates_of(kind)
         retained = _retained_candidate(candidates)
-        if retained is None:
-            continue
         prefix = state_prefix if kind == "sub_question" else resolution_prefix
-        if prefix is None:
+        if retained is None or prefix is None:
             continue
         for sibling in candidates:
-            if sibling is retained:
-                continue
-            if retained.reward - sibling.reward >= margin:
-                pairs.append(
-                    DpoPair(
-                        question_id=question_id,
-                        layer=node.layer,
-                        pair_type="execution",
-                        prompt=prefix,
-                        chosen=retained.content,
-                        rejected=sibling.content,
-                        chosen_reward=retained.reward,
-                        rejected_reward=sibling.reward,
-                    )
-                )
+            if sibling is not retained:
+                pair("execution", prefix, (retained.content, retained.reward),
+                     (sibling.content, sibling.reward))
 
-    # Retrieval decision pair: both resolution branches scored at this node.
+    # Retrieval decision pair: both resolution branches scored at this node; equal
+    # rewards prefer the cheaper self-answer branch.
     best_sa = _best_candidate(node.self_answer_candidates)
     best_sq = _best_candidate(node.sub_query_candidates)
     if best_sa is not None and best_sq is not None and resolution_prefix is not None:
-        # Equal rewards prefer the cheaper self-answer branch.
-        if best_sa.reward >= best_sq.reward:
-            winner, winner_kind = best_sa, "self_answer"
-            loser, loser_kind = best_sq, "sub_query"
-        else:
-            winner, winner_kind = best_sq, "sub_query"
-            loser, loser_kind = best_sa, "self_answer"
-        if winner.reward - loser.reward >= margin:
-            pairs.append(
-                DpoPair(
-                    question_id=question_id,
-                    layer=node.layer,
-                    pair_type="decision",
-                    prompt=resolution_prefix,
-                    chosen=_resolution_text(winner_kind, winner, template),
-                    rejected=_resolution_text(loser_kind, loser, template),
-                    chosen_reward=winner.reward,
-                    rejected_reward=loser.reward,
-                )
-            )
+        pair("decision", resolution_prefix, *ranked(
+            (_resolution_text("self_answer", best_sa, template), best_sa.reward),
+            (_resolution_text("sub_query", best_sq, template), best_sq.reward),
+        ))
 
-    # Termination decision pair: both outcomes scored.
-    terminate_side: Optional[Tuple[str, float]] = None
+    # Termination decision pair: both outcomes scored; ties prefer terminating.
+    terminate_side: Optional[Side] = None
     if node.terminate_probe is not None:
         terminate_side = node.terminate_probe
     elif node.terminal_answer is not None and node.sub_question_candidates:
         terminate_side = (node.terminal_answer, chain_final_score)
-    continue_side = _retained_candidate(node.sub_question_candidates) or _best_candidate(
-        node.sub_question_candidates
-    )
+    continue_side = chosen_sub_question or _best_candidate(node.sub_question_candidates)
     if terminate_side is not None and continue_side is not None:
-        terminate_text = template.final_answer_block.format(answer=terminate_side[0])
-        continue_text = template.step_header.format(
-            index=node.layer, sub_question=continue_side.content
-        )
-        if terminate_side[1] >= continue_side.reward:
-            chosen_text, chosen_reward = terminate_text, terminate_side[1]
-            rejected_text, rejected_reward = continue_text, continue_side.reward
-        else:
-            chosen_text, chosen_reward = continue_text, continue_side.reward
-            rejected_text, rejected_reward = terminate_text, terminate_side[1]
-        if chosen_reward - rejected_reward >= margin:
-            pairs.append(
-                DpoPair(
-                    question_id=question_id,
-                    layer=node.layer,
-                    pair_type="decision",
-                    prompt=state_prefix,
-                    chosen=chosen_text,
-                    rejected=rejected_text,
-                    chosen_reward=chosen_reward,
-                    rejected_reward=rejected_reward,
-                )
-            )
+        pair("decision", state_prefix, *ranked(
+            (template.final_answer_block.format(answer=terminate_side[0]), terminate_side[1]),
+            (template.step_header.format(index=node.layer, sub_question=continue_side.content),
+             continue_side.reward),
+        ))
     return pairs
 
 

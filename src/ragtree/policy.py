@@ -124,11 +124,6 @@ class ScriptedPolicyBackend:
         self.calls_by_role = {role: 0 for role in PolicyRole}
         self._lock = threading.Lock()
 
-    @property
-    def total_calls(self) -> int:
-        with self._lock:
-            return sum(self.calls_by_role.values())
-
     def complete(self, request: PolicyRequest) -> PolicyResponse:
         try:
             handler = self.handlers[request.role]

@@ -103,9 +103,6 @@ class LexicalRetriever:
             tokens = frozenset(normalize_answer(f"{title} {text}").split())
             self._docs.append((title, text, tokens))
 
-    def __len__(self) -> int:
-        return len(self._docs)
-
     def retrieve(self, request: RetrievalRequest) -> List[Document]:
         query_tokens = set(normalize_answer(request.query).split())
         scored = []

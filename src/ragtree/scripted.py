@@ -2,20 +2,24 @@
 
 The bench policy reproduces the regime the expansion-count closed forms
 assume: candidates never collide after deduplication, termination votes never
-win (unless configured), self-answer rollouts score below the skip threshold,
-and every rollout runs its full horizon (``rollout_searches`` searches, then
-an answer). Output is a pure function of the request, so identical seeds give
-byte-identical trees.
+win, self-answer rollouts score below the skip threshold, and every rollout
+runs its full horizon (``rollout_searches`` searches, then an answer). Output
+is a pure function of the request, so identical seeds give byte-identical
+trees. ``strategy_costs`` measures every strategy in that regime.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, Optional, Union
+import time
+from dataclasses import dataclass, replace
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
+from .engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from .policy import PolicyRequest, ScriptedPolicyBackend
 from .retrieval import LexicalRetriever
 from .templates import PolicyRole
+from .types import Question
 
 GoldLookup = Union[Mapping[str, str], Callable[[str], Optional[str]]]
 
@@ -36,28 +40,9 @@ def make_bench_retriever() -> LexicalRetriever:
     return LexicalRetriever(BENCH_CORPUS)
 
 
-def infer_role(prompt: str) -> PolicyRole:
-    """Identify which template rendered a prompt (used by HTTP stub servers)."""
-    if "sufficient evidence to answer the original question" in prompt:
-        return PolicyRole.TERMINATION
-    if "break it down and output the next sub-question" in prompt:
-        return PolicyRole.SUB_QUESTION
-    if "Generate the query directly" in prompt:
-        return PolicyRole.SUB_QUERY
-    if "continue reasoning along the previous iteration history" in prompt:
-        return PolicyRole.ROLLOUT
-    if "please answer this question" in prompt:
-        return PolicyRole.SELF_ANSWER
-    raise ValueError("prompt does not match any known template")
-
-
 def _extract_question(prompt: str) -> Optional[str]:
     match = _QUESTION_RE.search(prompt) or _QUESTION_ONLY_RE.search(prompt)
     return match.group(1).strip() if match else None
-
-
-def _history_steps(prompt: str) -> int:
-    return len(_STEP_HEADER_RE.findall(prompt))
 
 
 def _last_marker(prompt: str) -> str:
@@ -73,18 +58,12 @@ def _last_marker(prompt: str) -> str:
     return kind if position >= 0 else "empty"
 
 
-def make_bench_policy(
-    gold: GoldLookup,
-    rollout_searches: int = 3,
-    terminate_after: Optional[int] = None,
-    self_answer_rollouts_correct: bool = False,
-) -> ScriptedPolicyBackend:
+def make_bench_policy(gold: GoldLookup, rollout_searches: int = 3) -> ScriptedPolicyBackend:
     """Scripted policy for counting benchmarks and end-to-end fixtures.
 
     ``gold`` maps question text to the answer the scripted rollouts should
-    produce on branches meant to score well. ``terminate_after`` makes
-    termination votes favor stopping once the history holds at least that many
-    steps; ``None`` means the model never votes to stop.
+    produce on branches meant to score well. Termination votes always say
+    continue; only finalization (temperature 0) answers.
     """
 
     if callable(gold):
@@ -99,10 +78,7 @@ def make_bench_policy(
         return answer if answer is not None else "unknown"
 
     def termination(request: PolicyRequest) -> str:
-        steps = _history_steps(request.prompt)
-        finalizing = request.temperature == 0.0
-        should_stop = terminate_after is not None and steps >= terminate_after
-        if finalizing or should_stop:
+        if request.temperature == 0.0:
             return (
                 "<reasoning> the gathered evidence settles the question </reasoning> "
                 f"<answer> {gold_for(request.prompt)} </answer>"
@@ -131,7 +107,7 @@ def make_bench_policy(
                 f"<search> alpha probe {searches_done} </search>"
             )
         marker = _last_marker(request.prompt)
-        if marker == "self_answer" and not self_answer_rollouts_correct:
+        if marker == "self_answer":
             return "<think> the recalled answer does not hold up </think> <answer> offtrack </answer>"
         return f"<think> the evidence suffices </think> <answer> {gold_for(request.prompt)} </answer>"
 
@@ -144,3 +120,47 @@ def make_bench_policy(
             PolicyRole.ROLLOUT: rollout,
         }
     )
+
+
+@dataclass(frozen=True)
+class StrategyCost:
+    strategy: str
+    depth: int
+    measured: int  # mean expansion count per question, rounded down
+    theoretical: int
+    seconds: float  # mean build wall time per question
+
+
+def strategy_costs(
+    questions: Sequence[Question],
+    config: ExpansionConfig,
+    strategies: Sequence[str] = ("pruning", "no_pruning", "full_node"),
+    full_node_t_max: int = 2,
+) -> List[StrategyCost]:
+    """Build every question under each strategy in the closed-form regime.
+
+    The regime pins ``majority_samples`` to ``k`` and runs scripted rollouts to
+    the fixed horizon ``t_max``, so each measured count should equal
+    ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
+    because its cost is exponential in depth.
+    """
+    gold = {q.text: q.gold_answers[0] for q in questions}
+    retriever = make_bench_retriever()
+    costs = []
+    for strategy in strategies:
+        depth = full_node_t_max if strategy == "full_node" else config.t_max
+        expansion = replace(
+            config, strategy=strategy, t_max=depth, majority_samples=config.k, rollout_cap="fixed"
+        )
+        policy = make_bench_policy(gold, rollout_searches=depth - 1)
+        builder = TreeBuilder(policy, retriever, expansion)
+        measured, seconds = 0, 0.0
+        for question in questions:
+            started = time.monotonic()
+            result = builder.build_tree(question)
+            seconds += time.monotonic() - started
+            measured += result.ledger.expansion_count(strategy)
+        theoretical = theoretical_counts(expansion, depth, strategy)
+        count = len(questions)
+        costs.append(StrategyCost(strategy, depth, measured // count, theoretical, seconds / count))
+    return costs

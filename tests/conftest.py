@@ -16,7 +16,6 @@ from ragtree.engine import ExpansionConfig, derive_seed
 from ragtree.errors import BackendUnavailable
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever, RetrievalRequest, RetrieverBackend
-from ragtree.scripted import infer_role
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
@@ -31,6 +30,21 @@ def overlap_answer(overlap: int) -> str:
     gold_tokens = GOLD.split()
     fillers = ["x1", "x2", "x3", "x4"]
     return " ".join(gold_tokens[:overlap] + fillers[: 4 - overlap])
+
+
+def infer_role(prompt: str) -> PolicyRole:
+    """Identify which template rendered a prompt (HTTP stub servers see prompts only)."""
+    if "sufficient evidence to answer the original question" in prompt:
+        return PolicyRole.TERMINATION
+    if "break it down and output the next sub-question" in prompt:
+        return PolicyRole.SUB_QUESTION
+    if "Generate the query directly" in prompt:
+        return PolicyRole.SUB_QUERY
+    if "continue reasoning along the previous iteration history" in prompt:
+        return PolicyRole.ROLLOUT
+    if "please answer this question" in prompt:
+        return PolicyRole.SELF_ANSWER
+    raise ValueError("prompt does not match any known template")
 
 
 @pytest.fixture

@@ -189,24 +189,6 @@ class TestEvaluateDataset:
         assert parsed["events"][0]["kind"] == "think"
         assert parsed["searches_used"] == 1
 
-    def test_exclude_failures_from_means(self, retriever):
-        questions = self._questions()
-        answers = {"first question text": "right one"}
-
-        def handler(request: PolicyRequest) -> str:
-            import re
-
-            q = re.search(r"### Question\n(.*?)\n\n### Previous Iteration", request.prompt).group(1)
-            if q in answers:
-                return f"<answer> {answers[q]} </answer>"
-            return "no action here"
-
-        report = evaluate_dataset(
-            questions, rollout_policy(handler), retriever, exclude_failures_from_means=True
-        )
-        assert report.failures == 1
-        assert report.em == 1.0  # the failed item is excluded
-
 
 class TestEvaluateConcurrency:
     """Question-level fan-out keeps the report and transcripts of a serial run."""

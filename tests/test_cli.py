@@ -140,13 +140,13 @@ class TestExpandCommand:
         out = str(tmp_path / "snapshots")
 
         expand_batch(questions, lambda: TreeBuilder(policy, retriever, cfg), out, resume=True)
-        calls_after_first = policy.total_calls
+        calls_after_first = sum(policy.calls_by_role.values())
         assert calls_after_first > 0
 
         manifest = expand_batch(
             questions, lambda: TreeBuilder(policy, retriever, cfg), out, resume=True
         )
-        assert policy.total_calls == calls_after_first
+        assert sum(policy.calls_by_role.values()) == calls_after_first
         assert manifest.counts["skipped"] == 2
 
     def test_concurrency_matches_sequential_manifest(self, tmp_path):
@@ -349,5 +349,22 @@ class TestBadSettings:
         self._assert_error(capsys, code, "must be positive")
 
     def test_unknown_key_in_config_section(self, tmp_path, capsys):
-        code = self._expand(tmp_path, self._config_file(tmp_path, policy={"bogus": 1}))
-        self._assert_error(capsys, code, "bogus")
+        for key in ("bogus", "scripted_rollout_searches", "scripted_terminate_after"):
+            code = self._expand(tmp_path, self._config_file(tmp_path, policy={key: 1}))
+            self._assert_error(capsys, code, f"unknown policy keys: ['{key}']")
+
+    @pytest.mark.parametrize(
+        "changes, needle",
+        [
+            ({"expansion": {"k": "3"}}, "expansion.k"),
+            ({"expansion": {"k": True}}, "expansion.k"),
+            ({"expansion": {"tau": "0.5"}}, "expansion.tau"),
+            ({"resume": "no"}, "config.resume"),
+            ({"policy": {"model": None}}, "policy.model"),
+        ],
+        ids=["str-for-int", "bool-for-int", "str-for-float", "str-for-bool", "null-for-str"],
+    )
+    def test_wrongly_typed_value_in_config_file(self, tmp_path, capsys, changes, needle):
+        code = self._expand(tmp_path, self._config_file(tmp_path, **changes))
+        self._assert_error(capsys, code, needle)
+        assert not (tmp_path / "snapshots").exists()

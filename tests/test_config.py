@@ -44,6 +44,13 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"surprise": 1})
 
+    def test_int_for_float_and_null_for_optional_accepted(self):
+        config = RunConfig.from_dict(
+            {"expansion": {"tau": 1}, "policy": {"timeout": 5, "self_answer_model": None}}
+        )
+        assert config.expansion.tau == 1 and config.policy.timeout == 5
+        assert config.policy.self_answer_model is None
+
     def test_missing_referenced_path_rejected(self, tmp_path):
         config = RunConfig(paths=PathSettings(dataset=str(tmp_path / "absent.jsonl")))
         path = tmp_path / "config.json"
