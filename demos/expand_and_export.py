@@ -41,8 +41,9 @@ for index, step in enumerate(trunk.final_state.steps, start=1):
     print(f"step {index}: {step.sub_question!r} -> {how}")
 print(f"final answer: {trunk.final_answer!r} (score {trunk.final_score:.2f})")
 
-# Exports consume the snapshot form, never the live objects, so a batch can be
-# re-exported later without re-expansion.
+# The exporters read a BuildResult, live or decoded from its snapshot, with the
+# same output. Going through the snapshot form is what re-exporting a batch
+# later does, without re-expansion.
 snapshot = snapshot_from_dict(build_result_to_dict(result))
 
 print("\n== SFT segments ==")

@@ -32,7 +32,7 @@ from .policy import (
     ScriptedPolicyBackend,
 )
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrievalRequest
-from .snapshot import Snapshot, load_snapshot, save_snapshot
+from .snapshot import load_snapshot, save_snapshot
 from .templates import PolicyRole, PromptTemplateSet, load_templates
 from .types import Document, Question, Resolution, Retrieved, SelfAnswer, State, Step
 
@@ -72,7 +72,6 @@ __all__ = [
     "ScriptedPolicyBackend",
     "SelfAnswer",
     "SftExample",
-    "Snapshot",
     "State",
     "Step",
     "TreeBuilder",

@@ -5,17 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .agent import fan_out
-from .engine import TreeBuilder
-from .errors import NodeExpansionFailed, RagTreeError
-from .snapshot import (
-    SCHEMA_VERSION,
-    build_result_to_dict,
-    failure_to_dict,
-    save_snapshot,
-)
+from .engine import BuildResult, TreeBuilder
+from .errors import DatasetError, NodeExpansionFailed, RagTreeError
+from .snapshot import SCHEMA_VERSION, build_result_to_dict, save_snapshot
 from .types import Question
 
 
@@ -113,8 +108,22 @@ def expand_batch(
     per-build state, it may return one shared builder, and concurrent builds
     on it still get their own ledgers and retrieval memos (direct
     ``run_rollout`` or ``expand_*`` calls get their own unmemoized counters).
-    Backends only need to be shareable.
+    Backends only need to be shareable. Two ids that map to one snapshot file,
+    or an id that maps to the manifest's file, raise :class:`DatasetError`
+    before anything is built or written.
     """
+    manifest_path = Path(out_dir) / "manifest.json"
+    owners: Dict[Path, str] = {}
+    for question in questions:
+        path = snapshot_path(out_dir, question.id)
+        if path == manifest_path:
+            raise DatasetError(f"question id {question.id!r} maps to the manifest's file {path.name}")
+        if path in owners:
+            raise DatasetError(
+                f"question ids {owners[path]!r} and {question.id!r} both map to snapshot file "
+                f"{path.name}"
+            )
+        owners[path] = question.id
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()
 
@@ -134,9 +143,9 @@ def expand_batch(
         try:
             result = builder.build_tree(question)
         except NodeExpansionFailed as exc:
-            save_snapshot(
-                failure_to_dict(question, builder.config, exc.layer, exc.reason), str(path)
-            )
+            failure = {"layer": exc.layer, "reason": exc.reason}
+            failed = BuildResult(question, builder.config, ledger=None, failure=failure)
+            save_snapshot(build_result_to_dict(failed), str(path))
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
         except RagTreeError as exc:
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
@@ -152,5 +161,5 @@ def expand_batch(
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])
-    manifest.save(str(Path(out_dir) / "manifest.json"))
+    manifest.save(str(manifest_path))
     return manifest

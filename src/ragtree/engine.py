@@ -146,7 +146,6 @@ class TreeNode:
     chosen_kind: Optional[str] = None  # "self_answer" | "sub_query" for expanded layers
     terminal_answer: Optional[str] = None  # set when the vote terminated this layer
     terminate_probe: Optional[Tuple[str, float]] = None  # scored opposing terminate branch
-    child: Optional["TreeNode"] = None
 
     def candidates_of(self, kind: CandidateKind) -> Tuple[Candidate, ...]:
         return getattr(self, f"{kind}_candidates")
@@ -181,7 +180,6 @@ class FullBranch:
 
 @dataclass
 class FullNode:
-    depth: int  # 0-based: number of steps taken to reach this node
     state: State
     branches: Tuple[FullBranch, ...] = ()
     children: Tuple["FullNode", ...] = ()
@@ -225,14 +223,26 @@ class ExpansionLedger:
             "per_layer": {str(layer): asdict(c) for layer, c in sorted(self.per_layer.items())},
         }
 
+    @classmethod
+    def from_dict(cls, record: dict) -> "ExpansionLedger":
+        per_layer = {int(layer): LayerCounters(**c) for layer, c in record["per_layer"].items()}
+        return cls(**{**record, "per_layer": per_layer})
+
 
 @dataclass
 class BuildResult:
+    """One question's tree, live from ``build_tree`` or decoded from its snapshot.
+
+    A failed build keeps only its ``failure`` ({"layer", "reason"}): no
+    chains, no tree and no ledger.
+    """
+
     question: Question
     config: ExpansionConfig
     chains: List[ChainRecord] = field(default_factory=list)
     full_root: Optional[FullNode] = None
-    ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
+    ledger: Optional[ExpansionLedger] = field(default_factory=ExpansionLedger)
+    failure: Optional[Dict] = None
 
     @property
     def trunk(self) -> Optional[ChainRecord]:
@@ -678,42 +688,25 @@ class TreeBuilder:
         chain.final_answer = answer
         chain.final_score = self._score(build, answer)
         chain.final_state = state if answer is None else state.with_answer(answer)
-        for parent, child in zip(chain.nodes, chain.nodes[1:]):
-            parent.child = child
 
-    def _build_pruning(self, build: _Build) -> List[ChainRecord]:
-        cfg = self.config
-        state = State(build.question)
-        chain = ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])
-        for layer in range(1, cfg.t_max + 1):
-            node, termination, retrieval = self._expand_layer(build, state, layer, force_both=False)
-            chain.nodes.append(node)
-            if termination.terminated:
-                self._finish_chain(build, chain, state, "vote", termination.terminal_answer)
-                return [chain]
-            state = state.with_step(self._step_for(retrieval.chosen, termination.chosen.content))
-        answer = self._finalize_answer(build, state, cfg.t_max)
-        if answer is None:
-            raise NodeExpansionFailed(
-                build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
-            )
-        self._finish_chain(build, chain, state, "cap", answer)
-        return [chain]
+    def _build_chains(self, build: _Build) -> List[ChainRecord]:
+        """Grow the trunk, plus for no_pruning one deviation chain per round.
 
-    def _build_no_pruning(self, build: _Build) -> List[ChainRecord]:
-        """Memoryless iterative deepening, keeping both resolution branches alive.
-
-        At round ``i`` every live chain (``terminated_by is None``) is rebuilt
-        from the root to depth ``i`` (no cached prefixes), so the round performs
-        ``i`` full layer expansions per chain over ``i`` live chains. The trunk
-        spawns one deviation chain per round: the resolution branch it did not
-        take at the new layer. A deviation takes that branch at its fork layer
-        on every rebuild, then extends greedily and does not fork further.
+        Pruning is one round to ``t_max`` that keeps only the best branch, so
+        it never forks. no_pruning is memoryless iterative deepening that keeps
+        both resolution branches alive: at round ``i`` every live chain
+        (``terminated_by is None``) is rebuilt from the root to depth ``i`` (no
+        cached prefixes), so the round performs ``i`` full layer expansions per
+        chain over ``i`` live chains. The trunk spawns one deviation chain per
+        round: the resolution branch it did not take at the new layer. A
+        deviation takes that branch at its fork layer on every rebuild, then
+        extends greedily and does not fork further.
         """
         cfg = self.config
+        pruning = cfg.strategy == "pruning"
         chains = [ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])]
         frontier: Dict[int, State] = {}  # chain_id -> the state a live chain has reached
-        for rnd in range(1, cfg.t_max + 1):
+        for rnd in [cfg.t_max] if pruning else range(1, cfg.t_max + 1):
             live = [chain for chain in chains if chain.terminated_by is None]
             if not live:
                 break
@@ -722,7 +715,7 @@ class TreeBuilder:
                 state = State(build.question)
                 for layer in range(1, rnd + 1):
                     node, termination, retrieval = self._expand_layer(
-                        build, state, layer, force_both=True
+                        build, state, layer, force_both=not pruning
                     )
                     chain.nodes.append(node)
                     if termination.terminated:
@@ -737,7 +730,7 @@ class TreeBuilder:
                             chain_id=len(chains),
                             fork_layer=layer,
                             fork_kind=retrieval.alt_kind,
-                            nodes=[replace(n, child=None) for n in chain.nodes],
+                            nodes=[replace(n) for n in chain.nodes],
                         )
                         alt = self._take_alt(fork.nodes[-1], retrieval)
                         frontier[fork.chain_id] = state.with_step(self._step_for(alt, sub_question))
@@ -749,6 +742,10 @@ class TreeBuilder:
             if chain.terminated_by is None:
                 state = frontier[chain.chain_id]
                 answer = self._finalize_answer(build, state, cfg.t_max)
+                if answer is None and pruning:
+                    raise NodeExpansionFailed(
+                        build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
+                    )
                 self._finish_chain(build, chain, state, "cap", answer)
         return chains
 
@@ -776,12 +773,12 @@ class TreeBuilder:
         cfg = self.config
         question = build.question
 
-        def expand(state: State, depth: int) -> FullNode:
-            layer = depth + 1
-            if depth >= cfg.t_max:
+        def expand(state: State) -> FullNode:
+            layer = state.depth + 1
+            if state.depth >= cfg.t_max:
                 with build.lock:
                     build.ledger.leaf_nodes += 1
-                return FullNode(depth=depth, state=state)
+                return FullNode(state=state)
             build.bump(layer, "nodes_expanded")
             sampled = self._generate_texts(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
@@ -797,12 +794,10 @@ class TreeBuilder:
                 branches.append(FullBranch(text, origin, tuple(answers), tuple(retrieved)))
                 steps = [Step(text, SelfAnswer(a)) for a in answers]
                 steps += [Step(text, Retrieved(q, docs)) for q, docs in retrieved]
-                children.extend(expand(state.with_step(step), depth + 1) for step in steps)
-            return FullNode(
-                depth=depth, state=state, branches=tuple(branches), children=tuple(children)
-            )
+                children.extend(expand(state.with_step(step)) for step in steps)
+            return FullNode(state=state, branches=tuple(branches), children=tuple(children))
 
-        return expand(State(question), 0)
+        return expand(State(question))
 
     # ------------------------------------------------------------------ entry point
 
@@ -815,10 +810,8 @@ class TreeBuilder:
         """
         build = _Build(question, MemoRetriever(self.retriever))
         result = BuildResult(question, self.config, ledger=build.ledger)
-        if self.config.strategy == "pruning":
-            result.chains = self._build_pruning(build)
-        elif self.config.strategy == "no_pruning":
-            result.chains = self._build_no_pruning(build)
-        else:
+        if self.config.strategy == "full_node":
             result.full_root = self._build_full_node(build)
+        else:
+            result.chains = self._build_chains(build)
         return result

@@ -1,4 +1,7 @@
-"""Training-data extraction from tree snapshots.
+"""Training-data extraction from expansion results.
+
+The exporters read a ``BuildResult``: live from ``build_tree``, or decoded
+from its snapshot, with the same output either way.
 
 SFT examples slice the retained chain at its retrieval steps: each input is
 the serialized prefix through a retrieval's documents, each output continues
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import Candidate, ChainRecord, TreeNode
+from .engine import BuildResult, Candidate, ChainRecord, TreeNode
 from .errors import ExportError
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_chain, serialize_state
-from .snapshot import Snapshot
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
@@ -65,37 +67,37 @@ class DpoPair:
         }
 
 
-def extract_chain(snapshot: Snapshot) -> Tuple[Tuple[Step, ...], str]:
-    """The retained root-to-leaf path of a snapshot as a flat step list plus answer."""
-    if snapshot.failure is not None:
+def extract_chain(result: BuildResult) -> Tuple[Tuple[Step, ...], str]:
+    """The retained root-to-leaf path of a result as a flat step list plus answer."""
+    if result.failure is not None:
         raise ExportError(
-            f"snapshot for question {snapshot.question.id!r} records a failure: "
-            f"{snapshot.failure.get('reason')}"
+            f"snapshot for question {result.question.id!r} records a failure: "
+            f"{result.failure.get('reason')}"
         )
-    trunk = snapshot.trunk
+    trunk = result.trunk
     if trunk is None or trunk.final_state is None or trunk.final_answer is None:
-        raise ExportError(f"snapshot for question {snapshot.question.id!r} has no terminal chain")
+        raise ExportError(f"snapshot for question {result.question.id!r} has no terminal chain")
     return trunk.final_state.steps, trunk.final_answer
 
 
 def _select_chain(
-    snapshot: Snapshot, strategy: str, min_final_score: float
+    result: BuildResult, strategy: str, min_final_score: float
 ) -> Optional[ChainRecord]:
     if strategy not in SFT_STRATEGIES:
         raise ExportError(f"unknown SFT strategy {strategy!r}; expected one of {SFT_STRATEGIES}")
     if strategy == "retained":
-        extract_chain(snapshot)  # validates terminality
-        trunk = snapshot.trunk
+        extract_chain(result)  # validates terminality
+        trunk = result.trunk
         return trunk if trunk.final_score > min_final_score else None
 
-    if snapshot.strategy != "no_pruning":
+    if result.config.strategy != "no_pruning":
         raise ExportError(
             f"SFT strategy {strategy!r} needs alternative complete chains; "
-            f"snapshot was built with the {snapshot.strategy!r} strategy"
+            f"snapshot was built with the {result.config.strategy!r} strategy"
         )
     complete = [
         c
-        for c in snapshot.chains
+        for c in result.chains
         if c.final_answer is not None and c.final_state is not None
         and c.final_score > min_final_score
     ]
@@ -141,16 +143,16 @@ def segment_chain(
 
 
 def export_sft(
-    snapshot: Snapshot,
+    result: BuildResult,
     strategy: str = "retained",
     min_final_score: float = 0.0,
     template: HistoryTemplate = DEFAULT_TEMPLATE,
 ) -> List[SftExample]:
-    """SFT examples for one snapshot; empty when no chain clears the score filter."""
-    chain = _select_chain(snapshot, strategy, min_final_score)
+    """SFT examples for one result; empty when no chain clears the score filter."""
+    chain = _select_chain(result, strategy, min_final_score)
     if chain is None:
         return []
-    return segment_chain(chain, snapshot.question.id, template)
+    return segment_chain(chain, result.question.id, template)
 
 
 # ----------------------------------------------------------------------- DPO
@@ -243,28 +245,26 @@ def _node_pairs(
 
 
 def export_dpo(
-    snapshot: Snapshot,
+    result: BuildResult,
     margin: float = 0.1,
     template: HistoryTemplate = DEFAULT_TEMPLATE,
 ) -> List[DpoPair]:
-    """All preference pairs of a snapshot, deterministically ordered and deduplicated.
+    """All preference pairs of a result, deterministically ordered and deduplicated.
 
-    Deviation chains of no-pruning snapshots contribute only their fork-onward
+    Deviation chains of no-pruning results contribute only their fork-onward
     nodes; prefix nodes are memoryless re-derivations of the trunk and would
     duplicate its pairs.
     """
     if margin < 0:
         raise ExportError("margin must be >= 0")
-    if snapshot.failure is not None:
+    if result.failure is not None:
         return []
     pairs: List[DpoPair] = []
     seen = set()
-    for chain in snapshot.chains:
+    for chain in result.chains:
         nodes = chain.nodes if chain.fork_layer == 0 else chain.nodes[chain.fork_layer - 1 :]
         for node in nodes:
-            for pair in _node_pairs(
-                node, snapshot.question.id, margin, template, chain.final_score
-            ):
+            for pair in _node_pairs(node, result.question.id, margin, template, chain.final_score):
                 key = (pair.layer, pair.pair_type, pair.prompt, pair.chosen, pair.rejected)
                 if key not in seen:
                     seen.add(key)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from .engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from .errors import ConfigurationError, DatasetError
 from .policy import PolicyRequest, ScriptedPolicyBackend
 from .retrieval import LexicalRetriever
 from .templates import PolicyRole
@@ -142,16 +143,30 @@ def strategy_costs(
     The regime pins ``majority_samples`` to ``k`` and runs scripted rollouts to
     the fixed horizon ``t_max``, so each measured count should equal
     ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
-    because its cost is exponential in depth.
+    because its cost is exponential in depth. Every input is checked before
+    the first build.
     """
+    if not questions:
+        raise DatasetError("no questions to bench")
+    if not strategies:
+        raise ConfigurationError("no strategies to bench")
+    if full_node_t_max < 1:
+        raise ConfigurationError("full-node t_max must be >= 1")
+    try:
+        expansions = [
+            replace(
+                config, strategy=strategy, majority_samples=config.k, rollout_cap="fixed",
+                t_max=full_node_t_max if strategy == "full_node" else config.t_max,
+            )
+            for strategy in strategies
+        ]
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     gold = {q.text: q.gold_answers[0] for q in questions}
     retriever = make_bench_retriever()
     costs = []
-    for strategy in strategies:
-        depth = full_node_t_max if strategy == "full_node" else config.t_max
-        expansion = replace(
-            config, strategy=strategy, t_max=depth, majority_samples=config.k, rollout_cap="fixed"
-        )
+    for expansion in expansions:
+        strategy, depth = expansion.strategy, expansion.t_max
         policy = make_bench_policy(gold, rollout_searches=depth - 1)
         builder = TreeBuilder(policy, retriever, expansion)
         measured, seconds = 0, 0.0

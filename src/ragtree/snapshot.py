@@ -1,24 +1,26 @@
 """Versioned JSON snapshots of expansion results.
 
-A snapshot is the only input the export pipeline consumes, so a batch can be
-re-exported without re-expansion. Node states are stored implicitly: each
-node's state is the question plus a prefix of the chain's path steps, so the
-file carries every step once. Ledger wall time is deliberately omitted so
-identical-seed runs produce byte-identical files.
+A snapshot encodes one ``BuildResult`` (a failed build included) and decodes
+back to one that encodes to the same record, so a batch can be re-exported
+without re-expansion; the decoded config holds only the echoed fields.
+Node states are stored implicitly: each node's state is the question plus a
+prefix of the chain's path steps, so the file carries every step once. Ledger
+wall time is deliberately omitted so identical-seed runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .engine import (
     BuildResult,
     Candidate,
     ChainRecord,
     ExpansionConfig,
+    ExpansionLedger,
     FullBranch,
     FullNode,
     RolloutResult,
@@ -35,21 +37,6 @@ _CONFIG_ECHO = (
     "k", "n", "t_max", "tau", "score_metric", "strategy", "seed", "majority_samples",
     "rollout_cap", "top_k",
 )
-
-
-@dataclass
-class Snapshot:
-    question: Question
-    strategy: str
-    config: ExpansionConfig
-    chains: List[ChainRecord] = field(default_factory=list)
-    full_root: Optional[FullNode] = None
-    ledger: Dict = field(default_factory=dict)
-    failure: Optional[Dict] = None
-
-    @property
-    def trunk(self) -> Optional[ChainRecord]:
-        return self.chains[0] if self.chains else None
 
 
 # --------------------------------------------------------------------- encode
@@ -126,9 +113,6 @@ def _chain_to_dict(chain: ChainRecord) -> dict:
 
 def _full_node_to_dict(node: FullNode, step: Optional[Step]) -> dict:
     # Children are stored with the step that produced them; states rebuild on load.
-    child_steps = []
-    for child in node.children:
-        child_steps.append(child.state.steps[-1])
     return {
         "step": None if step is None else _step_to_dict(step),
         "branches": [
@@ -143,14 +127,12 @@ def _full_node_to_dict(node: FullNode, step: Optional[Step]) -> dict:
             }
             for b in node.branches
         ],
-        "children": [
-            _full_node_to_dict(child, child_step)
-            for child, child_step in zip(node.children, child_steps)
-        ],
+        "children": [_full_node_to_dict(child, child.state.steps[-1]) for child in node.children],
     }
 
 
-def _header(question: Question, config: ExpansionConfig) -> dict:
+def build_result_to_dict(result: BuildResult) -> dict:
+    question, config = result.question, result.config
     return {
         "schema_version": SCHEMA_VERSION,
         "question": {
@@ -160,28 +142,12 @@ def _header(question: Question, config: ExpansionConfig) -> dict:
         },
         "strategy": config.strategy,
         "config": {name: getattr(config, name) for name in _CONFIG_ECHO},
-    }
-
-
-def build_result_to_dict(result: BuildResult) -> dict:
-    return {
-        **_header(result.question, result.config),
-        "failure": None,
+        "failure": result.failure,
         "chains": [_chain_to_dict(c) for c in result.chains],
         "full_tree": (
             None if result.full_root is None else _full_node_to_dict(result.full_root, None)
         ),
-        "ledger": result.ledger.to_dict(),
-    }
-
-
-def failure_to_dict(question: Question, config: ExpansionConfig, layer: int, reason: str) -> dict:
-    return {
-        **_header(question, config),
-        "failure": {"layer": layer, "reason": reason},
-        "chains": [],
-        "full_tree": None,
-        "ledger": None,
+        "ledger": None if result.ledger is None else result.ledger.to_dict(),
     }
 
 
@@ -262,14 +228,11 @@ def _node_from_dict(record: dict, question: Question, steps: List[Step]) -> Tree
 
 def _chain_from_dict(record: dict, question: Question) -> ChainRecord:
     steps = [_step_from_dict(s) for s in record["steps"]]
-    nodes = [_node_from_dict(n, question, steps) for n in record["nodes"]]
-    for i in range(len(nodes) - 1):
-        nodes[i].child = nodes[i + 1]
     return ChainRecord(
         chain_id=record["chain_id"],
         fork_layer=record["fork_layer"],
         fork_kind=record["fork_kind"],
-        nodes=nodes,
+        nodes=[_node_from_dict(n, question, steps) for n in record["nodes"]],
         final_answer=record["final_answer"],
         final_score=record["final_score"],
         terminated_by=record["terminated_by"],
@@ -277,7 +240,7 @@ def _chain_from_dict(record: dict, question: Question) -> ChainRecord:
     )
 
 
-def _full_node_from_dict(record: dict, state: State, depth: int) -> FullNode:
+def _full_node_from_dict(record: dict, state: State) -> FullNode:
     branches = tuple(
         FullBranch(
             sub_question=b["sub_question"],
@@ -290,37 +253,32 @@ def _full_node_from_dict(record: dict, state: State, depth: int) -> FullNode:
         )
         for b in record["branches"]
     )
-    children = []
-    for child_record in record["children"]:
-        child_step = _step_from_dict(child_record["step"])
-        children.append(
-            _full_node_from_dict(child_record, state.with_step(child_step), depth + 1)
-        )
-    return FullNode(depth=depth, state=state, branches=branches, children=tuple(children))
+    children = tuple(
+        _full_node_from_dict(child, state.with_step(_step_from_dict(child["step"])))
+        for child in record["children"]
+    )
+    return FullNode(state=state, branches=branches, children=children)
 
 
-def snapshot_from_dict(record: dict) -> Snapshot:
+def snapshot_from_dict(record: dict) -> BuildResult:
     version = record.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ExportError(f"unsupported snapshot schema version: {version!r}")
     q = record["question"]
     question = Question(id=q["id"], text=q["text"], gold_answers=tuple(q["gold_answers"]))
     config = ExpansionConfig(**{name: record["config"][name] for name in _CONFIG_ECHO})
-    full_root = None
-    if record.get("full_tree") is not None:
-        full_root = _full_node_from_dict(record["full_tree"], State(question), 0)
-    return Snapshot(
+    full_tree, ledger = record.get("full_tree"), record.get("ledger")
+    return BuildResult(
         question=question,
-        strategy=record["strategy"],
         config=config,
         chains=[_chain_from_dict(c, question) for c in record["chains"]],
-        full_root=full_root,
-        ledger=record.get("ledger") or {},
+        full_root=None if full_tree is None else _full_node_from_dict(full_tree, State(question)),
+        ledger=None if ledger is None else ExpansionLedger.from_dict(ledger),
         failure=record.get("failure"),
     )
 
 
-def load_snapshot(path: str) -> Snapshot:
+def load_snapshot(path: str) -> BuildResult:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.errors import DatasetError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
@@ -179,6 +181,38 @@ class TestExpandCommand:
                 par_bytes = snapshot_path(par_out, question.id).read_bytes()
                 assert seq_bytes == par_bytes
 
+    @pytest.mark.parametrize(
+        "ids, needle",
+        [(["q/1", "q0", "q_1"], "ids 'q/1' and 'q_1' both map to snapshot file q_1.json"),
+         (["q0", "manifest"], "id 'manifest' maps to the manifest's file manifest.json")],
+        ids=["two-ids", "manifest-id"],
+    )
+    def test_snapshot_file_clash_is_refused_before_any_build(self, tmp_path, ids, needle):
+        questions = [Question(id=i, text=f"what is probe {i}?", gold_answers=("x",)) for i in ids]
+
+        def no_builder() -> TreeBuilder:
+            raise AssertionError("a builder was requested")
+
+        out = tmp_path / "snapshots"
+        with pytest.raises(DatasetError, match=re.escape(needle)):
+            expand_batch(questions, no_builder, str(out), resume=False)
+        assert not out.exists()
+
+    def test_snapshot_file_clash_is_a_usage_error(self, tmp_path, capsys):
+        dataset = tmp_path / "clash.jsonl"
+        lines = [
+            json.dumps({"id": qid, "question": f"what is probe {qid}?", "golden_answers": ["x"]})
+            for qid in ("q/1", "q0", "q_1")
+        ]
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", str(dataset), "--config", write_config(tmp_path)]
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'q/1' and 'q_1'" in err, err
+        assert not out.exists()
+
 
 class TestExportCommands:
     def _expanded(self, tmp_path):
@@ -243,6 +277,40 @@ class TestBenchCommand:
         assert int(rows[0]["theoretical_count"]) == theoretical_counts(cfg, 2, "pruning")
         assert int(rows[1]["theoretical_count"]) == theoretical_counts(cfg, 2, "no_pruning")
         assert int(rows[2]["theoretical_count"]) == 576
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--strategies", "pruning,bogus"], "unknown strategy 'bogus'"),
+            (["--strategies", ""], "no strategies"),
+            (["--strategies", " , "], "no strategies"),
+            (["--full-node-tmax", "0"], "full-node t_max"),
+        ],
+        ids=["unknown-strategy", "empty-list", "blank-list", "zero-full-node-tmax"],
+    )
+    def test_bad_input_is_refused_before_any_build(self, tmp_path, capsys, monkeypatch, flags,
+                                                   needle):
+        def no_build(self, question):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(TreeBuilder, "build_tree", no_build)
+        out = tmp_path / "bench.csv"
+        argv = ["bench-expansion", "--dataset", write_dataset(tmp_path, n=2), "--out", str(out)]
+        code = main(argv + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err, err
+        assert not out.exists()
+
+    def test_dataset_without_questions_is_refused(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        out = tmp_path / "bench.csv"
+        code = main(["bench-expansion", "--dataset", str(dataset), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no questions" in err, err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

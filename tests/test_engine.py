@@ -334,9 +334,8 @@ class TestBuildTree:
         assert isinstance(steps[1].resolution, SelfAnswer)
         assert steps[1].resolution.answer == "deep strong"
 
-        # node links form the retained path
-        assert trunk.nodes[0].child is trunk.nodes[1]
-        assert trunk.nodes[1].child is None
+        # the chain's nodes are the retained path, in layer order
+        assert [node.layer for node in trunk.nodes] == [1, 2]
         assert trunk.nodes[0].chosen_kind == "sub_query"
         assert trunk.nodes[1].chosen_kind == "self_answer"
         # layer 2 skipped retrieval entirely
@@ -372,6 +371,17 @@ class TestBuildTree:
         with pytest.raises(NodeExpansionFailed) as excinfo:
             builder.build_tree(scenario.question)
         assert excinfo.value.question_id == scenario.question.id
+
+    def test_missing_cap_answer_fails_a_pruning_build(self, scenario, retriever):
+        # no_pruning keeps such a chain with no answer (TestNoPruningCharacterization).
+        scenario.config = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=2, malformed_retries=0)
+        scenario.finalize_answer = ""  # an empty <answer> parses as malformed
+        builder = make_builder(scenario, retriever)
+        with pytest.raises(NodeExpansionFailed) as excinfo:
+            builder.build_tree(scenario.question)
+        assert (excinfo.value.layer, excinfo.value.reason) == (
+            2, "no terminal answer at the iteration cap"
+        )
 
 
 class TestNoPruningStrategy:

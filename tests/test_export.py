@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from ragtree.engine import Candidate, ChainRecord, ExpansionConfig, RolloutResult, TerminationVotes, TreeNode
+from ragtree.engine import (
+    BuildResult, Candidate, ChainRecord, ExpansionConfig, RolloutResult, TerminationVotes, TreeNode,
+)
 from ragtree.errors import ExportError
 from ragtree.export import (
     export_dpo,
@@ -14,7 +16,6 @@ from ragtree.export import (
     write_sft_jsonl,
 )
 from ragtree.history import render_chain, serialize_state
-from ragtree.snapshot import Snapshot
 from ragtree.types import Document, Question, Retrieved, SelfAnswer, State, Step
 
 Q = Question(id="exp-q", text="what is established?", gold_answers=("the fact",))
@@ -44,7 +45,7 @@ def plain_node(layer: int, steps, **overrides) -> TreeNode:
 
 
 def chain_snapshot(steps, answer: str, final_score: float = 1.0, nodes=None, strategy="pruning",
-                   extra_chains=()) -> Snapshot:
+                   extra_chains=()) -> BuildResult:
     chain = ChainRecord(
         chain_id=0,
         fork_layer=0,
@@ -55,11 +56,8 @@ def chain_snapshot(steps, answer: str, final_score: float = 1.0, nodes=None, str
         terminated_by="cap",
         final_state=State(Q, tuple(steps), answer),
     )
-    return Snapshot(
-        question=Q,
-        strategy=strategy,
-        config=ExpansionConfig(strategy=strategy),
-        chains=[chain, *extra_chains],
+    return BuildResult(
+        question=Q, config=ExpansionConfig(strategy=strategy), chains=[chain, *extra_chains]
     )
 
 

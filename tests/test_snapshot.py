@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from conftest import GOLD, Scenario, overlap_answer
-from ragtree.engine import BuildResult, ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.batch import expand_batch, snapshot_path
+from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import ExportError
+from ragtree.export import export_dpo, export_sft
+from ragtree.policy import ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import (
     build_result_to_dict,
     dumps_snapshot,
-    failure_to_dict,
     load_snapshot,
     save_snapshot,
     snapshot_from_dict,
 )
+from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
 
@@ -38,7 +42,7 @@ class TestRoundTrip:
         snapshot = snapshot_from_dict(record)
 
         assert snapshot.question == result.question
-        assert snapshot.strategy == strategy
+        assert snapshot.config.strategy == strategy
         assert len(snapshot.chains) == len(result.chains)
         for loaded, original in zip(snapshot.chains, result.chains):
             assert loaded.final_answer == original.final_answer
@@ -78,6 +82,27 @@ class TestRoundTrip:
         first_child = snapshot.full_root.children[0]
         assert first_child.state.depth == 1
 
+    @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
+    def test_reencoding_a_decoded_snapshot_gives_the_record(self, strategy):
+        result = build_fixture(strategy)
+        record = build_result_to_dict(result)
+        decoded = snapshot_from_dict(record)
+        assert decoded.ledger == result.ledger
+        assert build_result_to_dict(decoded) == record
+
+    @pytest.mark.parametrize(
+        "strategy, sft_strategies",
+        [("pruning", ["retained"]), ("no_pruning", ["retained", "most", "least"])],
+    )
+    def test_exports_agree_on_live_and_decoded_results(self, strategy, sft_strategies):
+        result = build_fixture(strategy)
+        decoded = snapshot_from_dict(build_result_to_dict(result))
+        for sft_strategy in sft_strategies:
+            live = export_sft(result, strategy=sft_strategy)
+            assert live and live == export_sft(decoded, strategy=sft_strategy)
+        live_pairs = export_dpo(result, margin=0.0)
+        assert live_pairs and live_pairs == export_dpo(decoded, margin=0.0)
+
     def test_wall_time_is_not_serialized(self):
         result = build_fixture()
         record = build_result_to_dict(result)
@@ -106,12 +131,37 @@ class TestRoundTrip:
 
 
 class TestFailureRecords:
-    def test_failure_round_trip(self):
+    # SHA-256 of the record ``failed_record`` writes: a failed build's file format is pinned.
+    DIGEST = "50d69a320df6855181b50af3ebd688bc37fcafc1669572a9f39c438d93cf067b"
+
+    @staticmethod
+    def failed_record(tmp_path) -> bytes:
+        """The snapshot a batch writes for a question whose sub-questions are all malformed."""
+        handlers = dict(make_bench_policy({}, rollout_searches=1).handlers)
+        handlers[PolicyRole.SUB_QUESTION] = lambda request: "never a tag"
+        policy = ScriptedPolicyBackend(handlers)
         question = Question(id="f-q", text="unanswerable?", gold_answers=("x",))
-        record = failure_to_dict(question, ExpansionConfig(), layer=2, reason="all malformed")
+        cfg = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=1, malformed_retries=0)
+        manifest = expand_batch(
+            [question], lambda: TreeBuilder(policy, make_bench_retriever(), cfg), str(tmp_path),
+            resume=False,
+        )
+        assert manifest.counts["failed"] == 1
+        return snapshot_path(str(tmp_path), question.id).read_bytes()
+
+    def test_failure_bytes_are_pinned(self, tmp_path):
+        assert hashlib.sha256(self.failed_record(tmp_path)).hexdigest() == self.DIGEST
+
+    def test_failure_round_trip(self, tmp_path):
+        text = self.failed_record(tmp_path).decode("utf-8")
+        record = json.loads(text)
         snapshot = snapshot_from_dict(record)
-        assert snapshot.failure == {"layer": 2, "reason": "all malformed"}
-        assert snapshot.chains == []
+        assert snapshot.failure == {
+            "layer": 1, "reason": "every sub-question candidate was malformed"
+        }
+        assert snapshot.chains == [] and snapshot.full_root is None and snapshot.ledger is None
+        assert build_result_to_dict(snapshot) == record
+        assert dumps_snapshot(build_result_to_dict(snapshot)) == text
 
 
 class TestTerminateBranchScoring:
@@ -195,9 +245,7 @@ class TestNoPruningCharacterization:
             scenario.question
         )
         record = build_result_to_dict(result)
-        loaded = snapshot_from_dict(record)
-        again = build_result_to_dict(BuildResult(loaded.question, loaded.config, loaded.chains))
-        assert again["chains"] == record["chains"]
+        assert build_result_to_dict(snapshot_from_dict(record)) == record
         return record
 
     @staticmethod
