@@ -10,7 +10,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .agent import fan_out
 from .engine import BuildResult, TreeBuilder
 from .errors import DatasetError, NodeExpansionFailed, RagTreeError
-from .snapshot import SCHEMA_VERSION, build_result_to_dict, save_snapshot
+from .snapshot import SCHEMA_VERSION, build_result_to_dict, encode, save_snapshot
 from .types import Question
 
 
@@ -19,7 +19,7 @@ def snapshot_path(out_dir: str, question_id: str) -> Path:
     return Path(out_dir) / f"{safe}.json"
 
 
-def _snapshot_is_valid(path: Path, question_id: str) -> bool:
+def _snapshot_is_valid(path: Path, question_id: str, config: dict) -> bool:
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
@@ -27,6 +27,7 @@ def _snapshot_is_valid(path: Path, question_id: str) -> bool:
     return (
         record.get("schema_version") == SCHEMA_VERSION
         and record.get("question", {}).get("id") == question_id
+        and record.get("config") == config
         and record.get("failure") is None
     )
 
@@ -103,7 +104,10 @@ def expand_batch(
 
     With ``resume`` enabled, questions whose snapshot already exists and
     validates are skipped without touching any backend; a snapshot that
-    records a failure does not validate, so its question is expanded again.
+    records a failure, or was built with another ``ExpansionConfig`` (the
+    concurrency aside), does not validate, so its question is expanded again.
+    ``on_progress`` hears of each question as it is skipped or finishes, from
+    the worker thread that built it.
     ``builder_factory`` is called once per question; since a builder keeps no
     per-build state, it may return one shared builder, and concurrent builds
     on it still get their own ledgers and retrieval memos (direct
@@ -127,10 +131,11 @@ def expand_batch(
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()
 
+    config = encode(builder_factory().config) if resume else None
     pending: List[Question] = []
     for question in questions:
         path = snapshot_path(out_dir, question.id)
-        if resume and path.exists() and _snapshot_is_valid(path, question.id):
+        if resume and path.exists() and _snapshot_is_valid(path, question.id, config):
             manifest.items.append(ManifestItem(question.id, "skipped", str(path)))
             if on_progress:
                 on_progress(question.id, "skipped")
@@ -138,6 +143,12 @@ def expand_batch(
             pending.append(question)
 
     def expand_one(question: Question) -> ManifestItem:
+        item = build_one(question)
+        if on_progress:
+            on_progress(item.question_id, item.status)
+        return item
+
+    def build_one(question: Question) -> ManifestItem:
         path = snapshot_path(out_dir, question.id)
         builder = builder_factory()
         try:
@@ -153,11 +164,7 @@ def expand_batch(
         counters = {key: getattr(result.ledger, key) for key in _LEDGER_KEYS}
         return ManifestItem(question.id, "ok", str(path), ledger=counters)
 
-    for item in fan_out(expand_one, pending, concurrency):
-        manifest.items.append(item)
-        if on_progress:
-            on_progress(item.question_id, item.status)
-
+    manifest.items.extend(fan_out(expand_one, pending, concurrency))
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])

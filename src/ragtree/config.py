@@ -169,6 +169,8 @@ def load_dataset(path: str) -> List[Question]:
                 )
             except ValueError as exc:
                 raise DatasetError(str(exc), line=line_no)
+    if not questions:
+        raise DatasetError(f"dataset {path} has no questions")
     return questions
 
 

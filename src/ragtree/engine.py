@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
 from .agent import fan_out, run_agent
@@ -36,7 +36,7 @@ from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, par
 from .policy import PolicyBackend, PolicyRequest
 from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
-from .types import Question, Retrieved, SelfAnswer, State, Step
+from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step
 
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
@@ -60,7 +60,7 @@ class ExpansionConfig:
     top_k: int = 3
     malformed_retries: int = 2
     score_terminate_branch: bool = False
-    concurrency: int = 1
+    concurrency: int = field(default=1, metadata=UNWRITTEN)  # speed only: same tree at any value
 
     def __post_init__(self):
         if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k) < 1:
@@ -118,7 +118,7 @@ class Candidate:
     rollouts: Tuple[RolloutResult, ...] = ()
     reward: float = 0.0
     retained: bool = False
-    documents: Tuple = ()  # sub-query candidates carry their retrieved documents
+    documents: Tuple[Document, ...] = ()  # sub-query candidates carry their retrieved documents
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class TerminationVotes:
 @dataclass
 class TreeNode:
     layer: int  # 1-based
-    state: State
+    state: State = field(metadata=UNWRITTEN)  # the question plus the chain's first layer - 1 steps
     votes: TerminationVotes
     sub_question_candidates: Tuple[Candidate, ...] = ()
     self_answer_candidates: Tuple[Candidate, ...] = ()
@@ -175,12 +175,13 @@ class FullBranch:
     sub_question: str
     origin: str  # "direct" (the original question posed as its own resolution) | "sampled"
     self_answers: Tuple[str, ...] = ()
-    sub_queries: Tuple[Tuple[str, Tuple], ...] = ()  # (query, documents)
+    sub_queries: Tuple[Tuple[str, Tuple[Document, ...]], ...] = ()  # (query, documents)
 
 
 @dataclass
 class FullNode:
-    state: State
+    state: State = field(metadata=UNWRITTEN)  # the parent's state plus ``step``
+    step: Optional[Step] = None  # the step that produced this node; None at the root
     branches: Tuple[FullBranch, ...] = ()
     children: Tuple["FullNode", ...] = ()
 
@@ -211,22 +212,6 @@ class ExpansionLedger:
         if strategy == "full_node":
             return self.leaf_nodes
         return self.policy_calls + self.rollout_calls
-
-    def to_dict(self) -> dict:
-        return {
-            "policy_calls": self.policy_calls,
-            "rollout_calls": self.rollout_calls,
-            "finalize_calls": self.finalize_calls,
-            "retrieval_calls": self.retrieval_calls,
-            "nodes_expanded": self.nodes_expanded,
-            "leaf_nodes": self.leaf_nodes,
-            "per_layer": {str(layer): asdict(c) for layer, c in sorted(self.per_layer.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ExpansionLedger":
-        per_layer = {int(layer): LayerCounters(**c) for layer, c in record["per_layer"].items()}
-        return cls(**{**record, "per_layer": per_layer})
 
 
 @dataclass
@@ -773,12 +758,12 @@ class TreeBuilder:
         cfg = self.config
         question = build.question
 
-        def expand(state: State) -> FullNode:
+        def expand(state: State, step: Optional[Step] = None) -> FullNode:
             layer = state.depth + 1
             if state.depth >= cfg.t_max:
                 with build.lock:
                     build.ledger.leaf_nodes += 1
-                return FullNode(state=state)
+                return FullNode(state, step)
             build.bump(layer, "nodes_expanded")
             sampled = self._generate_texts(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
@@ -794,8 +779,8 @@ class TreeBuilder:
                 branches.append(FullBranch(text, origin, tuple(answers), tuple(retrieved)))
                 steps = [Step(text, SelfAnswer(a)) for a in answers]
                 steps += [Step(text, Retrieved(q, docs)) for q, docs in retrieved]
-                children.extend(expand(state.with_step(step)) for step in steps)
-            return FullNode(state=state, branches=tuple(branches), children=tuple(children))
+                children.extend(expand(state.with_step(taken), taken) for taken in steps)
+            return FullNode(state, step, tuple(branches), tuple(children))
 
         return expand(State(question))
 

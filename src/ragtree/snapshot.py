@@ -1,154 +1,96 @@
 """Versioned JSON snapshots of expansion results.
 
 A snapshot encodes one ``BuildResult`` (a failed build included) and decodes
-back to one that encodes to the same record, so a batch can be re-exported
-without re-expansion; the decoded config holds only the echoed fields.
-Node states are stored implicitly: each node's state is the question plus a
-prefix of the chain's path steps, so the file carries every step once. Ledger
-wall time is deliberately omitted so identical-seed runs produce
-byte-identical files.
+back to an equal one, so a batch can be re-exported without re-expansion.
+One generic codec does the work: a dataclass is written as an object of its
+fields in declaration order, minus the fields marked ``UNWRITTEN``.
+
+Node states are implicit. Each chain writes its steps once, in its final
+state; each full-tree child writes the step that produced it; load rebuilds
+every state from those and the question. The config's ``concurrency`` is not
+written either, since it does not shape the tree, so snapshots built at any
+concurrency are byte-identical. Ledger wall time is never recorded, so
+identical-seed runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .engine import (
-    BuildResult,
-    Candidate,
-    ChainRecord,
-    ExpansionConfig,
-    ExpansionLedger,
-    FullBranch,
-    FullNode,
-    RolloutResult,
-    TerminationVotes,
-    TreeNode,
-)
+from .engine import BuildResult, FullNode
 from .errors import ExportError
-from .types import Document, Question, Resolution, Retrieved, SelfAnswer, State, Step
+from .types import State
 
-SCHEMA_VERSION = 1
-
-# The ExpansionConfig fields a snapshot echoes, in their on-disk order.
-_CONFIG_ECHO = (
-    "k", "n", "t_max", "tau", "score_metric", "strategy", "seed", "majority_samples",
-    "rollout_cap", "top_k",
-)
+SCHEMA_VERSION = 2
 
 
-# --------------------------------------------------------------------- encode
+@lru_cache(maxsize=None)
+def _written(cls: Any) -> Optional[Tuple[str, ...]]:
+    """The written field names of a dataclass type, or None for any other type."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(f.name for f in fields(cls) if f.metadata.get("snapshot", True))
 
 
-def _document_to_dict(doc: Document) -> dict:
-    return {"title": doc.title, "text": doc.text, "score": doc.score}
-
-
-def _resolution_to_dict(res: Resolution) -> dict:
-    if isinstance(res, SelfAnswer):
-        return {"type": "self_answer", "answer": res.answer}
-    return {
-        "type": "retrieved",
-        "sub_query": res.sub_query,
-        "documents": [_document_to_dict(d) for d in res.documents],
+@lru_cache(maxsize=None)
+def _decode_plan(cls: type) -> Tuple[Tuple[Tuple[str, Any], ...], Mapping[str, None]]:
+    """A dataclass's written fields with their type hints, and its unwritten fields
+    without a default, which decode as None until load rebuilds them."""
+    hints = get_type_hints(cls)
+    unset = {
+        f.name: None
+        for f in fields(cls)
+        if f.name not in _written(cls) and f.default is MISSING and f.default_factory is MISSING
     }
+    return tuple((name, hints[name]) for name in _written(cls)), MappingProxyType(unset)
 
 
-def _step_to_dict(step: Step) -> dict:
-    return {"sub_question": step.sub_question, "resolution": _resolution_to_dict(step.resolution)}
+def encode(value: Any) -> Any:
+    """A JSON-ready copy of ``value``. Dict keys are sorted, so a ledger's per-layer
+    counters keep one order whichever thread counted first."""
+    names = _written(type(value))
+    if names is not None:
+        return {name: encode(getattr(value, name)) for name in names}
+    if isinstance(value, (list, tuple)):
+        return [encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): encode(item) for key, item in sorted(value.items())}
+    return value
 
 
-def _rollout_to_dict(rollout: RolloutResult) -> dict:
-    return {
-        "transcript": rollout.transcript,
-        "final_answer": rollout.final_answer,
-        "score": rollout.score,
-        "steps_taken": rollout.steps_taken,
-    }
-
-
-def _candidate_to_dict(candidate: Candidate) -> dict:
-    return {
-        "kind": candidate.kind,
-        "content": candidate.content,
-        "reward": candidate.reward,
-        "retained": candidate.retained,
-        "documents": [_document_to_dict(d) for d in candidate.documents],
-        "rollouts": [_rollout_to_dict(r) for r in candidate.rollouts],
-    }
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    return {
-        "layer": node.layer,
-        "votes": {"terminate": node.votes.terminate, "continue": node.votes.continue_},
-        "chosen_kind": node.chosen_kind,
-        "terminal_answer": node.terminal_answer,
-        "terminate_probe": (
-            None
-            if node.terminate_probe is None
-            else {"answer": node.terminate_probe[0], "score": node.terminate_probe[1]}
-        ),
-        "sub_question_candidates": [_candidate_to_dict(c) for c in node.sub_question_candidates],
-        "self_answer_candidates": [_candidate_to_dict(c) for c in node.self_answer_candidates],
-        "sub_query_candidates": [_candidate_to_dict(c) for c in node.sub_query_candidates],
-    }
-
-
-def _chain_to_dict(chain: ChainRecord) -> dict:
-    steps = chain.final_state.steps if chain.final_state is not None else ()
-    return {
-        "chain_id": chain.chain_id,
-        "fork_layer": chain.fork_layer,
-        "fork_kind": chain.fork_kind,
-        "terminated_by": chain.terminated_by,
-        "final_answer": chain.final_answer,
-        "final_score": chain.final_score,
-        "steps": [_step_to_dict(s) for s in steps],
-        "nodes": [_node_to_dict(n) for n in chain.nodes],
-    }
-
-
-def _full_node_to_dict(node: FullNode, step: Optional[Step]) -> dict:
-    # Children are stored with the step that produced them; states rebuild on load.
-    return {
-        "step": None if step is None else _step_to_dict(step),
-        "branches": [
-            {
-                "sub_question": b.sub_question,
-                "origin": b.origin,
-                "self_answers": list(b.self_answers),
-                "sub_queries": [
-                    {"query": q, "documents": [_document_to_dict(d) for d in docs]}
-                    for q, docs in b.sub_queries
-                ],
-            }
-            for b in node.branches
-        ],
-        "children": [_full_node_to_dict(child, child.state.steps[-1]) for child in node.children],
-    }
+def decode(hint: Any, data: Any) -> Any:
+    """The value of type ``hint`` that ``encode`` wrote as ``data``. A union of
+    dataclasses takes the arm whose written field names are the record's keys. JSON
+    scalars need no hint: every written scalar decodes to itself."""
+    if data is None or isinstance(data, (str, int, float)):
+        return data
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) > 1:
+            arms = [arm for arm in arms if set(_written(arm)) == set(data)]
+        return decode(arms[0], data)
+    if _written(hint) is not None:
+        written, unset = _decode_plan(hint)
+        return hint(**{name: decode(h, data[name]) for name, h in written}, **unset)
+    if origin is tuple and args[-1:] == (Ellipsis,):
+        return tuple(decode(args[0], item) for item in data)
+    if origin is tuple:
+        return tuple(decode(arg, item) for arg, item in zip(args, data))
+    if origin is list:
+        return [decode(args[0], item) for item in data]
+    if origin is dict and args:
+        return {args[0](key): decode(args[1], item) for key, item in data.items()}
+    return data
 
 
 def build_result_to_dict(result: BuildResult) -> dict:
-    question, config = result.question, result.config
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "question": {
-            "id": question.id,
-            "text": question.text,
-            "gold_answers": list(question.gold_answers),
-        },
-        "strategy": config.strategy,
-        "config": {name: getattr(config, name) for name in _CONFIG_ECHO},
-        "failure": result.failure,
-        "chains": [_chain_to_dict(c) for c in result.chains],
-        "full_tree": (
-            None if result.full_root is None else _full_node_to_dict(result.full_root, None)
-        ),
-        "ledger": None if result.ledger is None else result.ledger.to_dict(),
-    }
+    return {"schema_version": SCHEMA_VERSION, **encode(result)}
 
 
 def dumps_snapshot(record: dict) -> str:
@@ -164,118 +106,31 @@ def save_snapshot(record: dict, path: str) -> None:
     tmp.replace(target)
 
 
-# --------------------------------------------------------------------- decode
-
-
-def _document_from_dict(record: dict) -> Document:
-    return Document(title=record["title"], text=record["text"], score=record["score"])
-
-
-def _resolution_from_dict(record: dict) -> Resolution:
-    if record["type"] == "self_answer":
-        return SelfAnswer(record["answer"])
-    return Retrieved(
-        record["sub_query"], tuple(_document_from_dict(d) for d in record["documents"])
-    )
-
-
-def _step_from_dict(record: dict) -> Step:
-    return Step(record["sub_question"], _resolution_from_dict(record["resolution"]))
-
-
-def _candidate_from_dict(record: dict) -> Candidate:
-    return Candidate(
-        kind=record["kind"],
-        content=record["content"],
-        rollouts=tuple(
-            RolloutResult(
-                transcript=r["transcript"],
-                final_answer=r["final_answer"],
-                score=r["score"],
-                steps_taken=r["steps_taken"],
-            )
-            for r in record["rollouts"]
-        ),
-        reward=record["reward"],
-        retained=record["retained"],
-        documents=tuple(_document_from_dict(d) for d in record["documents"]),
-    )
-
-
-def _node_from_dict(record: dict, question: Question, steps: List[Step]) -> TreeNode:
-    layer = record["layer"]
-    probe = record["terminate_probe"]
-    return TreeNode(
-        layer=layer,
-        state=State(question, tuple(steps[: layer - 1])),
-        votes=TerminationVotes(
-            terminate=record["votes"]["terminate"], continue_=record["votes"]["continue"]
-        ),
-        sub_question_candidates=tuple(
-            _candidate_from_dict(c) for c in record["sub_question_candidates"]
-        ),
-        self_answer_candidates=tuple(
-            _candidate_from_dict(c) for c in record["self_answer_candidates"]
-        ),
-        sub_query_candidates=tuple(
-            _candidate_from_dict(c) for c in record["sub_query_candidates"]
-        ),
-        chosen_kind=record["chosen_kind"],
-        terminal_answer=record["terminal_answer"],
-        terminate_probe=None if probe is None else (probe["answer"], probe["score"]),
-    )
-
-
-def _chain_from_dict(record: dict, question: Question) -> ChainRecord:
-    steps = [_step_from_dict(s) for s in record["steps"]]
-    return ChainRecord(
-        chain_id=record["chain_id"],
-        fork_layer=record["fork_layer"],
-        fork_kind=record["fork_kind"],
-        nodes=[_node_from_dict(n, question, steps) for n in record["nodes"]],
-        final_answer=record["final_answer"],
-        final_score=record["final_score"],
-        terminated_by=record["terminated_by"],
-        final_state=State(question, tuple(steps), record["final_answer"]),
-    )
-
-
-def _full_node_from_dict(record: dict, state: State) -> FullNode:
-    branches = tuple(
-        FullBranch(
-            sub_question=b["sub_question"],
-            origin=b["origin"],
-            self_answers=tuple(b["self_answers"]),
-            sub_queries=tuple(
-                (q["query"], tuple(_document_from_dict(d) for d in q["documents"]))
-                for q in b["sub_queries"]
-            ),
-        )
-        for b in record["branches"]
-    )
-    children = tuple(
-        _full_node_from_dict(child, state.with_step(_step_from_dict(child["step"])))
-        for child in record["children"]
-    )
-    return FullNode(state=state, branches=branches, children=children)
+def _rebuild_full_states(node: FullNode, state: State) -> None:
+    node.state = state
+    for child in node.children:
+        _rebuild_full_states(child, state.with_step(child.step))
 
 
 def snapshot_from_dict(record: dict) -> BuildResult:
     version = record.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ExportError(f"unsupported snapshot schema version: {version!r}")
-    q = record["question"]
-    question = Question(id=q["id"], text=q["text"], gold_answers=tuple(q["gold_answers"]))
-    config = ExpansionConfig(**{name: record["config"][name] for name in _CONFIG_ECHO})
-    full_tree, ledger = record.get("full_tree"), record.get("ledger")
-    return BuildResult(
-        question=question,
-        config=config,
-        chains=[_chain_from_dict(c, question) for c in record["chains"]],
-        full_root=None if full_tree is None else _full_node_from_dict(full_tree, State(question)),
-        ledger=None if ledger is None else ExpansionLedger.from_dict(ledger),
-        failure=record.get("failure"),
-    )
+        rerun = "; re-run `ragtree expand` on its directory" if version == 1 else ""
+        raise ExportError(f"unsupported snapshot schema version: {version!r}{rerun}")
+    try:
+        result = decode(BuildResult, record)
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise ExportError(f"malformed snapshot: {exc!r}") from None
+    question = result.question
+    for chain in result.chains:
+        steps = chain.final_state.steps if chain.final_state is not None else ()
+        if chain.final_state is not None:
+            chain.final_state = replace(chain.final_state, question=question)
+        for node in chain.nodes:
+            node.state = State(question, steps[: node.layer - 1])
+    if result.full_root is not None:
+        _rebuild_full_states(result.full_root, State(question))
+    return result
 
 
 def load_snapshot(path: str) -> BuildResult:

@@ -8,8 +8,13 @@ with the documents it retrieved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional, Tuple, Union
+
+# Field metadata: snapshots leave the field out. Load rebuilds it from the rest of
+# the file, or gives it its default when it does not shape the tree.
+UNWRITTEN = MappingProxyType({"snapshot": False})
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class State:
     ``final_answer`` is set exactly when the state is terminal.
     """
 
-    question: Question
+    question: Question = field(metadata=UNWRITTEN)  # a snapshot's states share its question
     steps: Tuple[Step, ...] = ()
     final_answer: Optional[str] = None
 

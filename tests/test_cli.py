@@ -151,6 +151,41 @@ class TestExpandCommand:
         assert sum(policy.calls_by_role.values()) == calls_after_first
         assert manifest.counts["skipped"] == 2
 
+    def test_resume_reexpands_a_snapshot_built_with_other_settings(self, tmp_path):
+        dataset = write_dataset(tmp_path, n=1)
+        config = write_config(tmp_path)
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", dataset, "--config", config, "--out", str(out)]
+        assert main(argv + ["--k", "2"]) == 0
+        assert main(argv + ["--k", "3", "--resume"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [item["status"] for item in manifest["items"]] == ["ok"]
+        assert json.loads((out / "q0.json").read_text())["config"]["k"] == 3
+        assert main(argv + ["--k", "3", "--resume"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [item["status"] for item in manifest["items"]] == ["skipped"]
+
+    def test_progress_is_reported_as_each_question_finishes(self, tmp_path):
+        questions = [
+            Question(id=f"q{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))
+            for i in range(3)
+        ]
+        policy = make_bench_policy({q.text: q.gold_answers[0] for q in questions})
+        reported, seen_at_build = [], []
+
+        class Watched(TreeBuilder):
+            def build_tree(self, question):
+                seen_at_build.append(list(reported))
+                return super().build_tree(question)
+
+        watched = Watched(policy, make_bench_retriever(), ExpansionConfig(k=2, n=1, t_max=1))
+        manifest = expand_batch(
+            questions, lambda: watched, str(tmp_path / "snapshots"), resume=False,
+            on_progress=lambda qid, status: reported.append((qid, status)),
+        )
+        assert seen_at_build == [[], [("q0", "ok")], [("q0", "ok"), ("q1", "ok")]]
+        assert [item.question_id for item in manifest.items] == ["q0", "q1", "q2"]
+
     def test_concurrency_matches_sequential_manifest(self, tmp_path):
         questions = [
             Question(id=f"q{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))
@@ -196,6 +231,17 @@ class TestExpandCommand:
         out = tmp_path / "snapshots"
         with pytest.raises(DatasetError, match=re.escape(needle)):
             expand_batch(questions, no_builder, str(out), resume=False)
+        assert not out.exists()
+
+    def test_dataset_without_questions_is_refused(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", str(dataset), "--config", write_config(tmp_path)]
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no questions" in err, err
         assert not out.exists()
 
     def test_snapshot_file_clash_is_a_usage_error(self, tmp_path, capsys):
@@ -373,6 +419,17 @@ class TestEvaluateCommand:
             main(["evaluate", "--dataset", dataset, "--config", config] + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    def test_dataset_without_questions_is_refused(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--dataset", str(dataset), "--config", write_config(tmp_path)]
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no questions" in err, err
+        assert not out.exists()
 
 
 class TestBadSettings:

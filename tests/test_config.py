@@ -108,6 +108,11 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_file_without_questions_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["", "   "])
+        with pytest.raises(DatasetError, match="no questions"):
+            load_dataset(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = self._write(tmp_path, ["{not json"])
         with pytest.raises(DatasetError) as excinfo:

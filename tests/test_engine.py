@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import pytest
 
@@ -526,10 +527,10 @@ class TestBuilderHoldsNoBuildState:
         policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
         builder = TreeBuilder(policy, make_bench_retriever(), cfg)
         result = builder.build_tree(question)
-        before = result.ledger.to_dict()
+        before = asdict(result.ledger)
         builder.run_rollout(State(question), None, layer=1, seed_parts=("direct", 0))
         builder.expand_termination(State(question), 1)
-        assert result.ledger.to_dict() == before
+        assert asdict(result.ledger) == before
 
     @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
     def test_one_builder_shared_by_concurrent_builds(self, strategy):

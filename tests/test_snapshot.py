@@ -4,25 +4,38 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLD, Scenario, overlap_answer
 from ragtree.batch import expand_batch, snapshot_path
-from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.engine import (
+    BuildResult,
+    Candidate,
+    ExpansionConfig,
+    FullBranch,
+    RolloutResult,
+    TreeBuilder,
+    theoretical_counts,
+)
 from ragtree.errors import ExportError
-from ragtree.export import export_dpo, export_sft
+from ragtree.export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from ragtree.policy import ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import (
     build_result_to_dict,
+    decode,
     dumps_snapshot,
+    encode,
     load_snapshot,
     save_snapshot,
     snapshot_from_dict,
 )
 from ragtree.templates import PolicyRole
-from ragtree.types import Question
+from ragtree.types import Document, Question, Retrieved, SelfAnswer, Step
 
 
 def build_fixture(strategy: str = "pruning", question_id: str = "snap-q"):
@@ -82,12 +95,18 @@ class TestRoundTrip:
         first_child = snapshot.full_root.children[0]
         assert first_child.state.depth == 1
 
-    @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
+    @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node", "failed"])
     def test_reencoding_a_decoded_snapshot_gives_the_record(self, strategy):
-        result = build_fixture(strategy)
+        if strategy == "failed":
+            question = Question(id="f-q", text="unanswerable?", gold_answers=("x",))
+            cfg = ExpansionConfig(k=2, malformed_retries=0, max_tokens=64)
+            result = BuildResult(question, cfg, ledger=None, failure={"layer": 1, "reason": "r"})
+        else:
+            result = build_fixture(strategy)
         record = build_result_to_dict(result)
-        decoded = snapshot_from_dict(record)
+        decoded = snapshot_from_dict(json.loads(dumps_snapshot(record)))
         assert decoded.ledger == result.ledger
+        assert decoded == result  # states, config and ledger included
         assert build_result_to_dict(decoded) == record
 
     @pytest.mark.parametrize(
@@ -122,17 +141,64 @@ class TestRoundTrip:
         with pytest.raises(ExportError):
             load_snapshot(str(path))
 
+    def test_malformed_record_raises_export_error(self):
+        record = build_result_to_dict(build_fixture())
+        del record["chains"][0]["nodes"][0]["votes"]
+        with pytest.raises(ExportError, match="malformed snapshot"):
+            snapshot_from_dict(record)
+
     def test_unsupported_schema_version_rejected(self):
         result = build_fixture()
         record = build_result_to_dict(result)
-        record["schema_version"] = 999
-        with pytest.raises(ExportError):
-            snapshot_from_dict(record)
+        for version in (999, 1):
+            record["schema_version"] = version
+            with pytest.raises(ExportError, match=f"version: {version}") as excinfo:
+                snapshot_from_dict(record)
+            assert ("re-run `ragtree expand`" in str(excinfo.value)) == (version == 1)
+
+    def test_config_round_trips_but_concurrency(self):
+        question = Question(id="c-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=2, n=1, t_max=1, majority_samples=1, malformed_retries=0,
+                              max_tokens=64, concurrency=4)
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=0)
+        result = TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
+        record = build_result_to_dict(result)
+        assert "concurrency" not in record["config"]
+        assert snapshot_from_dict(record).config == replace(cfg, concurrency=1)
+
+
+class TestCodec:
+    """``decode(encode(x)) == x`` for the engine's value types, through JSON."""
+
+    text = st.text(min_size=1) | st.sampled_from(["{question}", "{}", "}{"])
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    documents = st.lists(st.builds(Document, title=st.text(), text=text, score=number), max_size=3)
+    resolution = st.builds(SelfAnswer, text) | st.builds(
+        Retrieved, text, documents.map(tuple)
+    )
+    step = st.builds(Step, text, resolution)
+    rollout = st.builds(
+        RolloutResult, st.text(), st.none() | st.text(), number, st.integers(0, 9)
+    )
+    candidate = st.builds(
+        Candidate, st.sampled_from(["sub_question", "self_answer", "sub_query"]), st.text(),
+        st.lists(rollout, max_size=2).map(tuple), number, st.booleans(), documents.map(tuple),
+    )
+    branch = st.builds(
+        FullBranch, text, st.sampled_from(["direct", "sampled"]),
+        st.lists(text, max_size=2).map(tuple),
+        st.lists(st.tuples(text, documents.map(tuple)), max_size=2).map(tuple),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(step, candidate, branch))
+    def test_round_trip(self, value):
+        assert decode(type(value), json.loads(json.dumps(encode(value)))) == value
 
 
 class TestFailureRecords:
     # SHA-256 of the record ``failed_record`` writes: a failed build's file format is pinned.
-    DIGEST = "50d69a320df6855181b50af3ebd688bc37fcafc1669572a9f39c438d93cf067b"
+    DIGEST = "c53a570b5877aa6c6e9c479b4faa8df11d751e398c3a3d5ade3245f31ec249f4"
 
     @staticmethod
     def failed_record(tmp_path) -> bytes:
@@ -210,9 +276,9 @@ class TestGoldenSnapshots:
     # strategy -> (t_max, SHA-256 of the encoded snapshot), built with k=2, n=2,
     # a fixed rollout horizon and rollouts that search t_max - 1 times.
     GOLDEN = {
-        "pruning": (3, "84cd2f827180b7a3ed1330e6e66ed306c3c06b896477c6829945cd00322a8ddc"),
-        "no_pruning": (3, "353b28a8c5e07a559e3bbf2c35832684087263034bf2242928f38833455b844c"),
-        "full_node": (2, "34b84616942feee43880ef607597af04b2c755e6025ee0679d76ca62d1ccd768"),
+        "pruning": (3, "0b3a2fcb9a6c367cc8ff05ee3fe100a70c9989729d1c9aafd66efe20775b0f23"),
+        "no_pruning": (3, "d97e256a019820a5b956454aa7ecbe40d0cd069ed706cbf1e610bd578091ce12"),
+        "full_node": (2, "f30962b0ed9af4e57826ada55a9bfaf5061f7d1aac921271800b60381444a85f"),
     }
 
     @pytest.mark.parametrize("concurrency", [1, 4])
@@ -235,8 +301,8 @@ class TestNoPruningCharacterization:
     """no_pruning paths the golden digests miss, pinned by snapshot bytes."""
 
     DIGESTS = {
-        "cap_without_answer": "9dad3530e9c86575b47a8a3d391d4f0e1e565cdb092dd05c683056abf1465371",
-        "vote_at_layer_two": "e48879ebc88fe86947fb377730b6977eaba1ba32269fc9ef825bf05e48a4cded",
+        "cap_without_answer": "28c06cff88137b43d38cb09bc4baa006329a3b83f062a3d61e050531e226d929",
+        "vote_at_layer_two": "867242035ee500489fc5a9e6e69ec131eb8edf3bed4aafdb5cf58c1cfdbd6034",
     }
 
     @staticmethod
@@ -262,7 +328,7 @@ class TestNoPruningCharacterization:
         for chain in record["chains"]:
             assert chain["terminated_by"] == "cap"
             assert chain["final_answer"] is None
-            assert len(chain["steps"]) == scenario.config.t_max
+            assert len(chain["final_state"]["steps"]) == scenario.config.t_max
         assert self.digest(record) == self.DIGESTS["cap_without_answer"]
 
     def test_votes_terminate_at_layer_two(self, scenario, retriever):
@@ -276,5 +342,62 @@ class TestNoPruningCharacterization:
         assert [c["fork_layer"] for c in record["chains"]] == [0, 1]
         for chain in record["chains"]:
             assert chain["final_answer"] == GOLD
-            assert len(chain["steps"]) == 1
+            assert len(chain["final_state"]["steps"]) == 1
         assert self.digest(record) == self.DIGESTS["vote_at_layer_two"]
+
+
+class TestExportDigests:
+    """Pinned SFT and DPO export bytes of the golden builds, read back from their records.
+
+    A snapshot schema change must leave these alone: the exporters see the same
+    ``BuildResult`` whatever the file looks like.
+    """
+
+    # strategy -> t_max, as in ``TestGoldenSnapshots``.
+    DEPTHS = {"pruning": 3, "no_pruning": 3, "full_node": 2}
+    # (strategy, export) -> SHA-256 of the JSONL file the export writes. A full_node
+    # build keeps no chains, so its DPO file is empty and it has no SFT chain.
+    DIGESTS = {
+        ("pruning", "sft-retained"): "b27c1f83f702cbfac9b776809ab8482a1c8cb3e1ccf99185d105bc949ba24a42",
+        ("pruning", "dpo"): "8e4e16c7662491cf6b758fa65e12ae0f6d8decaf6351eef2ff77e8b17c174153",
+        ("no_pruning", "sft-retained"): "b27c1f83f702cbfac9b776809ab8482a1c8cb3e1ccf99185d105bc949ba24a42",
+        ("no_pruning", "sft-most"): "b27c1f83f702cbfac9b776809ab8482a1c8cb3e1ccf99185d105bc949ba24a42",
+        ("no_pruning", "sft-least"): "e789d79cbdc8cbb9e4f088c568385e74c3ce2e915caabcbcf83ee1d75252bd66",
+        ("no_pruning", "dpo"): "4b3ba4e027841c2f78cc22f5a524f07a6099365a20008b2710886bde7bd73322",
+        ("full_node", "dpo"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }
+
+    @staticmethod
+    def build(strategy: str):
+        t_max = TestExportDigests.DEPTHS[strategy]
+        question = Question(id="golden-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(
+            k=2, n=2, t_max=t_max, strategy=strategy, majority_samples=2, rollout_cap="fixed"
+        )
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=t_max - 1)
+        return TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
+
+    @staticmethod
+    def written(records, writer, path) -> bytes:
+        writer(records, str(path))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("strategy, export", sorted(DIGESTS))
+    def test_export_digest(self, strategy, export, tmp_path):
+        result = self.build(strategy)
+        decoded = snapshot_from_dict(build_result_to_dict(result))
+        if export == "dpo":
+            live, read = export_dpo(result), export_dpo(decoded)
+            data = self.written(read, write_dpo_jsonl, tmp_path / "dpo.jsonl")
+        else:
+            sft_strategy = export.split("-", 1)[1]
+            live = export_sft(result, strategy=sft_strategy)
+            read = export_sft(decoded, strategy=sft_strategy)
+            data = self.written(read, write_sft_jsonl, tmp_path / "sft.jsonl")
+        assert read == live
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[(strategy, export)]
+
+    def test_full_node_has_no_sft_chain(self):
+        decoded = snapshot_from_dict(build_result_to_dict(self.build("full_node")))
+        with pytest.raises(ExportError):
+            export_sft(decoded)
