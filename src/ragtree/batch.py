@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .agent import fan_out
-from .engine import BuildResult, TreeBuilder
+from .engine import LAYER_COUNTERS, BuildResult, TreeBuilder
 from .errors import DatasetError, NodeExpansionFailed, RagTreeError
 from .snapshot import SCHEMA_VERSION, build_result_to_dict, encode, save_snapshot
 from .types import Question
@@ -19,20 +19,26 @@ def snapshot_path(out_dir: str, question_id: str) -> Path:
     return Path(out_dir) / f"{safe}.json"
 
 
-def _snapshot_is_valid(path: Path, question_id: str, config: dict) -> bool:
+def _valid_snapshot(path: Path, question_id: str, config: dict) -> Optional[dict]:
+    """The snapshot record at ``path``, or None unless resume may keep it."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
-        return False
-    return (
+        return None
+    valid = (
         record.get("schema_version") == SCHEMA_VERSION
         and record.get("question", {}).get("id") == question_id
         and record.get("config") == config
         and record.get("failure") is None
     )
+    return record if valid else None
 
 
-_LEDGER_KEYS = ("policy_calls", "rollout_calls", "finalize_calls", "retrieval_calls", "nodes_expanded")
+_LEDGER_KEYS = LAYER_COUNTERS + ("leaf_nodes",)
+
+
+def _ledger_counts(record: dict) -> dict:
+    return {key: record["ledger"][key] for key in _LEDGER_KEYS}
 
 
 @dataclass
@@ -61,12 +67,8 @@ class Manifest:
 
     @property
     def ledger_totals(self) -> dict:
-        totals = {key: 0 for key in _LEDGER_KEYS}
-        for item in self.items:
-            if item.ledger:
-                for key in _LEDGER_KEYS:
-                    totals[key] += item.ledger.get(key, 0)
-        return totals
+        ledgers = [item.ledger for item in self.items if item.ledger]
+        return {key: sum(ledger[key] for ledger in ledgers) for key in _LEDGER_KEYS}
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +108,7 @@ def expand_batch(
     validates are skipped without touching any backend; a snapshot that
     records a failure, or was built with another ``ExpansionConfig`` (the
     concurrency aside), does not validate, so its question is expanded again.
+    A skipped question's manifest item takes its ledger from its snapshot.
     ``on_progress`` hears of each question as it is skipped or finishes, from
     the worker thread that built it.
     ``builder_factory`` is called once per question; since a builder keeps no
@@ -135,8 +138,11 @@ def expand_batch(
     pending: List[Question] = []
     for question in questions:
         path = snapshot_path(out_dir, question.id)
-        if resume and path.exists() and _snapshot_is_valid(path, question.id, config):
-            manifest.items.append(ManifestItem(question.id, "skipped", str(path)))
+        kept = _valid_snapshot(path, question.id, config) if resume else None
+        if kept is not None:
+            manifest.items.append(
+                ManifestItem(question.id, "skipped", str(path), ledger=_ledger_counts(kept))
+            )
             if on_progress:
                 on_progress(question.id, "skipped")
         else:
@@ -160,9 +166,9 @@ def expand_batch(
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
         except RagTreeError as exc:
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
-        save_snapshot(build_result_to_dict(result), str(path))
-        counters = {key: getattr(result.ledger, key) for key in _LEDGER_KEYS}
-        return ManifestItem(question.id, "ok", str(path), ledger=counters)
+        record = build_result_to_dict(result)
+        save_snapshot(record, str(path))
+        return ManifestItem(question.id, "ok", str(path), ledger=_ledger_counts(record))
 
     manifest.items.extend(fan_out(expand_one, pending, concurrency))
     # Manifest order follows the input dataset order exactly.

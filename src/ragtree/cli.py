@@ -8,7 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .agent import evaluate_dataset
 from .batch import expand_batch
@@ -56,42 +56,32 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--templates-dir", help="directory of prompt template overrides")
 
 
+# Config section -> {override flag (its argparse dest): the field it sets}. Section
+# None is ``RunConfig`` itself, so ``--concurrency`` sets two fields.
+_FLAG_FIELDS: Dict[Optional[str], Dict[str, str]] = {
+    "expansion": {"k": "k", "n": "n", "tmax": "t_max", "threshold": "tau", "strategy": "strategy",
+                  "seed": "seed", "metric": "score_metric", "concurrency": "concurrency"},
+    "policy": {"policy_kind": "kind", "policy_url": "base_url", "model": "model"},
+    "retriever": {"retriever_kind": "kind", "retriever_url": "base_url", "corpus": "corpus_path"},
+    "paths": {"templates_dir": "templates_dir", "dataset": "dataset"},
+    None: {"concurrency": "concurrency"},
+}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-
-    renamed = {"tmax": "t_max", "threshold": "tau", "metric": "score_metric"}
-    overrides = {}
-    for flag in ("k", "n", "tmax", "threshold", "strategy", "seed", "metric", "concurrency"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[renamed.get(flag, flag)] = value
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    changes = {}
     try:
-        config = replace(config, expansion=replace(config.expansion, **overrides))
-        if "concurrency" in overrides:
-            config = replace(config, concurrency=overrides["concurrency"])
+        for section, flags in _FLAG_FIELDS.items():
+            values = {name: given[flag] for flag, name in flags.items() if flag in given}
+            if section is None:
+                changes.update(values)
+            else:
+                changes[section] = replace(getattr(config, section), **values)
+        return replace(config, **changes)
     except ValueError as exc:
         raise ConfigurationError(f"invalid flag value: {exc}") from None
-
-    policy = config.policy
-    if getattr(args, "policy_kind", None):
-        policy = replace(policy, kind=args.policy_kind)
-    if getattr(args, "policy_url", None):
-        policy = replace(policy, base_url=args.policy_url)
-    if getattr(args, "model", None):
-        policy = replace(policy, model=args.model)
-    retriever = config.retriever
-    if getattr(args, "retriever_kind", None):
-        retriever = replace(retriever, kind=args.retriever_kind)
-    if getattr(args, "retriever_url", None):
-        retriever = replace(retriever, base_url=args.retriever_url)
-    if getattr(args, "corpus", None):
-        retriever = replace(retriever, corpus_path=args.corpus)
-    paths = config.paths
-    if getattr(args, "templates_dir", None):
-        paths = replace(paths, templates_dir=args.templates_dir)
-    if getattr(args, "dataset", None):
-        paths = replace(paths, dataset=args.dataset)
-    return replace(config, policy=policy, retriever=retriever, paths=paths)
 
 
 def _require_dataset(config: RunConfig) -> str:

@@ -7,7 +7,8 @@ and search sub-queries, scoring every candidate with the mean correctness of
 ``n`` rollout simulations. The pruning strategy keeps only the best branch
 per decision; the no-pruning strategy keeps both resolution branches alive as
 separate chains, rebuilt memorylessly each round; the full-node strategy
-keeps every execution branch and skips rollouts entirely.
+expands every execution branch, skips rollouts entirely, and keeps only its
+ledger, since it exists to price the full-expansion baseline.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -170,30 +171,8 @@ class ChainRecord:
         return sum(1 for step in self.final_state.steps if isinstance(step.resolution, Retrieved))
 
 
-@dataclass
-class FullBranch:
-    sub_question: str
-    origin: str  # "direct" (the original question posed as its own resolution) | "sampled"
-    self_answers: Tuple[str, ...] = ()
-    sub_queries: Tuple[Tuple[str, Tuple[Document, ...]], ...] = ()  # (query, documents)
-
-
-@dataclass
-class FullNode:
-    state: State = field(metadata=UNWRITTEN)  # the parent's state plus ``step``
-    step: Optional[Step] = None  # the step that produced this node; None at the root
-    branches: Tuple[FullBranch, ...] = ()
-    children: Tuple["FullNode", ...] = ()
-
-
-@dataclass
-class LayerCounters:
-    # Field order is the key order of a snapshot's per-layer ledger.
-    policy_calls: int = 0
-    rollout_calls: int = 0
-    retrieval_calls: int = 0
-    finalize_calls: int = 0
-    nodes_expanded: int = 0
+# The counters that every per-layer entry of a ledger holds.
+LAYER_COUNTERS = ("policy_calls", "rollout_calls", "finalize_calls", "retrieval_calls", "nodes_expanded")
 
 
 @dataclass
@@ -206,7 +185,7 @@ class ExpansionLedger:
     retrieval_calls: int = 0  # logical; build_tree sends each distinct request once
     nodes_expanded: int = 0
     leaf_nodes: int = 0  # full-node strategy only
-    per_layer: Dict[int, LayerCounters] = field(default_factory=dict)
+    per_layer: Dict[int, Dict[str, int]] = field(default_factory=dict)  # layer -> LAYER_COUNTERS
 
     def expansion_count(self, strategy: Strategy) -> int:
         if strategy == "full_node":
@@ -218,14 +197,13 @@ class ExpansionLedger:
 class BuildResult:
     """One question's tree, live from ``build_tree`` or decoded from its snapshot.
 
-    A failed build keeps only its ``failure`` ({"layer", "reason"}): no
-    chains, no tree and no ledger.
+    A full_node build keeps no tree, only its ledger. A failed build keeps
+    only its ``failure`` ({"layer", "reason"}): no chains and no ledger.
     """
 
     question: Question
     config: ExpansionConfig
     chains: List[ChainRecord] = field(default_factory=list)
-    full_root: Optional[FullNode] = None
     ledger: Optional[ExpansionLedger] = field(default_factory=ExpansionLedger)
     failure: Optional[Dict] = None
 
@@ -280,8 +258,8 @@ class _Build:
     def bump(self, layer: int, counter: str, amount: int = 1) -> None:
         with self.lock:
             setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
-            per_layer = self.ledger.per_layer.setdefault(layer, LayerCounters())
-            setattr(per_layer, counter, getattr(per_layer, counter) + amount)
+            per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
+            per_layer[counter] += amount
 
 
 class TreeBuilder:
@@ -747,42 +725,38 @@ class TreeBuilder:
         )
         return alt
 
-    def _build_full_node(self, build: _Build) -> FullNode:
-        """Keep every execution branch, skip rollouts, and count leaf-layer nodes.
+    def _build_full_node(self, build: _Build) -> None:
+        """Make and count every call of full expansion and the leaf-layer nodes; keep no node.
 
         Each state expands k sampled sub-questions plus the direct-resolution
         branch (the original question posed as its own next step), and every
-        branch keeps all k self-answers and all k sub-queries, giving
+        branch resolves by all k self-answers and all k sub-queries, giving
         2k(k+1) children per state.
         """
-        cfg = self.config
         question = build.question
 
-        def expand(state: State, step: Optional[Step] = None) -> FullNode:
-            layer = state.depth + 1
-            if state.depth >= cfg.t_max:
+        def expand(state: State) -> None:
+            if state.depth >= self.config.t_max:
                 with build.lock:
                     build.ledger.leaf_nodes += 1
-                return FullNode(state, step)
+                return
+            layer = state.depth + 1
             build.bump(layer, "nodes_expanded")
             sampled = self._generate_texts(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
             )
-            branches: List[FullBranch] = []
-            children: List[FullNode] = []
             for text, origin in [(question.text, "direct")] + [(t, "sampled") for t in sampled]:
                 tag = f"{origin}:{text[:40]}"
                 answers = self._generate_texts(
                     build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"
                 )
                 retrieved = self._sub_queries(build, text, layer, f"sub_query:{tag}")
-                branches.append(FullBranch(text, origin, tuple(answers), tuple(retrieved)))
                 steps = [Step(text, SelfAnswer(a)) for a in answers]
                 steps += [Step(text, Retrieved(q, docs)) for q, docs in retrieved]
-                children.extend(expand(state.with_step(taken), taken) for taken in steps)
-            return FullNode(state, step, tuple(branches), tuple(children))
+                for step in steps:
+                    expand(state.with_step(step))
 
-        return expand(State(question))
+        expand(State(question))
 
     # ------------------------------------------------------------------ entry point
 
@@ -796,7 +770,7 @@ class TreeBuilder:
         build = _Build(question, MemoRetriever(self.retriever))
         result = BuildResult(question, self.config, ledger=build.ledger)
         if self.config.strategy == "full_node":
-            result.full_root = self._build_full_node(build)
+            self._build_full_node(build)
         else:
             result.chains = self._build_chains(build)
         return result

@@ -6,11 +6,12 @@ One generic codec does the work: a dataclass is written as an object of its
 fields in declaration order, minus the fields marked ``UNWRITTEN``.
 
 Node states are implicit. Each chain writes its steps once, in its final
-state; each full-tree child writes the step that produced it; load rebuilds
-every state from those and the question. The config's ``concurrency`` is not
-written either, since it does not shape the tree, so snapshots built at any
-concurrency are byte-identical. Ledger wall time is never recorded, so
-identical-seed runs produce byte-identical files.
+state; load rebuilds every node state from those and the question. A
+full_node build keeps no tree, so its snapshot is the question, the config
+and the ledger. The config's ``concurrency`` is not written, since it does
+not shape the tree, so snapshots built at any concurrency are byte-identical.
+Ledger wall time is never recorded, so identical-seed runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .engine import BuildResult, FullNode
+from .engine import BuildResult
 from .errors import ExportError
 from .types import State
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @lru_cache(maxsize=None)
@@ -106,16 +107,11 @@ def save_snapshot(record: dict, path: str) -> None:
     tmp.replace(target)
 
 
-def _rebuild_full_states(node: FullNode, state: State) -> None:
-    node.state = state
-    for child in node.children:
-        _rebuild_full_states(child, state.with_step(child.step))
-
-
 def snapshot_from_dict(record: dict) -> BuildResult:
     version = record.get("schema_version")
     if version != SCHEMA_VERSION:
-        rerun = "; re-run `ragtree expand` on its directory" if version == 1 else ""
+        stale = version in range(1, SCHEMA_VERSION)
+        rerun = "; re-run `ragtree expand` on its directory" if stale else ""
         raise ExportError(f"unsupported snapshot schema version: {version!r}{rerun}")
     try:
         result = decode(BuildResult, record)
@@ -128,8 +124,6 @@ def snapshot_from_dict(record: dict) -> BuildResult:
             chain.final_state = replace(chain.final_state, question=question)
         for node in chain.nodes:
             node.state = State(question, steps[: node.layer - 1])
-    if result.full_root is not None:
-        _rebuild_full_states(result.full_root, State(question))
     return result
 
 

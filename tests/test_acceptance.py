@@ -159,7 +159,7 @@ def test_pruning_invariants_on_randomized_trees():
 
             # retrieval happens iff the best self-answer reward is below tau
             sa_rewards = [c.reward for c in node.self_answer_candidates]
-            layer_retrievals = result.ledger.per_layer[node.layer].retrieval_calls
+            layer_retrievals = result.ledger.per_layer[node.layer]["retrieval_calls"]
             if node.chosen_kind == "self_answer":
                 assert max(sa_rewards) >= tau
                 assert node.sub_query_candidates == ()

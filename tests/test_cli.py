@@ -165,6 +165,32 @@ class TestExpandCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [item["status"] for item in manifest["items"]] == ["skipped"]
 
+    def test_resume_keeps_the_ledger_totals(self, tmp_path):
+        dataset = write_dataset(tmp_path, n=1)
+        config = write_config(tmp_path, n=2)
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", dataset, "--config", config, "--out", str(out)]
+        manifests = []
+        for _ in range(2):
+            assert main(argv) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        first, second = manifests
+        assert [item["status"] for item in second["items"]] == ["skipped"]
+        assert first["ledger_totals"]["policy_calls"] > 0
+        assert second["ledger_totals"] == first["ledger_totals"]
+        assert second["items"][0]["ledger"] == first["items"][0]["ledger"]
+
+    def test_manifest_carries_the_full_node_count(self, tmp_path):
+        dataset = write_dataset(tmp_path, n=1)
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", dataset, "--config", write_config(tmp_path), "--out",
+                str(out), "--strategy", "full_node", "--k", "3", "--tmax", "3"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ledger_totals"]["leaf_nodes"] == 13824
+        assert manifest["items"][0]["ledger"]["leaf_nodes"] == 13824
+        assert (out / "q0.json").stat().st_size < 2000
+
     def test_progress_is_reported_as_each_question_finishes(self, tmp_path):
         questions = [
             Question(id=f"q{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))

@@ -13,6 +13,7 @@ import pytest
 
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.scripted import make_bench_policy, make_bench_retriever
+from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
 QUESTION = Question(id="count-q", text="what follows alpha?", gold_answers=("beta",))
@@ -41,7 +42,7 @@ def test_pruning_counts_close_exactly(l):
     per_layer = 4 * cfg.k + 3 * cfg.k * cfg.n * l
     for layer in range(1, l + 1):
         counters = ledger.per_layer[layer]
-        assert counters.policy_calls + counters.rollout_calls == per_layer
+        assert counters["policy_calls"] + counters["rollout_calls"] == per_layer
     # chain finalization is tracked separately and excluded from the count
     assert ledger.finalize_calls == 1
 
@@ -70,7 +71,7 @@ def test_no_pruning_layer_growth_is_quadratic():
     result, cfg = build("no_pruning", 3)
     per_unit = 4 * cfg.k + 3 * cfg.k * cfg.n * 3
     layer_totals = {
-        layer: c.policy_calls + c.rollout_calls for layer, c in result.ledger.per_layer.items()
+        layer: c["policy_calls"] + c["rollout_calls"] for layer, c in result.ledger.per_layer.items()
     }
     # layer 1 is re-derived by every chain in every round: (1 + 2 + 3) expansions
     assert layer_totals[1] == 6 * per_unit
@@ -100,17 +101,31 @@ def test_full_node_leaf_counts(l, expected):
     # states expanded per layer follow the 2k(k+1) branching factor
     branching = 2 * cfg.k * (cfg.k + 1)
     for layer in range(1, l + 1):
-        assert ledger.per_layer[layer].nodes_expanded == branching ** (layer - 1)
+        assert ledger.per_layer[layer]["nodes_expanded"] == branching ** (layer - 1)
 
 
-def test_full_node_tree_branching_factor():
-    result, cfg = build("full_node", 1)
-    root = result.full_root
-    assert root is not None
-    assert len(root.children) == 2 * cfg.k * (cfg.k + 1)
-    # k sampled sub-questions plus the direct-resolution branch
-    assert len(root.branches) == cfg.k + 1
-    assert root.branches[0].origin == "direct"
-    for branch in root.branches:
-        assert len(branch.self_answers) == cfg.k
-        assert len(branch.sub_queries) == cfg.k
+def test_full_node_makes_every_request_of_a_layer():
+    """Depth 1: k sub-questions, then k self-answers and k sub-queries for each of the
+    k + 1 branches (the question itself is the direct one), and 2k(k+1) leaves."""
+    k = 3
+    cfg = ExpansionConfig(k=k, t_max=1, strategy="full_node", majority_samples=k)
+    bench = make_bench_policy({QUESTION.text: "beta"}, rollout_searches=0)
+    requests = []
+
+    class Recording:
+        def complete(self, request):
+            requests.append(request)
+            return bench.complete(request)
+
+    result = TreeBuilder(Recording(), make_bench_retriever(), cfg).build_tree(QUESTION)
+    roles = [r.role for r in requests]
+    assert roles.count(PolicyRole.SUB_QUESTION) == k
+    assert roles.count(PolicyRole.SELF_ANSWER) == (k + 1) * k
+    assert roles.count(PolicyRole.SUB_QUERY) == (k + 1) * k
+    assert len(roles) == k + 2 * (k + 1) * k  # no votes, rollouts or finalization
+    direct = [
+        r for r in requests
+        if r.role == PolicyRole.SELF_ANSWER and f"### Question\n{QUESTION.text}\n" in r.prompt
+    ]
+    assert len(direct) == k
+    assert result.ledger.leaf_nodes == 2 * k * (k + 1)

@@ -16,7 +16,6 @@ from ragtree.engine import (
     BuildResult,
     Candidate,
     ExpansionConfig,
-    FullBranch,
     RolloutResult,
     TreeBuilder,
     theoretical_counts,
@@ -77,24 +76,6 @@ class TestRoundTrip:
         again = dumps_snapshot(build_result_to_dict(result))
         assert text == again
 
-    def test_full_node_tree_round_trips(self):
-        result = build_fixture("full_node")
-        record = build_result_to_dict(result)
-        snapshot = snapshot_from_dict(record)
-        assert snapshot.full_root is not None
-
-        def shape(node):
-            return (
-                len(node.branches),
-                tuple(sorted(b.sub_question for b in node.branches)),
-                tuple(shape(c) for c in node.children),
-            )
-
-        assert shape(snapshot.full_root) == shape(result.full_root)
-        # child states rebuild from steps along the path
-        first_child = snapshot.full_root.children[0]
-        assert first_child.state.depth == 1
-
     @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node", "failed"])
     def test_reencoding_a_decoded_snapshot_gives_the_record(self, strategy):
         if strategy == "failed":
@@ -150,11 +131,11 @@ class TestRoundTrip:
     def test_unsupported_schema_version_rejected(self):
         result = build_fixture()
         record = build_result_to_dict(result)
-        for version in (999, 1):
+        for version in (999, 1, 2):
             record["schema_version"] = version
             with pytest.raises(ExportError, match=f"version: {version}") as excinfo:
                 snapshot_from_dict(record)
-            assert ("re-run `ragtree expand`" in str(excinfo.value)) == (version == 1)
+            assert ("re-run `ragtree expand`" in str(excinfo.value)) == (version in (1, 2))
 
     def test_config_round_trips_but_concurrency(self):
         question = Question(id="c-q", text="what follows alpha?", gold_answers=("beta",))
@@ -184,21 +165,16 @@ class TestCodec:
         Candidate, st.sampled_from(["sub_question", "self_answer", "sub_query"]), st.text(),
         st.lists(rollout, max_size=2).map(tuple), number, st.booleans(), documents.map(tuple),
     )
-    branch = st.builds(
-        FullBranch, text, st.sampled_from(["direct", "sampled"]),
-        st.lists(text, max_size=2).map(tuple),
-        st.lists(st.tuples(text, documents.map(tuple)), max_size=2).map(tuple),
-    )
 
     @settings(max_examples=200, deadline=None)
-    @given(value=st.one_of(step, candidate, branch))
+    @given(value=st.one_of(step, candidate))
     def test_round_trip(self, value):
         assert decode(type(value), json.loads(json.dumps(encode(value)))) == value
 
 
 class TestFailureRecords:
     # SHA-256 of the record ``failed_record`` writes: a failed build's file format is pinned.
-    DIGEST = "c53a570b5877aa6c6e9c479b4faa8df11d751e398c3a3d5ade3245f31ec249f4"
+    DIGEST = "943eff93fa20acfce9517f00e563f678b3f6e713f6d502e0888a3001b2639a4b"
 
     @staticmethod
     def failed_record(tmp_path) -> bytes:
@@ -225,7 +201,7 @@ class TestFailureRecords:
         assert snapshot.failure == {
             "layer": 1, "reason": "every sub-question candidate was malformed"
         }
-        assert snapshot.chains == [] and snapshot.full_root is None and snapshot.ledger is None
+        assert snapshot.chains == [] and snapshot.ledger is None
         assert build_result_to_dict(snapshot) == record
         assert dumps_snapshot(build_result_to_dict(snapshot)) == text
 
@@ -276,9 +252,9 @@ class TestGoldenSnapshots:
     # strategy -> (t_max, SHA-256 of the encoded snapshot), built with k=2, n=2,
     # a fixed rollout horizon and rollouts that search t_max - 1 times.
     GOLDEN = {
-        "pruning": (3, "0b3a2fcb9a6c367cc8ff05ee3fe100a70c9989729d1c9aafd66efe20775b0f23"),
-        "no_pruning": (3, "d97e256a019820a5b956454aa7ecbe40d0cd069ed706cbf1e610bd578091ce12"),
-        "full_node": (2, "f30962b0ed9af4e57826ada55a9bfaf5061f7d1aac921271800b60381444a85f"),
+        "pruning": (3, "483d9e54f70b02e5d68cc27311586ff4d29f9922cb564df23a4da00a83588559"),
+        "no_pruning": (3, "9bc7cac83591b9f9ea39840ffefa2c9025fe3ce99273fe1933b9e992a83a4584"),
+        "full_node": (2, "22035a3974e16c0f1e0d4ae8130e71900354cb9b0b7cf94a256ae08be198b074"),
     }
 
     @pytest.mark.parametrize("concurrency", [1, 4])
@@ -301,8 +277,8 @@ class TestNoPruningCharacterization:
     """no_pruning paths the golden digests miss, pinned by snapshot bytes."""
 
     DIGESTS = {
-        "cap_without_answer": "28c06cff88137b43d38cb09bc4baa006329a3b83f062a3d61e050531e226d929",
-        "vote_at_layer_two": "867242035ee500489fc5a9e6e69ec131eb8edf3bed4aafdb5cf58c1cfdbd6034",
+        "cap_without_answer": "afa9169feed54b53e1ad732aad2945dde6fee0b1727a46c639c22a607a20cdbe",
+        "vote_at_layer_two": "5081e65582a7668004dfaab013a3dc659cad7701c08ab890beda2e4240321a8f",
     }
 
     @staticmethod
