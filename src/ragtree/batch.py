@@ -19,22 +19,28 @@ def snapshot_path(out_dir: str, question_id: str) -> Path:
     return Path(out_dir) / f"{safe}.json"
 
 
+_LEDGER_KEYS = LAYER_COUNTERS + ("leaf_nodes",)
+
+
 def _valid_snapshot(path: Path, question_id: str, config: dict) -> Optional[dict]:
-    """The snapshot record at ``path``, or None unless resume may keep it."""
+    """The snapshot record at ``path``, or None unless resume may keep it. A record
+    without an object ``question`` of this id, or without every ledger count, is
+    treated as missing."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
+    if not isinstance(record, dict):
+        return None
+    question, ledger = record.get("question"), record.get("ledger")
     valid = (
         record.get("schema_version") == SCHEMA_VERSION
-        and record.get("question", {}).get("id") == question_id
+        and isinstance(question, dict) and question.get("id") == question_id
         and record.get("config") == config
         and record.get("failure") is None
+        and isinstance(ledger, dict) and all(isinstance(ledger.get(k), int) for k in _LEDGER_KEYS)
     )
     return record if valid else None
-
-
-_LEDGER_KEYS = LAYER_COUNTERS + ("leaf_nodes",)
 
 
 def _ledger_counts(record: dict) -> dict:

@@ -8,7 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .agent import evaluate_dataset
 from .batch import expand_batch
@@ -19,7 +19,7 @@ from .config import (
     build_templates,
     load_dataset,
 )
-from .engine import TreeBuilder
+from .engine import BuildResult, TreeBuilder
 from .errors import ConfigurationError, ExportError, RagTreeError
 from .export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import strategy_costs
@@ -122,29 +122,31 @@ def _snapshot_files(directory: str) -> List[Path]:
     return files
 
 
-def _cmd_export_sft(args: argparse.Namespace) -> int:
-    examples = []
-    skipped = 0
-    for path in _snapshot_files(args.snapshots):
+def _export_all(directory: str, export: Callable[[BuildResult], list]) -> Tuple[list, int]:
+    """Every snapshot's exported records, and the number of failed snapshots skipped."""
+    records, skipped = [], 0
+    for path in _snapshot_files(directory):
         snapshot = load_snapshot(str(path))
         if snapshot.failure is not None:
             skipped += 1
-            continue
-        examples.extend(
-            export_sft(snapshot, strategy=args.sft_strategy, min_final_score=args.min_final_score)
-        )
+        else:
+            records.extend(export(snapshot))
+    return records, skipped
+
+
+def _cmd_export_sft(args: argparse.Namespace) -> int:
+    examples, skipped = _export_all(args.snapshots, lambda s: export_sft(
+        s, strategy=args.sft_strategy, min_final_score=args.min_final_score
+    ))
     write_sft_jsonl(examples, args.out)
     print(f"wrote {len(examples)} SFT examples to {args.out} ({skipped} failed snapshots skipped)")
     return 0
 
 
 def _cmd_export_dpo(args: argparse.Namespace) -> int:
-    pairs = []
-    for path in _snapshot_files(args.snapshots):
-        snapshot = load_snapshot(str(path))
-        pairs.extend(export_dpo(snapshot, margin=args.margin))
+    pairs, skipped = _export_all(args.snapshots, lambda s: export_dpo(s, margin=args.margin))
     write_dpo_jsonl(pairs, args.out)
-    print(f"wrote {len(pairs)} DPO pairs to {args.out}")
+    print(f"wrote {len(pairs)} DPO pairs to {args.out} ({skipped} failed snapshots skipped)")
     return 0
 
 

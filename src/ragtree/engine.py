@@ -1,14 +1,18 @@
 """Search-tree expansion with rollout rewards and branch pruning.
 
-Each question grows a tree layer by layer. A layer first samples the
-termination decision several times (strict majority of terminate votes ends
-the chain), then generates candidate sub-questions, self-knowledge answers
-and search sub-queries, scoring every candidate with the mean correctness of
-``n`` rollout simulations. The pruning strategy keeps only the best branch
-per decision; the no-pruning strategy keeps both resolution branches alive as
-separate chains, rebuilt memorylessly each round; the full-node strategy
-expands every execution branch, skips rollouts entirely, and keeps only its
-ledger, since it exists to price the full-expansion baseline.
+Each question grows a tree layer by layer, and each layer is one ``TreeNode``.
+``expand_termination`` makes the node: it samples the termination decision
+several times (strict majority of terminate votes ends the chain), then
+generates candidate sub-questions and retains the best. ``expand_retrieval``
+resolves that sub-question on the same node with self-knowledge answers and
+search sub-queries. Every candidate is scored with the mean correctness of
+``n`` rollout simulations, and ``best_candidate`` picks the highest reward,
+for the engine and the exporters alike. The pruning strategy keeps only the
+best branch per decision; the no-pruning strategy keeps both resolution
+branches alive as separate chains, rebuilt memorylessly each round; the
+full-node strategy expands every execution branch, skips rollouts entirely,
+and keeps only its ledger, since it exists to price the full-expansion
+baseline.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -122,6 +126,18 @@ class Candidate:
     documents: Tuple[Document, ...] = ()  # sub-query candidates carry their retrieved documents
 
 
+def best_candidate(candidates: Sequence[Candidate]) -> Optional[Candidate]:
+    """Highest reward; ties break toward the lowest index. None when there is none."""
+    return max(candidates, key=lambda c: c.reward, default=None)
+
+
+def _retaining(
+    candidates: Sequence[Candidate], chosen: Optional[Candidate]
+) -> Tuple[Candidate, ...]:
+    """``candidates`` with ``chosen`` the only one flagged as retained."""
+    return tuple(replace(c, retained=c is chosen) for c in candidates)
+
+
 @dataclass(frozen=True)
 class TerminationVotes:
     terminate: int = 0
@@ -150,6 +166,17 @@ class TreeNode:
 
     def candidates_of(self, kind: CandidateKind) -> Tuple[Candidate, ...]:
         return getattr(self, f"{kind}_candidates")
+
+    def retained(self, kind: CandidateKind) -> Optional[Candidate]:
+        return next((c for c in self.candidates_of(kind) if c.retained), None)
+
+    def resolve_by(self, kind: str) -> Candidate:
+        """Take the ``kind`` resolution branch: its best candidate is the only one retained."""
+        best = best_candidate(self.candidates_of(kind))
+        self.chosen_kind = kind
+        self.self_answer_candidates = _retaining(self.self_answer_candidates, best)
+        self.sub_query_candidates = _retaining(self.sub_query_candidates, best)
+        return best
 
 
 @dataclass
@@ -210,27 +237,6 @@ class BuildResult:
     @property
     def trunk(self) -> Optional[ChainRecord]:
         return self.chains[0] if self.chains else None
-
-
-@dataclass(frozen=True)
-class TerminationExpansion:
-    votes: TerminationVotes
-    terminated: bool
-    terminal_answer: Optional[str] = None
-    candidates: Tuple[Candidate, ...] = ()
-    chosen: Optional[Candidate] = None
-    terminate_probe: Optional[Tuple[str, float]] = None
-
-
-@dataclass(frozen=True)
-class RetrievalExpansion:
-    self_answer_candidates: Tuple[Candidate, ...]
-    sub_query_candidates: Tuple[Candidate, ...]
-    skipped_retrieval: bool
-    chosen_kind: str
-    chosen: Candidate
-    alt_kind: Optional[str] = None
-    alt: Optional[Candidate] = None
 
 
 def _vote_kind(raw: str) -> Optional[str]:
@@ -446,28 +452,15 @@ class TreeBuilder:
             layer, "finalize_calls", ("finalize", layer), self.config.answer_temperature,
         )
 
-    @staticmethod
-    def _argmax(candidates: Sequence[Candidate]) -> int:
-        """Highest reward; ties break toward the lowest candidate index."""
-        best = 0
-        for index in range(1, len(candidates)):
-            if candidates[index].reward > candidates[best].reward:
-                best = index
-        return best
-
-    @staticmethod
-    def _retain(candidates: Tuple[Candidate, ...], index: int) -> Tuple[Candidate, ...]:
-        return tuple(
-            replace(c, retained=(i == index)) for i, c in enumerate(candidates)
-        )
-
     # ------------------------------------------------------------------ decision expansion
 
     def expand_termination(
         self, state: State, layer: int, build: Optional[_Build] = None
-    ) -> TerminationExpansion:
-        """Vote on stopping; on continue, pick the best sub-question by rollout reward."""
+    ) -> TreeNode:
+        """The layer's node: vote on stopping, then on continue retain the best
+        sub-question by rollout reward; on stop, record the terminal answer."""
         build = build or _Build(state.question, self.retriever)
+        build.bump(layer, "nodes_expanded")
         cfg = self.config
         prompt = self.templates.render(
             PolicyRole.TERMINATION,
@@ -484,40 +477,29 @@ class TreeBuilder:
         votes = TerminationVotes(
             terminate=kinds.count("terminate"), continue_=kinds.count("continue")
         )
+        node = TreeNode(layer, state, votes)
 
         if votes.majority_terminate:
-            answer = self._finalize_answer(build, state, layer)
-            if answer is None:
+            node.terminal_answer = self._finalize_answer(build, state, layer)
+            if node.terminal_answer is None:
                 raise NodeExpansionFailed(
                     build.question.id, layer, "terminate vote won but no answer was produced"
                 )
-            expansion = TerminationExpansion(votes=votes, terminated=True, terminal_answer=answer)
             if cfg.score_terminate_branch:
-                expansion = replace(
-                    expansion, candidates=self._sub_question_candidates(build, state, layer)
-                )
-            return expansion
+                node.sub_question_candidates = self._sub_question_candidates(build, state, layer)
+            return node
 
         candidates = self._sub_question_candidates(build, state, layer)
         if not candidates:
             raise NodeExpansionFailed(
                 build.question.id, layer, "every sub-question candidate was malformed"
             )
-        best = self._argmax(candidates)
-        candidates = self._retain(candidates, best)
-
-        probe = None
+        node.sub_question_candidates = _retaining(candidates, best_candidate(candidates))
         if cfg.score_terminate_branch:
             answer = self._finalize_answer(build, state, layer)
             if answer is not None:
-                probe = (answer, self._score(build, answer))
-        return TerminationExpansion(
-            votes=votes,
-            terminated=False,
-            candidates=candidates,
-            chosen=candidates[best],
-            terminate_probe=probe,
-        )
+                node.terminate_probe = (answer, self._score(build, answer))
+        return node
 
     def _sub_question_candidates(
         self, build: _Build, state: State, layer: int
@@ -528,88 +510,48 @@ class TreeBuilder:
         return self._score_entries(build, state, layer, "sub_question", [(t, ()) for t in texts])
 
     def expand_retrieval(
-        self,
-        state: State,
-        layer: int,
-        sub_question: str,
-        force_both: bool = False,
-        build: Optional[_Build] = None,
-    ) -> RetrievalExpansion:
-        """Resolve a sub-question: self-knowledge first, retrieval unless skipped.
+        self, node: TreeNode, force_both: bool = False, build: Optional[_Build] = None
+    ) -> None:
+        """Resolve the node's retained sub-question in place: self-knowledge first,
+        retrieval unless skipped.
 
         The skip gate compares the best self-answer reward with ``tau``; when
         the gate fails the sub-query branch is taken. ``force_both`` (the
         no-pruning strategy) always expands both branches and compares their
         best rewards, preferring the cheaper self-answer branch on ties.
         """
+        state, layer = node.state, node.layer
         build = build or _Build(state.question, self.retriever)
+        sub_question = node.retained("sub_question").content
         sa_texts = self._generate_texts(
             build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer"
         )
-        sa_candidates = self._score_entries(
+        node.self_answer_candidates = self._score_entries(
             build, state, layer, "self_answer", [(t, ()) for t in sa_texts], sub_question
         )
-
-        best_sa = self._argmax(sa_candidates) if sa_candidates else None
-        skip = (
-            not force_both
-            and best_sa is not None
-            and sa_candidates[best_sa].reward >= self.config.tau
-        )
-        if skip:
-            sa_candidates = self._retain(sa_candidates, best_sa)
-            return RetrievalExpansion(
-                self_answer_candidates=sa_candidates,
-                sub_query_candidates=(),
-                skipped_retrieval=True,
-                chosen_kind="self_answer",
-                chosen=sa_candidates[best_sa],
-            )
+        best_sa = best_candidate(node.self_answer_candidates)
+        if not force_both and best_sa is not None and best_sa.reward >= self.config.tau:
+            node.resolve_by("self_answer")
+            return
 
         sq_entries = self._sub_queries(build, sub_question, layer, "sub_query")
-        sq_candidates = self._score_entries(
+        node.sub_query_candidates = self._score_entries(
             build, state, layer, "sub_query", sq_entries, sub_question
         )
-
-        if not sq_candidates and best_sa is None:
+        best_sq = best_candidate(node.sub_query_candidates)
+        if best_sq is None and best_sa is None:
             raise NodeExpansionFailed(
                 build.question.id, layer, "both resolution branches produced no candidates"
             )
-        if not sq_candidates and not force_both:
+        if best_sq is None and not force_both:
             raise NodeExpansionFailed(
                 build.question.id, layer, "every sub-query candidate was malformed"
             )
-
-        best_sq = self._argmax(sq_candidates) if sq_candidates else None
-        if force_both:
-            # Keep both branches; the trunk follows the better one (self-answer on ties).
-            sa_reward = sa_candidates[best_sa].reward if best_sa is not None else -1.0
-            sq_reward = sq_candidates[best_sq].reward if best_sq is not None else -1.0
-            if best_sa is not None and sa_reward >= sq_reward:
-                chosen_kind, alt_kind = "self_answer", "sub_query" if best_sq is not None else None
-            else:
-                chosen_kind, alt_kind = "sub_query", "self_answer" if best_sa is not None else None
-        else:
-            chosen_kind, alt_kind = "sub_query", None
-
-        if chosen_kind == "self_answer":
-            sa_candidates = self._retain(sa_candidates, best_sa)
-            chosen = sa_candidates[best_sa]
-            alt = sq_candidates[best_sq] if alt_kind else None
-        else:
-            sq_candidates = self._retain(sq_candidates, best_sq)
-            chosen = sq_candidates[best_sq]
-            alt = sa_candidates[best_sa] if alt_kind else None
-
-        return RetrievalExpansion(
-            self_answer_candidates=sa_candidates,
-            sub_query_candidates=sq_candidates,
-            skipped_retrieval=False,
-            chosen_kind=chosen_kind,
-            chosen=chosen,
-            alt_kind=alt_kind,
-            alt=alt,
+        # no_pruning keeps both branches; the trunk follows the better one (self-answer on ties).
+        self_answer_wins = force_both and best_sa is not None and (
+            best_sq is None or best_sa.reward >= best_sq.reward
         )
+        node.resolve_by("self_answer" if self_answer_wins else "sub_query")
 
     # ------------------------------------------------------------------ chain building
 
@@ -618,30 +560,6 @@ class TreeBuilder:
         if candidate.kind == "self_answer":
             return Step(sub_question, SelfAnswer(candidate.content))
         return Step(sub_question, Retrieved(candidate.content, candidate.documents))
-
-    def _expand_layer(
-        self, build: _Build, state: State, layer: int, force_both: bool
-    ) -> Tuple[TreeNode, TerminationExpansion, Optional[RetrievalExpansion]]:
-        """One full layer expansion; returns (node, termination, retrieval)."""
-        build.bump(layer, "nodes_expanded")
-        termination = self.expand_termination(state, layer, build)
-        node = TreeNode(
-            layer=layer,
-            state=state,
-            votes=termination.votes,
-            sub_question_candidates=termination.candidates,
-            terminal_answer=termination.terminal_answer,
-            terminate_probe=termination.terminate_probe,
-        )
-        if termination.terminated:
-            return node, termination, None
-        retrieval = self.expand_retrieval(
-            state, layer, termination.chosen.content, force_both, build
-        )
-        node.self_answer_candidates = retrieval.self_answer_candidates
-        node.sub_query_candidates = retrieval.sub_query_candidates
-        node.chosen_kind = retrieval.chosen_kind
-        return node, termination, retrieval
 
     def _finish_chain(
         self, build: _Build, chain: ChainRecord, state: State, terminated_by: str,
@@ -677,27 +595,26 @@ class TreeBuilder:
                 chain.nodes = []
                 state = State(build.question)
                 for layer in range(1, rnd + 1):
-                    node, termination, retrieval = self._expand_layer(
-                        build, state, layer, force_both=not pruning
-                    )
+                    node = self.expand_termination(state, layer, build)
                     chain.nodes.append(node)
-                    if termination.terminated:
-                        self._finish_chain(build, chain, state, "vote", termination.terminal_answer)
+                    if node.terminal_answer is not None:
+                        self._finish_chain(build, chain, state, "vote", node.terminal_answer)
                         break
-                    sub_question = termination.chosen.content
-                    taken = retrieval.chosen
-                    if retrieval.alt is not None and layer == chain.fork_layer:
-                        taken = self._take_alt(node, retrieval)
-                    elif retrieval.alt is not None and chain.chain_id == 0 and layer == rnd:
+                    self.expand_retrieval(node, not pruning, build)
+                    sub_question = node.retained("sub_question").content
+                    alt_kind = "sub_query" if node.chosen_kind == "self_answer" else "self_answer"
+                    has_alt = not pruning and node.candidates_of(alt_kind)
+                    if has_alt and layer == chain.fork_layer:
+                        node.resolve_by(alt_kind)
+                    elif has_alt and chain.chain_id == 0 and layer == rnd:
                         fork = ChainRecord(
-                            chain_id=len(chains),
-                            fork_layer=layer,
-                            fork_kind=retrieval.alt_kind,
+                            chain_id=len(chains), fork_layer=layer, fork_kind=alt_kind,
                             nodes=[replace(n) for n in chain.nodes],
                         )
-                        alt = self._take_alt(fork.nodes[-1], retrieval)
+                        alt = fork.nodes[-1].resolve_by(alt_kind)
                         frontier[fork.chain_id] = state.with_step(self._step_for(alt, sub_question))
                         chains.append(fork)
+                    taken = node.retained(node.chosen_kind)
                     state = state.with_step(self._step_for(taken, sub_question))
                 frontier[chain.chain_id] = state
 
@@ -711,19 +628,6 @@ class TreeBuilder:
                     )
                 self._finish_chain(build, chain, state, "cap", answer)
         return chains
-
-    @staticmethod
-    def _take_alt(node: TreeNode, retrieval: RetrievalExpansion) -> Candidate:
-        """Move a fork node's ``chosen_kind`` and retained flag to the branch not taken."""
-        alt = retrieval.alt
-        node.chosen_kind = retrieval.alt_kind
-        node.self_answer_candidates = tuple(
-            replace(c, retained=c is alt) for c in node.self_answer_candidates
-        )
-        node.sub_query_candidates = tuple(
-            replace(c, retained=c is alt) for c in node.sub_query_candidates
-        )
-        return alt
 
     def _build_full_node(self, build: _Build) -> None:
         """Make and count every call of full expansion and the leaf-layer nodes; keep no node.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import BuildResult, Candidate, ChainRecord, TreeNode
+from .engine import BuildResult, Candidate, ChainRecord, TreeNode, best_candidate
 from .errors import ExportError
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_chain, serialize_state
 from .types import Step
@@ -158,21 +158,6 @@ def export_sft(
 # ----------------------------------------------------------------------- DPO
 
 
-def _retained_candidate(candidates: Sequence[Candidate]) -> Optional[Candidate]:
-    for candidate in candidates:
-        if candidate.retained:
-            return candidate
-    return None
-
-
-def _best_candidate(candidates: Sequence[Candidate]) -> Optional[Candidate]:
-    best = None
-    for candidate in candidates:
-        if best is None or candidate.reward > best.reward:
-            best = candidate
-    return best
-
-
 def _resolution_text(kind: str, candidate: Candidate, template: HistoryTemplate) -> str:
     if kind == "self_answer":
         return template.self_answer_block.format(answer=candidate.content)
@@ -199,7 +184,7 @@ def _node_pairs(
         return (first, second) if first[1] >= second[1] else (second, first)
 
     state_prefix = serialize_state(node.state, template)
-    chosen_sub_question = _retained_candidate(node.sub_question_candidates)
+    chosen_sub_question = node.retained("sub_question")
     resolution_prefix = None
     if chosen_sub_question is not None:
         resolution_prefix = state_prefix + template.step_header.format(
@@ -208,20 +193,19 @@ def _node_pairs(
 
     # Execution pairs: the retained candidate against each same-kind sibling.
     for kind in ("sub_question", "self_answer", "sub_query"):
-        candidates = node.candidates_of(kind)
-        retained = _retained_candidate(candidates)
+        retained = node.retained(kind)
         prefix = state_prefix if kind == "sub_question" else resolution_prefix
         if retained is None or prefix is None:
             continue
-        for sibling in candidates:
+        for sibling in node.candidates_of(kind):
             if sibling is not retained:
                 pair("execution", prefix, (retained.content, retained.reward),
                      (sibling.content, sibling.reward))
 
     # Retrieval decision pair: both resolution branches scored at this node; equal
     # rewards prefer the cheaper self-answer branch.
-    best_sa = _best_candidate(node.self_answer_candidates)
-    best_sq = _best_candidate(node.sub_query_candidates)
+    best_sa = best_candidate(node.self_answer_candidates)
+    best_sq = best_candidate(node.sub_query_candidates)
     if best_sa is not None and best_sq is not None and resolution_prefix is not None:
         pair("decision", resolution_prefix, *ranked(
             (_resolution_text("self_answer", best_sa, template), best_sa.reward),
@@ -234,7 +218,7 @@ def _node_pairs(
         terminate_side = node.terminate_probe
     elif node.terminal_answer is not None and node.sub_question_candidates:
         terminate_side = (node.terminal_answer, chain_final_score)
-    continue_side = chosen_sub_question or _best_candidate(node.sub_question_candidates)
+    continue_side = chosen_sub_question or best_candidate(node.sub_question_candidates)
     if terminate_side is not None and continue_side is not None:
         pair("decision", state_prefix, *ranked(
             (template.final_answer_block.format(answer=terminate_side[0]), terminate_side[1]),

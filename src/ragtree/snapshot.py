@@ -132,4 +132,6 @@ def load_snapshot(path: str) -> BuildResult:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ExportError(f"cannot read snapshot {path}: {exc}")
+    if not isinstance(record, dict):
+        raise ExportError(f"malformed snapshot {path}: not a JSON object")
     return snapshot_from_dict(record)

@@ -13,10 +13,11 @@ import pytest
 from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
-from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.engine import BuildResult, ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import DatasetError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
+from ragtree.snapshot import build_result_to_dict, save_snapshot
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
@@ -180,6 +181,30 @@ class TestExpandCommand:
         assert second["ledger_totals"] == first["ledger_totals"]
         assert second["items"][0]["ledger"] == first["items"][0]["ledger"]
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda record: [],
+            lambda record: "x",
+            lambda record: {**record, "question": "q0"},
+            lambda record: {**record, "ledger": None},
+            lambda record: {**record, "ledger": {"policy_calls": 1}},
+        ],
+        ids=["list", "string", "question-not-object", "ledger-null", "ledger-short"],
+    )
+    def test_resume_reexpands_an_unreadable_snapshot(self, tmp_path, corrupt):
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", write_dataset(tmp_path, n=1), "--config",
+                write_config(tmp_path), "--out", str(out)]
+        assert main(argv) == 0
+        snapshot = out / "q0.json"
+        built = snapshot.read_bytes()
+        snapshot.write_text(json.dumps(corrupt(json.loads(built))), encoding="utf-8")
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [item["status"] for item in manifest["items"]] == ["ok"]
+        assert snapshot.read_bytes() == built
+
     def test_manifest_carries_the_full_node_count(self, tmp_path):
         dataset = write_dataset(tmp_path, n=1)
         out = tmp_path / "snapshots"
@@ -310,6 +335,30 @@ class TestExportCommands:
         for line in dpo.read_text().splitlines():
             record = json.loads(line)
             assert record["chosen_reward"] - record["rejected_reward"] >= 0.1
+
+    @pytest.mark.parametrize("command, noun", [("export-sft", "SFT examples"),
+                                               ("export-dpo", "DPO pairs")])
+    def test_export_counts_the_failed_snapshots_it_skips(self, tmp_path, capsys, command, noun):
+        out = self._expanded(tmp_path)
+        question = Question(id="q9", text="what is probe number 9?", gold_answers=("fact 9",))
+        failure = {"layer": 1, "reason": "every sub-question candidate was malformed"}
+        failed = BuildResult(question, ExpansionConfig(), ledger=None, failure=failure)
+        save_snapshot(build_result_to_dict(failed), str(snapshot_path(str(out), "q9")))
+        target = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert main([command, "--snapshots", str(out), "--out", str(target)]) == 0
+        printed = capsys.readouterr().out
+        assert f"wrote {len(target.read_text().splitlines())} {noun} to {target}" in printed
+        assert printed.rstrip().endswith("(1 failed snapshots skipped)"), printed
+
+    @pytest.mark.parametrize("command", ["export-sft", "export-dpo"])
+    def test_non_object_snapshot_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "snapshots"
+        out.mkdir()
+        (out / "q0.json").write_text("[]", encoding="utf-8")
+        assert main([command, "--snapshots", str(out), "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a JSON object" in err, err
 
     def test_export_on_missing_directory_errors(self, tmp_path):
         code = main(["export-sft", "--snapshots", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")])

@@ -12,7 +12,10 @@ from dataclasses import asdict
 import pytest
 
 from conftest import GOLD, CountingRetriever, Scenario, overlap_answer
-from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.engine import (
+    Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, best_candidate,
+    theoretical_counts,
+)
 from ragtree.errors import NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
@@ -22,6 +25,15 @@ from ragtree.types import Question, Retrieved, SelfAnswer, State
 
 def make_builder(scenario: Scenario, retriever) -> TreeBuilder:
     return TreeBuilder(scenario.policy(), retriever, scenario.config)
+
+
+def resolve(builder: TreeBuilder, scenario: Scenario, force_both: bool = False) -> TreeNode:
+    """A layer-1 node whose retained sub-question is ``probe?``, resolved by ``builder``."""
+    probe = Candidate("sub_question", "probe?", retained=True)
+    node = TreeNode(1, State(scenario.question), TerminationVotes(),
+                    sub_question_candidates=(probe,))
+    builder.expand_retrieval(node, force_both=force_both)
+    return node
 
 
 class TestTheoreticalCounts:
@@ -65,20 +77,19 @@ class TestMajorityVote:
         scenario.set_votes(1, ["terminate", "terminate", "terminate", "continue", "continue"])
         scenario.finalize_answer = GOLD
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        assert expansion.terminated
-        assert expansion.votes.terminate == 3
-        assert expansion.votes.continue_ == 2
-        assert expansion.terminal_answer == GOLD
+        node = builder.expand_termination(State(scenario.question), 1)
+        assert node.votes.terminate == 3
+        assert node.votes.continue_ == 2
+        assert node.terminal_answer == GOLD
 
     def test_two_of_four_continues(self, scenario, retriever):
         scenario.config = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=4)
         scenario.set_votes(1, ["terminate", "terminate", "continue", "continue"])
         scenario.set_candidates("sub_question", 1, ["find a", "find b"])
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        assert not expansion.terminated
-        assert expansion.votes.terminate == 2
+        node = builder.expand_termination(State(scenario.question), 1)
+        assert node.terminal_answer is None
+        assert node.votes.terminate == 2
 
     def test_malformed_votes_dropped_from_tally(self, scenario, retriever):
         scenario.config = ExpansionConfig(
@@ -87,10 +98,10 @@ class TestMajorityVote:
         scenario.set_votes(1, ["terminate", "malformed", "malformed"], attempts=2)
         scenario.set_candidates("sub_question", 1, ["find a", "find b"])
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
+        node = builder.expand_termination(State(scenario.question), 1)
         # 1 terminate of 1 valid vote: strict majority
-        assert expansion.terminated
-        assert expansion.votes.total == 1
+        assert node.terminal_answer is not None
+        assert node.votes.total == 1
 
 
 class TestRetention:
@@ -102,11 +113,11 @@ class TestRetention:
             "find m2": overlap_answer(2),  # F1 0.50
         }
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        rewards = [c.reward for c in expansion.candidates]
+        node = builder.expand_termination(State(scenario.question), 1)
+        rewards = [c.reward for c in node.sub_question_candidates]
         assert rewards == pytest.approx([0.25, 0.75, 0.5])
-        assert expansion.chosen.content == "find m1"
-        assert [c.retained for c in expansion.candidates] == [False, True, False]
+        assert node.retained("sub_question").content == "find m1"
+        assert [c.retained for c in node.sub_question_candidates] == [False, True, False]
 
     def test_reward_ties_break_to_lowest_index(self, scenario, retriever):
         scenario.set_candidates("sub_question", 1, ["find t0", "find t1", "find t2"])
@@ -116,15 +127,15 @@ class TestRetention:
             "find t2": overlap_answer(1),
         }
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        assert expansion.chosen.content == "find t0"
+        node = builder.expand_termination(State(scenario.question), 1)
+        assert node.retained("sub_question").content == "find t0"
 
     def test_reward_is_mean_of_rollouts(self, scenario, retriever):
         scenario.set_candidates("sub_question", 1, ["find m0"])
         scenario.rollout_answers = {"find m0": overlap_answer(3)}
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        candidate = expansion.candidates[0]
+        node = builder.expand_termination(State(scenario.question), 1)
+        candidate = node.sub_question_candidates[0]
         assert len(candidate.rollouts) == scenario.config.n
         mean = sum(r.score for r in candidate.rollouts) / len(candidate.rollouts)
         assert candidate.reward == pytest.approx(mean, abs=1e-12)
@@ -132,8 +143,8 @@ class TestRetention:
     def test_duplicate_candidates_merged(self, scenario, retriever):
         scenario.set_candidates("sub_question", 1, ["Same Thing", "same thing!", "other probe"])
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_termination(State(scenario.question), 1)
-        assert [c.content for c in expansion.candidates] == ["Same Thing", "other probe"]
+        node = builder.expand_termination(State(scenario.question), 1)
+        assert [c.content for c in node.sub_question_candidates] == ["Same Thing", "other probe"]
 
     def test_all_candidates_malformed_fails_expansion(self, scenario, retriever):
         scenario.config = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=1, malformed_retries=1)
@@ -153,11 +164,10 @@ class TestRetrievalGate:
         }
         counting = CountingRetriever(retriever)
         builder = make_builder(scenario, counting)
-        expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
-        assert expansion.skipped_retrieval
-        assert expansion.chosen_kind == "self_answer"
-        assert expansion.chosen.content == "sa strong"
-        assert expansion.sub_query_candidates == ()
+        node = resolve(builder, scenario)
+        assert node.chosen_kind == "self_answer"
+        assert node.retained("self_answer").content == "sa strong"
+        assert node.sub_query_candidates == ()
         assert counting.requests == []
 
     def test_low_self_answers_expand_sub_queries(self, scenario, retriever):
@@ -166,14 +176,13 @@ class TestRetrievalGate:
         scenario.rollout_answers = {"mq a": overlap_answer(2)}
         counting = CountingRetriever(retriever)
         builder = make_builder(scenario, counting)
-        expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
-        assert not expansion.skipped_retrieval
-        assert expansion.chosen_kind == "sub_query"
-        assert len(expansion.sub_query_candidates) == 3
+        node = resolve(builder, scenario)
+        assert node.chosen_kind == "sub_query"
+        assert len(node.sub_query_candidates) == 3
         # one retrieval per deduplicated sub-query
         assert [r.query for r in counting.requests] == ["mq a", "mq b", "mq c"]
         # retrieved documents attach to the candidate and its chain step
-        assert len(expansion.chosen.documents) == scenario.config.top_k
+        assert len(node.retained("sub_query").documents) == scenario.config.top_k
 
     def test_sub_query_ties_break_to_lowest_index(self, scenario, retriever):
         scenario.set_candidates("self_answer", 1, ["sa a", "sa b", "sa c"])
@@ -184,16 +193,18 @@ class TestRetrievalGate:
             "mq t2": overlap_answer(2),  # 0.50
         }
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
-        assert expansion.chosen.content == "mq t1"
+        node = resolve(builder, scenario)
+        assert node.retained("sub_query").content == "mq t1"
 
     def test_gate_is_threshold_inclusive(self, scenario, retriever):
         scenario.config = ExpansionConfig(k=1, n=4, t_max=2, majority_samples=1, tau=0.75)
         scenario.set_candidates("self_answer", 1, ["sa edge"])
         scenario.rollout_answers = {"sa edge": overlap_answer(3)}  # exactly 0.75
-        builder = make_builder(scenario, retriever)
-        expansion = builder.expand_retrieval(State(scenario.question), 1, "probe?")
-        assert expansion.skipped_retrieval
+        counting = CountingRetriever(retriever)
+        node = resolve(make_builder(scenario, counting), scenario)
+        assert node.chosen_kind == "self_answer"
+        assert node.sub_query_candidates == ()
+        assert counting.requests == []
 
     def test_all_sub_queries_malformed_fails_expansion(self, scenario, retriever):
         scenario.config = ExpansionConfig(
@@ -203,7 +214,7 @@ class TestRetrievalGate:
         scenario.set_candidates("sub_query", 1, ["<malformed>", "<malformed>"], attempts=2)
         builder = make_builder(scenario, retriever)
         with pytest.raises(NodeExpansionFailed):
-            builder.expand_retrieval(State(scenario.question), 1, "probe?")
+            resolve(builder, scenario)
 
     def test_force_both_prefers_self_answer_on_tie(self, scenario, retriever):
         scenario.set_candidates("self_answer", 1, ["sa even"])
@@ -214,12 +225,12 @@ class TestRetrievalGate:
             "mq even": overlap_answer(2),
         }
         builder = make_builder(scenario, retriever)
-        expansion = builder.expand_retrieval(
-            State(scenario.question), 1, "probe?", force_both=True
-        )
-        assert expansion.chosen_kind == "self_answer"
-        assert expansion.alt_kind == "sub_query"
-        assert not expansion.skipped_retrieval
+        node = resolve(builder, scenario, force_both=True)
+        assert node.chosen_kind == "self_answer"
+        assert node.retained("self_answer").content == "sa even"
+        # the sub-query branch was expanded too, and stays the unretained alternative
+        assert best_candidate(node.sub_query_candidates).content == "mq even"
+        assert node.retained("sub_query") is None
 
 
 class TestRollout:
