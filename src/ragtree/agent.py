@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
+from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_documents, render_history
 from .metrics import exact_match, f1_score
 from .parsing import find_first_action, think_blocks
 from .policy import PolicyBackend, PolicyRequest
@@ -79,16 +79,6 @@ class AgentTranscript:
             "final_answer": self.final_answer,
             "failure": self.failure,
         }
-
-
-def _render_information(docs: Sequence[Document], template: HistoryTemplate) -> str:
-    lines = ["<information>"]
-    for j, doc in enumerate(docs, start=1):
-        body = doc.text[: template.doc_char_budget]
-        lines.append(f'Docs {j}: "{doc.title}"')
-        lines.append(body)
-    lines.append("</information>")
-    return "\n".join(lines)
 
 
 def run_agent(
@@ -166,8 +156,8 @@ def run_agent(
         transcript.searches_used += 1
         transcript.events.append(AgentEvent("search", content))
         transcript.events.append(AgentEvent("information", "", tuple(docs)))
-        info_text = _render_information(docs, history_template)
-        transcript.raw_text += "\n" + info_text + "\n"
+        info_text = render_documents(docs, history_template)
+        transcript.raw_text += "\n<information>\n" + info_text + "</information>\n"
         continuation = transcript.raw_text
     else:
         if not transcript.terminated and transcript.failure is None:

@@ -9,8 +9,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .agent import fan_out
 from .engine import LAYER_COUNTERS, BuildResult, TreeBuilder
-from .errors import DatasetError, NodeExpansionFailed, RagTreeError
-from .snapshot import SCHEMA_VERSION, build_result_to_dict, encode, save_snapshot
+from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError
+from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
 from .types import Question
 
 
@@ -22,29 +22,16 @@ def snapshot_path(out_dir: str, question_id: str) -> Path:
 _LEDGER_KEYS = LAYER_COUNTERS + ("leaf_nodes",)
 
 
-def _valid_snapshot(path: Path, question_id: str, config: dict) -> Optional[dict]:
-    """The snapshot record at ``path``, or None unless resume may keep it. A record
-    without an object ``question`` of this id, or without every ledger count, is
-    treated as missing."""
+def _valid_snapshot(path: Path, question_id: str, config: dict) -> Optional[BuildResult]:
+    """The snapshot at ``path``, or None unless resume may keep it: it must load as the
+    exporters load it, be this question's, with this encoded config, and hold a ledger
+    and no failure."""
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        kept = load_snapshot(str(path))
+    except ExportError:
         return None
-    if not isinstance(record, dict):
-        return None
-    question, ledger = record.get("question"), record.get("ledger")
-    valid = (
-        record.get("schema_version") == SCHEMA_VERSION
-        and isinstance(question, dict) and question.get("id") == question_id
-        and record.get("config") == config
-        and record.get("failure") is None
-        and isinstance(ledger, dict) and all(isinstance(ledger.get(k), int) for k in _LEDGER_KEYS)
-    )
-    return record if valid else None
-
-
-def _ledger_counts(record: dict) -> dict:
-    return {key: record["ledger"][key] for key in _LEDGER_KEYS}
+    same = kept.question.id == question_id and encode(kept.config) == config
+    return kept if same and kept.failure is None and kept.ledger is not None else None
 
 
 @dataclass
@@ -54,6 +41,11 @@ class ManifestItem:
     snapshot: str
     error: Optional[str] = None
     ledger: Optional[dict] = None
+
+    @classmethod
+    def built(cls, status: str, path: Path, result: BuildResult) -> "ManifestItem":
+        ledger = {key: getattr(result.ledger, key) for key in _LEDGER_KEYS}
+        return cls(result.question.id, status, str(path), ledger=ledger)
 
 
 @dataclass
@@ -146,9 +138,7 @@ def expand_batch(
         path = snapshot_path(out_dir, question.id)
         kept = _valid_snapshot(path, question.id, config) if resume else None
         if kept is not None:
-            manifest.items.append(
-                ManifestItem(question.id, "skipped", str(path), ledger=_ledger_counts(kept))
-            )
+            manifest.items.append(ManifestItem.built("skipped", path, kept))
             if on_progress:
                 on_progress(question.id, "skipped")
         else:
@@ -172,9 +162,8 @@ def expand_batch(
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
         except RagTreeError as exc:
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
-        record = build_result_to_dict(result)
-        save_snapshot(record, str(path))
-        return ManifestItem(question.id, "ok", str(path), ledger=_ledger_counts(record))
+        save_snapshot(build_result_to_dict(result), str(path))
+        return ManifestItem.built("ok", path, result)
 
     manifest.items.extend(fan_out(expand_one, pending, concurrency))
     # Manifest order follows the input dataset order exactly.

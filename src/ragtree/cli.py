@@ -8,7 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Tuple, get_args, get_origin
 
 from .agent import evaluate_dataset
 from .batch import expand_batch
@@ -19,67 +19,73 @@ from .config import (
     build_templates,
     load_dataset,
 )
-from .engine import BuildResult, TreeBuilder
+from .engine import BuildResult, Strategy, TreeBuilder
 from .errors import ConfigurationError, ExportError, RagTreeError
-from .export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
+from .export import SFT_STRATEGIES, export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import strategy_costs
 from .snapshot import load_snapshot
+from .types import type_hints
 
 
-def _add_expansion_flags(
-    parser: argparse.ArgumentParser, concurrency_help: str, tree: bool = True
-) -> None:
-    """Config overrides; ``tree=False`` (evaluate) leaves out the tree-only flags."""
-    if tree:
-        parser.add_argument("--k", type=int, help="candidate executions per decision")
-        parser.add_argument("--n", type=int, help="rollouts per candidate")
-        parser.add_argument("--threshold", type=float, help="retrieval-skip threshold tau")
-        parser.add_argument(
-            "--strategy", choices=["pruning", "no_pruning", "full_node"], help="expansion strategy"
-        )
-        parser.add_argument("--metric", choices=["f1", "em"], help="rollout correctness metric")
-    parser.add_argument("--tmax", type=int, help="maximum decision iterations")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--concurrency", type=int, help=concurrency_help)
-
-
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--policy-kind", choices=["http", "scripted"], help="policy backend kind")
-    parser.add_argument(
-        "--retriever-kind", choices=["http", "lexical"], help="retriever backend kind"
-    )
-    parser.add_argument("--policy-url", help="policy endpoint base URL")
-    parser.add_argument("--retriever-url", help="retriever endpoint base URL")
-    parser.add_argument("--model", help="policy model name")
-    parser.add_argument("--corpus", help="lexical retriever corpus JSONL")
-    parser.add_argument("--templates-dir", help="directory of prompt template overrides")
-
-
-# Config section -> {override flag (its argparse dest): the field it sets}. Section
-# None is ``RunConfig`` itself, so ``--concurrency`` sets two fields.
-_FLAG_FIELDS: Dict[Optional[str], Dict[str, str]] = {
-    "expansion": {"k": "k", "n": "n", "tmax": "t_max", "threshold": "tau", "strategy": "strategy",
-                  "seed": "seed", "metric": "score_metric", "concurrency": "concurrency"},
-    "policy": {"policy_kind": "kind", "policy_url": "base_url", "model": "model"},
-    "retriever": {"retriever_kind": "kind", "retriever_url": "base_url", "corpus": "corpus_path"},
-    "paths": {"templates_dir": "templates_dir", "dataset": "dataset"},
-    None: {"concurrency": "concurrency"},
+# The config override flags by group: each flag's help and the config fields it sets,
+# as "section.field" or a field of RunConfig itself. --concurrency bounds both the batch
+# and each build, and its help is the command's own. The first field's type hint gives
+# the flag its type and, for a Literal, its choices.
+_FLAGS: Dict[str, Dict[str, tuple]] = {
+    "common": {
+        "--dataset": ("question JSONL file", "paths.dataset"),
+        "--tmax": ("maximum decision iterations", "expansion.t_max"),
+        "--seed": ("base random seed", "expansion.seed"),
+        "--concurrency": (None, "concurrency", "expansion.concurrency"),
+    },
+    "tree": {
+        "--k": ("candidate executions per decision", "expansion.k"),
+        "--n": ("rollouts per candidate", "expansion.n"),
+        "--threshold": ("retrieval-skip threshold tau", "expansion.tau"),
+        "--strategy": ("expansion strategy", "expansion.strategy"),
+        "--metric": ("rollout correctness metric", "expansion.score_metric"),
+    },
+    "backend": {
+        "--policy-kind": ("policy backend kind", "policy.kind"),
+        "--retriever-kind": ("retriever backend kind", "retriever.kind"),
+        "--policy-url": ("policy endpoint base URL", "policy.base_url"),
+        "--retriever-url": ("retriever endpoint base URL", "retriever.base_url"),
+        "--model": ("policy model name", "policy.model"),
+        "--corpus": ("lexical retriever corpus JSONL", "retriever.corpus_path"),
+        "--templates-dir": ("directory of prompt template overrides", "paths.templates_dir"),
+    },
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, groups: tuple, concurrency_help: str) -> None:
+    """``--config`` and the override flags of ``groups``: what ``_load_config`` reads."""
+    parser.add_argument("--config", help="JSON run-config file")
+    for group in groups:
+        for flag, (help_text, target, *_) in _FLAGS[group].items():
+            hint = RunConfig
+            for name in target.split("."):
+                hint = type_hints(hint)[name]
+            choices = get_args(hint) if get_origin(hint) is Literal else None
+            convert = {int: int, float: float}.get(hint, str)
+            help_text = help_text or concurrency_help
+            parser.add_argument(flag, type=convert, choices=choices, help=help_text)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    given = {flag: value for flag, value in vars(args).items() if value is not None}
-    changes = {}
+    given = vars(args)
+    changes: Dict[str, dict] = {}
+    for flags in _FLAGS.values():
+        for flag, (_, *targets) in flags.items():
+            value = given.get(flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            for target in targets:
+                section, _, name = target.rpartition(".")
+                changes.setdefault(section, {})[name] = value
     try:
-        for section, flags in _FLAG_FIELDS.items():
-            values = {name: given[flag] for flag, name in flags.items() if flag in given}
-            if section is None:
-                changes.update(values)
-            else:
-                changes[section] = replace(getattr(config, section), **values)
-        return replace(config, **changes)
+        sections = {s: replace(getattr(config, s), **v) for s, v in changes.items() if s}
+        return replace(config, **sections, **changes.get("", {}))
     except ValueError as exc:
         raise ConfigurationError(f"invalid flag value: {exc}") from None
 
@@ -223,17 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     expand = sub.add_parser("expand", help="expand a question set into tree snapshots")
-    expand.add_argument("--dataset", help="question JSONL file")
     expand.add_argument("--out", required=True, help="snapshot output directory")
     resume_group = expand.add_mutually_exclusive_group()
     resume_group.add_argument("--resume", dest="resume", action="store_true", default=None)
     resume_group.add_argument("--no-resume", dest="resume", action="store_false")
-    _add_expansion_flags(
-        expand,
+    _add_flags(
+        expand, ("common", "tree", "backend"),
         "batch workers, and rollout threads in each question's build: "
         "up to concurrency squared requests in flight",
     )
-    _add_backend_flags(expand)
     expand.set_defaults(func=_cmd_expand)
 
     export_sft_cmd = sub.add_parser("export-sft", help="extract SFT chains from snapshots")
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_sft_cmd.add_argument("--out", required=True, help="output JSONL path")
     export_sft_cmd.add_argument(
         "--sft-strategy",
-        choices=["retained", "most", "least"],
+        choices=SFT_STRATEGIES,
         default="retained",
         help="chain selection: the retained chain, or the most/least retrieval-cost chain",
     )
@@ -257,12 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench-expansion", help="compare strategies' expansion counts and wall times"
     )
-    bench.add_argument("--dataset", help="question JSONL file")
     bench.add_argument("--out", required=True, help="output CSV path")
     bench.add_argument(
-        "--strategies",
-        default="pruning,no_pruning,full_node",
-        help="comma-separated strategy list",
+        "--strategies", default=",".join(get_args(Strategy)), help="comma-separated strategy list"
     )
     bench.add_argument(
         "--full-node-tmax",
@@ -270,23 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="depth cap for the full-node strategy (its cost is exponential)",
     )
-    _add_expansion_flags(bench, "rollout threads in each question's build")
-    _add_backend_flags(bench)
+    _add_flags(bench, ("common", "tree"), "rollout threads in each question's build")
     bench.set_defaults(func=_cmd_bench)
 
     # No abbreviations, so an expansion-only flag such as --n is rejected, not read as --name.
     evaluate = sub.add_parser(
         "evaluate", help="run the search agent over a dataset", allow_abbrev=False
     )
-    evaluate.add_argument("--dataset", help="question JSONL file")
     evaluate.add_argument("--out", help="report JSON path")
     evaluate.add_argument("--transcripts", help="transcript JSONL path")
     evaluate.add_argument("--name", help="dataset name for the report")
     evaluate.add_argument("--max-steps", type=int, default=8)
     evaluate.add_argument("--max-searches", type=int, default=4)
     evaluate.add_argument("--temperature", type=float, default=0.0)
-    _add_expansion_flags(evaluate, "questions evaluated at once", tree=False)
-    _add_backend_flags(evaluate)
+    _add_flags(evaluate, ("common", "backend"), "questions evaluated at once")
     evaluate.set_defaults(func=_cmd_evaluate)
 
     return parser

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Literal, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Dict, List, Literal, Optional, get_origin
 
 from .engine import ExpansionConfig
 from .errors import ConfigurationError, DatasetError
@@ -17,12 +17,12 @@ from .history import DEFAULT_TEMPLATE, HistoryTemplate
 from .policy import HttpPolicyBackend, PolicyBackend, RoutedPolicyBackend
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrieverBackend, load_corpus_jsonl
 from .templates import PromptTemplateSet, load_templates
-from .types import Question
+from .types import Question, check_choices, has_type, type_hints
 
 
 @dataclass(frozen=True)
 class PolicySettings:
-    kind: str = "http"  # "http" | "scripted"
+    kind: Literal["http", "scripted"] = "http"
     base_url: str = "http://127.0.0.1:8000/v1"
     model: str = "policy-model"
     auth_env: str = "RAGTREE_POLICY_TOKEN"
@@ -33,15 +33,21 @@ class PolicySettings:
     self_answer_base_url: Optional[str] = None
     self_answer_model: Optional[str] = None
 
+    def __post_init__(self):
+        check_choices(self)
+
 
 @dataclass(frozen=True)
 class RetrieverSettings:
-    kind: str = "http"  # "http" | "lexical"
+    kind: Literal["http", "lexical"] = "http"
     base_url: str = "http://127.0.0.1:8001"
     corpus_path: Optional[str] = None
     timeout: float = 30.0
     max_retries: int = 3
     backoff_s: float = 0.25
+
+    def __post_init__(self):
+        check_choices(self)
 
 
 @dataclass(frozen=True)
@@ -110,27 +116,18 @@ def _from_record(cls, record: dict, where: str):
     unknown = set(record) - set(known)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls)
+    hints = type_hints(cls)
     values = {}
     for key, value in record.items():
         section = known[key].default_factory
         if section is not MISSING:
             value = _from_record(section, value, key)
-        elif not _has_type(value, hints[key]):
+        elif not has_type(value, hints[key]):
             hint = hints[key]
             expected = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
             raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
         values[key] = value
     return cls(**values)
-
-
-def _has_type(value, hint) -> bool:
-    """A bool is no int, an int passes as a float, and null passes where the field is
-    Optional. A Literal field takes any string; its dataclass checks the value."""
-    if get_origin(hint) is Union:
-        return any(_has_type(value, arg) for arg in get_args(hint))
-    hint = {float: (int, float), Literal: str}.get(get_origin(hint) or hint, hint)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def load_dataset(path: str) -> List[Question]:
@@ -189,12 +186,10 @@ def build_policy_backend(config: RunConfig, questions: Optional[List[Question]] 
             return default
         trainee = client(settings.self_answer_base_url, settings.self_answer_model or settings.model)
         return RoutedPolicyBackend(default=default, self_answer=trainee)
-    if settings.kind == "scripted":
-        from .scripted import make_bench_policy
+    from .scripted import make_bench_policy
 
-        gold = {q.text: q.gold_answers[0] for q in questions or []}
-        return make_bench_policy(gold, rollout_searches=config.expansion.t_max - 1)
-    raise ConfigurationError(f"unknown policy backend kind {settings.kind!r}")
+    gold = {q.text: q.gold_answers[0] for q in questions or []}
+    return make_bench_policy(gold, rollout_searches=config.expansion.t_max - 1)
 
 
 def build_retriever_backend(config: RunConfig) -> RetrieverBackend:
@@ -206,15 +201,13 @@ def build_retriever_backend(config: RunConfig) -> RetrieverBackend:
             max_retries=settings.max_retries,
             backoff_s=settings.backoff_s,
         )
-    if settings.kind == "lexical":
-        if settings.corpus_path:
-            corpus = load_corpus_jsonl(settings.corpus_path)
-        else:
-            from .scripted import BENCH_CORPUS
+    if settings.corpus_path:
+        corpus = load_corpus_jsonl(settings.corpus_path)
+    else:
+        from .scripted import BENCH_CORPUS
 
-            corpus = BENCH_CORPUS
-        return LexicalRetriever(corpus)
-    raise ConfigurationError(f"unknown retriever backend kind {settings.kind!r}")
+        corpus = BENCH_CORPUS
+    return LexicalRetriever(corpus)
 
 
 def build_templates(config: RunConfig) -> PromptTemplateSet:

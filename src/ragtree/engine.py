@@ -41,7 +41,7 @@ from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, par
 from .policy import PolicyBackend, PolicyRequest
 from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
-from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step
+from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
 
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
@@ -54,11 +54,11 @@ class ExpansionConfig:
     n: int = 4  # rollouts per candidate
     t_max: int = 4  # maximum decision iterations per question
     tau: float = 0.7  # retrieval-skip threshold on the best self-answer reward
-    score_metric: str = "f1"  # "f1" or "em"
+    score_metric: Literal["f1", "em"] = "f1"
     strategy: Strategy = "pruning"
     seed: int = 0
     majority_samples: int = 5  # termination votes drawn per layer
-    rollout_cap: str = "residual"  # "residual" (t_max - depth + 1) or "fixed" (t_max)
+    rollout_cap: Literal["residual", "fixed"] = "residual"  # t_max - depth + 1 steps, or t_max
     sampling_temperature: float = 0.7
     answer_temperature: float = 0.0  # used for finalization completions
     max_tokens: int = 512
@@ -72,12 +72,7 @@ class ExpansionConfig:
             raise ValueError("k, n, t_max, majority_samples and top_k must be positive")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
-        if self.score_metric not in ("f1", "em"):
-            raise ValueError("score_metric must be 'f1' or 'em'")
-        if self.strategy not in ("pruning", "no_pruning", "full_node"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.rollout_cap not in ("residual", "fixed"):
-            raise ValueError("rollout_cap must be 'residual' or 'fixed'")
+        check_choices(self)
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
 

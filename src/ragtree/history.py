@@ -9,9 +9,9 @@ identical states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .types import Retrieved, SelfAnswer, State, Step
+from .types import Document, Retrieved, SelfAnswer, State, Step
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,15 @@ class HistoryTemplate:
 DEFAULT_TEMPLATE = HistoryTemplate()
 
 
+def render_documents(documents: Sequence[Document], template: HistoryTemplate) -> str:
+    """One ``doc_block`` per document, its text cut to the template's budget."""
+    budget = template.doc_char_budget
+    return "".join(
+        template.doc_block.format(doc_index=j, title=doc.title, text=doc.text[:budget])
+        for j, doc in enumerate(documents, start=1)
+    )
+
+
 def _render_step(template: HistoryTemplate, index: int, step: Step) -> Tuple[str, int]:
     """Render one step; returns (text, offset of the resolution's doc section).
 
@@ -51,9 +60,7 @@ def _render_step(template: HistoryTemplate, index: int, step: Step) -> Tuple[str
     assert isinstance(res, Retrieved)
     parts.append(template.sub_query_line.format(sub_query=res.sub_query))
     pre_docs_len = sum(len(p) for p in parts)
-    for j, doc in enumerate(res.documents, start=1):
-        body = doc.text[: template.doc_char_budget]
-        parts.append(template.doc_block.format(doc_index=j, title=doc.title, text=body))
+    parts.append(render_documents(res.documents, template))
     return "".join(parts), pre_docs_len
 
 
@@ -90,7 +97,6 @@ def render_history(
 class ChainMark:
     """Slice offsets for one step within a rendered chain."""
 
-    step_index: int  # 1-based
     is_retrieval: bool
     start: int
     after_sub_query: int  # == end for self-answered steps
@@ -115,7 +121,6 @@ def render_chain(
         text, pre_docs = _render_step(template, i, step)
         marks.append(
             ChainMark(
-                step_index=i,
                 is_retrieval=isinstance(step.resolution, Retrieved),
                 start=offset,
                 after_sub_query=offset + pre_docs,

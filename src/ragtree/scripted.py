@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 from .engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from .errors import ConfigurationError, DatasetError
@@ -21,8 +21,6 @@ from .policy import PolicyRequest, ScriptedPolicyBackend
 from .retrieval import LexicalRetriever
 from .templates import PolicyRole
 from .types import Question
-
-GoldLookup = Union[Mapping[str, str], Callable[[str], Optional[str]]]
 
 _QUESTION_RE = re.compile(r"### Question\n(.*?)\n\n### Previous Iteration", re.DOTALL)
 _QUESTION_ONLY_RE = re.compile(r"### Question\n(.*?)\n\n### Your Output", re.DOTALL)
@@ -59,24 +57,17 @@ def _last_marker(prompt: str) -> str:
     return kind if position >= 0 else "empty"
 
 
-def make_bench_policy(gold: GoldLookup, rollout_searches: int = 3) -> ScriptedPolicyBackend:
+def make_bench_policy(gold: Mapping[str, str], rollout_searches: int = 3) -> ScriptedPolicyBackend:
     """Scripted policy for counting benchmarks and end-to-end fixtures.
 
     ``gold`` maps question text to the answer the scripted rollouts should
     produce on branches meant to score well. Termination votes always say
     continue; only finalization (temperature 0) answers.
     """
-
-    if callable(gold):
-        lookup = gold
-    else:
-        table = dict(gold)
-        lookup = table.get
+    table = dict(gold)
 
     def gold_for(prompt: str) -> str:
-        question = _extract_question(prompt)
-        answer = lookup(question) if question is not None else None
-        return answer if answer is not None else "unknown"
+        return table.get(_extract_question(prompt), "unknown")
 
     def termination(request: PolicyRequest) -> str:
         if request.temperature == 0.0:

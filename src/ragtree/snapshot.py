@@ -21,11 +21,11 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Tuple, Union, get_args, get_origin
 
 from .engine import BuildResult
 from .errors import ExportError
-from .types import State
+from .types import State, has_type, type_hints
 
 SCHEMA_VERSION = 3
 
@@ -42,7 +42,7 @@ def _written(cls: Any) -> Optional[Tuple[str, ...]]:
 def _decode_plan(cls: type) -> Tuple[Tuple[Tuple[str, Any], ...], Mapping[str, None]]:
     """A dataclass's written fields with their type hints, and its unwritten fields
     without a default, which decode as None until load rebuilds them."""
-    hints = get_type_hints(cls)
+    hints = type_hints(cls)
     unset = {
         f.name: None
         for f in fields(cls)
@@ -66,27 +66,29 @@ def encode(value: Any) -> Any:
 
 def decode(hint: Any, data: Any) -> Any:
     """The value of type ``hint`` that ``encode`` wrote as ``data``. A union of
-    dataclasses takes the arm whose written field names are the record's keys. JSON
-    scalars need no hint: every written scalar decodes to itself."""
-    if data is None or isinstance(data, (str, int, float)):
-        return data
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        arms = [arm for arm in args if arm is not type(None)]
-        if len(arms) > 1:
-            arms = [arm for arm in arms if set(_written(arm)) == set(data)]
-        return decode(arms[0], data)
-    if _written(hint) is not None:
-        written, unset = _decode_plan(hint)
-        return hint(**{name: decode(h, data[name]) for name, h in written}, **unset)
-    if origin is tuple and args[-1:] == (Ellipsis,):
-        return tuple(decode(args[0], item) for item in data)
-    if origin is tuple:
-        return tuple(decode(arg, item) for arg, item in zip(args, data))
-    if origin is list:
-        return [decode(args[0], item) for item in data]
-    if origin is dict and args:
-        return {args[0](key): decode(args[1], item) for key, item in data.items()}
+    dataclasses takes the arm whose written field names are the record's keys. Every
+    other value decodes to itself, and must have the hint's type (``has_type``), so a
+    file with a string for a number is malformed here, not a crash in an exporter."""
+    if isinstance(data, (dict, list)):
+        origin, args = get_origin(hint), get_args(hint)
+        if origin is Union:
+            arms = [arm for arm in args if arm is not type(None)]
+            if len(arms) > 1:
+                arms = [arm for arm in arms if set(_written(arm)) == set(data)]
+            return decode(arms[0], data)
+        if _written(hint) is not None:
+            written, unset = _decode_plan(hint)
+            return hint(**{name: decode(h, data[name]) for name, h in written}, **unset)
+        if origin is tuple and args[-1:] == (Ellipsis,):
+            return tuple(decode(args[0], item) for item in data)
+        if origin is tuple:
+            return tuple(decode(arg, item) for arg, item in zip(args, data, strict=True))
+        if origin is list:
+            return [decode(args[0], item) for item in data]
+        if origin is dict and args:
+            return {args[0](key): decode(args[1], item) for key, item in data.items()}
+    if type(data) is not hint and not has_type(data, hint):
+        raise TypeError(f"expected {getattr(hint, '__name__', hint)}, not {data!r}")
     return data
 
 

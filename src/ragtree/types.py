@@ -9,12 +9,46 @@ with the documents it retrieved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Optional, Tuple, Union
+from typing import Any, Literal, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 # Field metadata: snapshots leave the field out. Load rebuilds it from the rest of
 # the file, or gives it its default when it does not shape the tree.
 UNWRITTEN = MappingProxyType({"snapshot": False})
+
+
+@lru_cache(maxsize=None)
+def _accepted(hint: Any) -> Tuple[type, ...]:
+    """The types a value of ``hint`` may have: a generic's origin, the types of a
+    Literal's choices, and int as well as float."""
+    origin = get_origin(hint)
+    if origin is Union:
+        return tuple(t for arg in get_args(hint) for t in _accepted(arg))
+    if origin is Literal:
+        return tuple({type(choice) for choice in get_args(hint)})
+    return (int, float) if hint is float else (origin or hint,)
+
+
+def has_type(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits ``hint``: a bool is no number, and null fits only an
+    Optional hint. ``check_choices`` checks the value of a Literal."""
+    accepted = _accepted(hint)
+    return isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+
+
+@lru_cache(maxsize=None)
+def type_hints(cls: type) -> Mapping[str, Any]:
+    """``get_type_hints(cls)``, resolved once per class."""
+    return MappingProxyType(get_type_hints(cls))
+
+
+def check_choices(obj: Any) -> None:
+    """Refuse a dataclass whose ``Literal`` fields hold a value outside their choices."""
+    for name, hint in type_hints(type(obj)).items():
+        value, choices = getattr(obj, name), get_args(hint)
+        if get_origin(hint) is Literal and value not in choices:
+            raise ValueError(f"unknown {name} {value!r}; expected one of {list(choices)}")
 
 
 @dataclass(frozen=True)

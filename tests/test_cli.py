@@ -53,6 +53,25 @@ def write_config(tmp_path, **expansion_overrides):
     return str(path)
 
 
+def _trunk_node(record, **changes):
+    record["chains"][0]["nodes"][0].update(changes)
+    return record
+
+
+def _reward_as_string(record):
+    record["chains"][0]["nodes"][0]["sub_question_candidates"][0]["reward"] = "0.5"
+    return record
+
+
+# Snapshot edits that keep every key but give a value the wrong type or length.
+MALFORMED = {
+    "reward-string": _reward_as_string,
+    "layer-string": lambda record: _trunk_node(record, layer="1"),
+    "probe-string": lambda record: _trunk_node(record, terminate_probe="x"),
+    "probe-short": lambda record: _trunk_node(record, terminate_probe=["x"]),
+}
+
+
 class TestExpandCommand:
     def test_batch_writes_snapshots_and_manifest(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path)
@@ -189,8 +208,10 @@ class TestExpandCommand:
             lambda record: {**record, "question": "q0"},
             lambda record: {**record, "ledger": None},
             lambda record: {**record, "ledger": {"policy_calls": 1}},
+            *MALFORMED.values(),
         ],
-        ids=["list", "string", "question-not-object", "ledger-null", "ledger-short"],
+        ids=["list", "string", "question-not-object", "ledger-null", "ledger-short",
+             *MALFORMED],
     )
     def test_resume_reexpands_an_unreadable_snapshot(self, tmp_path, corrupt):
         out = tmp_path / "snapshots"
@@ -360,6 +381,16 @@ class TestExportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a JSON object" in err, err
 
+    @pytest.mark.parametrize("command", ["export-sft", "export-dpo"])
+    @pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_snapshot_is_a_usage_error(self, tmp_path, capsys, command, corrupt):
+        out = self._expanded(tmp_path)
+        path = out / "q0.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))), encoding="utf-8")
+        assert main([command, "--snapshots", str(out), "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed snapshot" in err, err
+
     def test_export_on_missing_directory_errors(self, tmp_path):
         code = main(["export-sft", "--snapshots", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
@@ -422,6 +453,20 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--policy-kind", "--retriever-kind", "--policy-url", "--retriever-url", "--model",
+                 "--corpus", "--templates-dir"],
+    )
+    def test_backend_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        """The bench always runs the scripted backends, so it takes no backend flag."""
+        value = "http" if flag.endswith("-kind") else str(tmp_path / "missing")
+        argv = ["bench-expansion", "--dataset", write_dataset(tmp_path, n=1), "--out",
+                str(tmp_path / "bench.csv"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
     def test_dataset_without_questions_is_refused(self, tmp_path, capsys):
         dataset = tmp_path / "empty.jsonl"

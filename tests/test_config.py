@@ -177,10 +177,12 @@ class TestBackendWiring:
         assert isinstance(retriever, LexicalRetriever)
 
     def test_unknown_kinds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_policy_backend(RunConfig(policy=PolicySettings(kind="ouija")), [])
-        with pytest.raises(ConfigurationError):
-            build_retriever_backend(RunConfig(retriever=RetrieverSettings(kind="ouija")))
+        for settings in (PolicySettings, RetrieverSettings):
+            with pytest.raises(ValueError, match="unknown kind 'ouija'; expected one of"):
+                settings(kind="ouija")
+        for section in ("policy", "retriever"):
+            with pytest.raises(ConfigurationError, match="unknown kind 'ouija'"):
+                RunConfig.from_dict({section: {"kind": "ouija"}})
 
     def test_routed_backend_when_trainee_endpoint_set(self):
         from ragtree.policy import RoutedPolicyBackend
