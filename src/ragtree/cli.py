@@ -28,9 +28,10 @@ from .types import type_hints
 
 
 # The config override flags by group: each flag's help and the config fields it sets,
-# as "section.field" or a field of RunConfig itself. --concurrency bounds both the batch
-# and each build, and its help is the command's own. The first field's type hint gives
-# the flag its type and, for a Literal, its choices.
+# as "section.field" or a field of RunConfig itself. --concurrency sets both the batch
+# workers and each build's pool of threads for its votes, samples, retrievals and
+# rollouts, and its help is the command's own. The first field's type hint gives the
+# flag its type and, for a Literal, its choices.
 _FLAGS: Dict[str, Dict[str, tuple]] = {
     "common": {
         "--dataset": ("question JSONL file", "paths.dataset"),
@@ -235,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume_group.add_argument("--no-resume", dest="resume", action="store_false")
     _add_flags(
         expand, ("common", "tree", "backend"),
-        "batch workers, and rollout threads in each question's build: "
-        "up to concurrency squared requests in flight",
+        "batch workers, and threads in each question's build for its votes, samples, "
+        "retrievals and rollouts: up to concurrency squared requests in flight",
     )
     expand.set_defaults(func=_cmd_expand)
 
@@ -271,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="depth cap for the full-node strategy (its cost is exponential)",
     )
-    _add_flags(bench, ("common", "tree"), "rollout threads in each question's build")
+    _add_flags(
+        bench, ("common", "tree"),
+        "threads in each question's build for its votes, samples, retrievals and rollouts",
+    )
     bench.set_defaults(func=_cmd_bench)
 
     # No abbreviations, so an expansion-only flag such as --n is rejected, not read as --name.

@@ -14,6 +14,14 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
+With ``concurrency`` above 1, each build has one pool of that many threads.
+A layer sends all its termination votes at once, then all ``k`` samples of a
+candidate set; each new candidate's retrieval and rollouts start as soon as
+that candidate is read, while the later samples are still in flight.
+Finalization is one call, made when nothing else is in flight. Seeds are keyed
+by (kind, layer, index, attempt) and results are read in index order, so the
+tree, the counts and the snapshot are the same at any concurrency.
+
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
 policy completions spent on expansion, i.e. termination votes + candidate
@@ -31,9 +39,9 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
-from .agent import fan_out, run_agent
+from .agent import run_agent
 from .errors import NodeExpansionFailed
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
@@ -42,6 +50,9 @@ from .policy import PolicyBackend, PolicyRequest
 from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
@@ -247,20 +258,32 @@ _CANDIDATE_PARSERS: Dict[PolicyRole, Callable[[str], Optional[str]]] = {
 }
 
 
+def _ready(value: T) -> Callable[[], T]:
+    return lambda: value
+
+
 @dataclass
 class _Build:
-    """What one build owns: its question, ledger, retriever and ledger lock."""
+    """What one build owns: its question, ledger, retriever, ledger lock and thread pool."""
 
     question: Question
     retriever: RetrieverBackend  # a fresh MemoRetriever inside build_tree
     ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
     lock: threading.Lock = field(default_factory=threading.Lock)
+    pool: Optional["Executor"] = None  # build_tree's pool when concurrency > 1
 
     def bump(self, layer: int, counter: str, amount: int = 1) -> None:
         with self.lock:
             setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
             per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
             per_layer[counter] += amount
+
+    def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
+        """Start ``fn(*args)`` on the pool, or run it now when there is none;
+        calling the result waits for the value."""
+        if self.pool is None:
+            return _ready(fn(*args))
+        return self.pool.submit(fn, *args).result
 
 
 class TreeBuilder:
@@ -269,7 +292,7 @@ class TreeBuilder:
     The builder holds no per-build state: ``build_tree`` passes a fresh
     ``_Build`` down, so one builder can serve concurrent builds. Direct calls
     to ``expand_termination``, ``expand_retrieval`` or ``run_rollout`` without
-    one get their own unmemoized ``_Build``.
+    one get their own unmemoized ``_Build`` with no pool, so they run serially.
     """
 
     def __init__(
@@ -372,68 +395,72 @@ class TreeBuilder:
             return 0.0
         return math.fsum(scores) / len(scores)
 
-    def _score_entries(
+    # ------------------------------------------------------------------ candidates
+
+    def _candidates(
         self,
         build: _Build,
-        state: State,
+        role: PolicyRole,
+        question: str,
         layer: int,
-        kind: CandidateKind,
-        entries: Sequence[Tuple[str, Tuple]],
+        kind: str,
+        state: Optional[State] = None,
         sub_question: Optional[str] = None,
     ) -> Tuple[Candidate, ...]:
-        """Candidates for the (content, documents) entries, each with ``n`` scored
-        rollouts from ``state`` plus the candidate: a pending sub-question, or a step
-        that resolves ``sub_question``."""
-        n = self.config.n
-        unscored = [Candidate(kind, content, documents=documents) for content, documents in entries]
-        bases = [
-            (state, c.content) if kind == "sub_question"
-            else (state.with_step(self._step_for(c, sub_question)), None)
-            for c in unscored
+        """Sample ``k`` candidates for ``question`` from the role's template, retrying
+        malformed output, and drop duplicates; a sub-query carries its documents.
+        Given a ``state``, each candidate is scored by ``n`` rollouts from ``state``
+        plus the candidate: a pending sub-question, or a step that resolves
+        ``sub_question``.
+
+        All samples start at once. Each new candidate's retrieval and rollouts
+        start as soon as it is read, while later samples are still in flight.
+        """
+        cfg = self.config
+        prompt = self.templates.render(role, question=question)
+        samples = [
+            build.submit(
+                self._sample, build, role, prompt, _CANDIDATE_PARSERS[role], layer,
+                "policy_calls", ("cand", kind, layer, index),
+            )
+            for index in range(cfg.k)
         ]
 
-        def run(job: Tuple[int, int]) -> RolloutResult:
-            index, r = job
-            base_state, pending = bases[index]
-            return self.run_rollout(base_state, pending, layer, (layer, kind, index, r), build)
+        def start(candidate: Candidate, index: int):
+            """The candidate with its rollouts started."""
+            if state is None:
+                return candidate, []
+            if candidate.kind == "sub_question":
+                base, pending = state, candidate.content
+            else:
+                base, pending = state.with_step(self._step_for(candidate, sub_question)), None
+            return candidate, [
+                build.submit(self.run_rollout, base, pending, layer, (layer, kind, index, r), build)
+                for r in range(cfg.n)
+            ]
 
-        jobs = [(index, r) for index in range(len(unscored)) for r in range(n)]
-        results = fan_out(run, jobs, self.config.concurrency)
+        def retrieve(query: str, index: int):
+            docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=cfg.top_k))
+            build.bump(layer, "retrieval_calls")
+            return start(Candidate("sub_query", query, documents=tuple(docs)), index)
+
+        started, seen = [], set()  # per candidate, in index order: (candidate, its rollouts)
+        for sample in samples:
+            content = sample()
+            if content is None or normalize_answer(content) in seen:
+                continue
+            seen.add(normalize_answer(content))
+            if role is PolicyRole.SUB_QUERY:
+                started.append(build.submit(retrieve, content, len(started)))
+            else:
+                started.append(_ready(start(Candidate(role.value, content), len(started))))
         candidates = []
-        for index, candidate in enumerate(unscored):
-            rollouts = tuple(results[index * n : (index + 1) * n])
+        for result in started:
+            candidate, pending_rollouts = result()
+            rollouts = tuple(rollout() for rollout in pending_rollouts)
             reward = self.mean_reward([r.score for r in rollouts])
             candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
         return tuple(candidates)
-
-    # ------------------------------------------------------------------ generation
-
-    def _generate_texts(
-        self, build: _Build, role: PolicyRole, question: str, layer: int, kind: str
-    ) -> List[str]:
-        """Sample ``k`` candidates for ``question`` from the role's template, retrying
-        malformed output, then deduplicate."""
-        prompt = self.templates.render(role, question=question)
-        unique: Dict[str, str] = {}
-        for index in range(self.config.k):
-            parsed = self._sample(
-                build, role, prompt, _CANDIDATE_PARSERS[role], layer, "policy_calls",
-                ("cand", kind, layer, index),
-            )
-            if parsed is not None:
-                unique.setdefault(normalize_answer(parsed), parsed)
-        return list(unique.values())
-
-    def _sub_queries(
-        self, build: _Build, sub_question: str, layer: int, kind: str
-    ) -> List[Tuple[str, Tuple]]:
-        """Sampled sub-queries for ``sub_question``, each with its retrieved documents."""
-        retrieved = []
-        for query in self._generate_texts(build, PolicyRole.SUB_QUERY, sub_question, layer, kind):
-            docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=self.config.top_k))
-            build.bump(layer, "retrieval_calls")
-            retrieved.append((query, tuple(docs)))
-        return retrieved
 
     def _finalize_answer(self, build: _Build, state: State, layer: int) -> Optional[str]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
@@ -462,17 +489,23 @@ class TreeBuilder:
             question=build.question.text,
             iter_history=render_history(state, template=self.history_template),
         )
-        kinds = [
-            self._sample(
-                build, PolicyRole.TERMINATION, prompt, _vote_kind, layer, "policy_calls",
-                ("vote", layer, v),
+        pending_votes = [
+            build.submit(
+                self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
+                "policy_calls", ("vote", layer, v),
             )
             for v in range(cfg.majority_samples)
         ]
+        kinds = [vote() for vote in pending_votes]
         votes = TerminationVotes(
             terminate=kinds.count("terminate"), continue_=kinds.count("continue")
         )
         node = TreeNode(layer, state, votes)
+
+        def sub_question_candidates() -> Tuple[Candidate, ...]:
+            return self._candidates(
+                build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
+            )
 
         if votes.majority_terminate:
             node.terminal_answer = self._finalize_answer(build, state, layer)
@@ -481,10 +514,10 @@ class TreeBuilder:
                     build.question.id, layer, "terminate vote won but no answer was produced"
                 )
             if cfg.score_terminate_branch:
-                node.sub_question_candidates = self._sub_question_candidates(build, state, layer)
+                node.sub_question_candidates = sub_question_candidates()
             return node
 
-        candidates = self._sub_question_candidates(build, state, layer)
+        candidates = sub_question_candidates()
         if not candidates:
             raise NodeExpansionFailed(
                 build.question.id, layer, "every sub-question candidate was malformed"
@@ -495,14 +528,6 @@ class TreeBuilder:
             if answer is not None:
                 node.terminate_probe = (answer, self._score(build, answer))
         return node
-
-    def _sub_question_candidates(
-        self, build: _Build, state: State, layer: int
-    ) -> Tuple[Candidate, ...]:
-        texts = self._generate_texts(
-            build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question"
-        )
-        return self._score_entries(build, state, layer, "sub_question", [(t, ()) for t in texts])
 
     def expand_retrieval(
         self, node: TreeNode, force_both: bool = False, build: Optional[_Build] = None
@@ -518,20 +543,16 @@ class TreeBuilder:
         state, layer = node.state, node.layer
         build = build or _Build(state.question, self.retriever)
         sub_question = node.retained("sub_question").content
-        sa_texts = self._generate_texts(
-            build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer"
-        )
-        node.self_answer_candidates = self._score_entries(
-            build, state, layer, "self_answer", [(t, ()) for t in sa_texts], sub_question
+        node.self_answer_candidates = self._candidates(
+            build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer", state, sub_question
         )
         best_sa = best_candidate(node.self_answer_candidates)
         if not force_both and best_sa is not None and best_sa.reward >= self.config.tau:
             node.resolve_by("self_answer")
             return
 
-        sq_entries = self._sub_queries(build, sub_question, layer, "sub_query")
-        node.sub_query_candidates = self._score_entries(
-            build, state, layer, "sub_query", sq_entries, sub_question
+        node.sub_query_candidates = self._candidates(
+            build, PolicyRole.SUB_QUERY, sub_question, layer, "sub_query", state, sub_question
         )
         best_sq = best_candidate(node.sub_query_candidates)
         if best_sq is None and best_sa is None:
@@ -641,19 +662,17 @@ class TreeBuilder:
                 return
             layer = state.depth + 1
             build.bump(layer, "nodes_expanded")
-            sampled = self._generate_texts(
+            sampled = self._candidates(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
             )
-            for text, origin in [(question.text, "direct")] + [(t, "sampled") for t in sampled]:
+            texts = [(question.text, "direct")] + [(c.content, "sampled") for c in sampled]
+            for text, origin in texts:
                 tag = f"{origin}:{text[:40]}"
-                answers = self._generate_texts(
+                children = self._candidates(
                     build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"
-                )
-                retrieved = self._sub_queries(build, text, layer, f"sub_query:{tag}")
-                steps = [Step(text, SelfAnswer(a)) for a in answers]
-                steps += [Step(text, Retrieved(q, docs)) for q, docs in retrieved]
-                for step in steps:
-                    expand(state.with_step(step))
+                ) + self._candidates(build, PolicyRole.SUB_QUERY, text, layer, f"sub_query:{tag}")
+                for child in children:
+                    expand(state.with_step(self._step_for(child, text)))
 
         expand(State(question))
 
@@ -662,14 +681,23 @@ class TreeBuilder:
     def build_tree(self, question: Question) -> BuildResult:
         """Expand one question under the configured strategy.
 
-        The build gets its own ledger and a fresh single-flight retrieval memo.
+        The build gets its own ledger, a fresh single-flight retrieval memo and,
+        when ``concurrency`` > 1, one pool of that many threads for all its calls.
         Raises :class:`NodeExpansionFailed` when a layer cannot produce any
         usable candidate; batch drivers catch this and record a failure.
         """
         build = _Build(question, MemoRetriever(self.retriever))
         result = BuildResult(question, self.config, ledger=build.ledger)
-        if self.config.strategy == "full_node":
-            self._build_full_node(build)
-        else:
-            result.chains = self._build_chains(build)
+        if self.config.concurrency > 1:
+            from concurrent.futures import ThreadPoolExecutor  # serial builds never load it
+
+            build.pool = ThreadPoolExecutor(self.config.concurrency, "ragtree-build")
+        try:
+            if self.config.strategy == "full_node":
+                self._build_full_node(build)
+            else:
+                result.chains = self._build_chains(build)
+        finally:
+            if build.pool is not None:
+                build.pool.shutdown(cancel_futures=True)  # drop queued calls, wait for running ones
         return result

@@ -136,4 +136,7 @@ def load_snapshot(path: str) -> BuildResult:
         raise ExportError(f"cannot read snapshot {path}: {exc}")
     if not isinstance(record, dict):
         raise ExportError(f"malformed snapshot {path}: not a JSON object")
-    return snapshot_from_dict(record)
+    try:
+        return snapshot_from_dict(record)
+    except ExportError as exc:
+        raise ExportError(f"{path}: {exc}") from None

@@ -391,6 +391,18 @@ class TestExportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed snapshot" in err, err
 
+    @pytest.mark.parametrize(
+        "corrupt", [MALFORMED["probe-short"], lambda record: {**record, "schema_version": 2}],
+        ids=["probe-short", "schema-2"],
+    )
+    def test_bad_snapshot_error_names_its_file(self, tmp_path, capsys, corrupt):
+        out = self._expanded(tmp_path)
+        path = out / "q1.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))), encoding="utf-8")
+        assert main(["export-dpo", "--snapshots", str(out), "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+
     def test_export_on_missing_directory_errors(self, tmp_path):
         code = main(["export-sft", "--snapshots", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2

@@ -543,8 +543,9 @@ class TestBuilderHoldsNoBuildState:
         builder.expand_termination(State(question), 1)
         assert asdict(result.ledger) == before
 
+    @pytest.mark.parametrize("concurrency", [1, 2])
     @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
-    def test_one_builder_shared_by_concurrent_builds(self, strategy):
+    def test_one_builder_shared_by_concurrent_builds(self, strategy, concurrency):
         from ragtree.snapshot import build_result_to_dict, dumps_snapshot
 
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
@@ -553,7 +554,8 @@ class TestBuilderHoldsNoBuildState:
             for a, b in zip(words, words[1:])
         ]
         cfg = ExpansionConfig(
-            k=2, n=1, t_max=2, majority_samples=2, rollout_cap="fixed", strategy=strategy
+            k=2, n=1, t_max=2, majority_samples=2, rollout_cap="fixed", strategy=strategy,
+            concurrency=concurrency,
         )
         gold = {q.text: q.gold_answers[0] for q in questions}
         policy = SlowPolicy(make_bench_policy(gold, rollout_searches=1))
@@ -578,3 +580,111 @@ class TestBuilderHoldsNoBuildState:
         finally:
             sys.setswitchinterval(interval)
         assert built == expected
+
+
+class InFlightProbe:
+    """Policy and retriever in one: each call sleeps ``delay_s`` first and is
+    logged as ("start"/"end", role), with the most calls in flight per role.
+
+    ``hold`` makes a call wait for others without relying on timing: it maps
+    (role, i), the i-th call of that role to start, to (role2, count), and that
+    call waits (for at most ``HOLD_S``) until ``count`` calls of role2 have
+    started. A serial scheduler cannot meet the condition, so it runs late. The
+    first rollout completion raises ``RuntimeError`` when ``fail_rollout``.
+    """
+
+    HOLD_S = 0.5
+
+    def __init__(self, policy, retriever, delay_s=0.001, hold=None, fail_rollout=False):
+        self.policy = policy
+        self.retriever = retriever
+        self.delay_s = delay_s
+        self.hold = hold or {}
+        self.fail_rollout = fail_rollout
+        self.events = []
+        self.started = {}  # role -> calls started
+        self.inflight = {}  # role -> calls in flight
+        self.peak = {}  # role -> most calls in flight at once; "all" counts every role
+        self._changed = threading.Condition()
+
+    def _call(self, role, call, request):
+        with self._changed:
+            nth = self.started.get(role, 0)
+            self.started[role] = nth + 1
+            for key in (role, "all"):
+                self.inflight[key] = self.inflight.get(key, 0) + 1
+                self.peak[key] = max(self.peak.get(key, 0), self.inflight[key])
+            self.events.append(("start", role))
+            fail = self.fail_rollout and role == PolicyRole.ROLLOUT
+            if fail:
+                self.fail_rollout = False
+            self._changed.notify_all()
+            if (role, nth) in self.hold:
+                awaited, count = self.hold[role, nth]
+                self._changed.wait_for(lambda: self.started.get(awaited, 0) >= count, self.HOLD_S)
+        try:
+            time.sleep(self.delay_s)
+            if fail:
+                raise RuntimeError("rollout backend down")
+            return call(request)
+        finally:
+            with self._changed:
+                for key in (role, "all"):
+                    self.inflight[key] -= 1
+                self.events.append(("end", role))
+
+    def complete(self, request):
+        return self._call(request.role, self.policy.complete, request)
+
+    def retrieve(self, request):
+        return self._call("retrieval", self.retriever.retrieve, request)
+
+
+class TestBuildScheduler:
+    QUESTION = Question(id="sched-q", text="what follows alpha?", gold_answers=("beta",))
+
+    def probe_build(self, concurrency: int, **probe_options) -> InFlightProbe:
+        cfg = ExpansionConfig(
+            k=3, n=2, t_max=2, majority_samples=3, rollout_cap="fixed", concurrency=concurrency
+        )
+        policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
+        probe = InFlightProbe(policy, make_bench_retriever(), **probe_options)
+        TreeBuilder(probe, probe, cfg).build_tree(self.QUESTION)
+        return probe
+
+    def test_votes_and_samples_fan_out(self):
+        # the first vote and the first sample each wait for a second one to start
+        first_waits = {
+            (role, 0): (role, 2) for role in (PolicyRole.TERMINATION, PolicyRole.SUB_QUESTION)
+        }
+        probe = self.probe_build(concurrency=2, hold=first_waits)
+        assert probe.peak[PolicyRole.TERMINATION] == 2
+        assert probe.peak[PolicyRole.SUB_QUESTION] == 2
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_one_build_stays_within_its_bound(self, concurrency):
+        probe = self.probe_build(concurrency)
+        assert 1 < probe.peak["all"] <= concurrency
+
+    def test_rollouts_start_while_samples_are_in_flight(self):
+        # the first layer's last (k-th) sub-question sample waits for a rollout to start
+        last_sample_waits = {(PolicyRole.SUB_QUESTION, 2): (PolicyRole.ROLLOUT, 1)}
+        events = self.probe_build(concurrency=2, hold=last_sample_waits).events
+        first_rollout = events.index(("start", PolicyRole.ROLLOUT))
+        sample_ends = [i for i, e in enumerate(events) if e == ("end", PolicyRole.SUB_QUESTION)]
+        assert first_rollout < sample_ends[2]
+
+    def test_failed_build_stops_spending(self):
+        cfg = ExpansionConfig(k=3, n=4, t_max=2, majority_samples=3, concurrency=2)
+        policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
+        probe = InFlightProbe(policy, make_bench_retriever(), delay_s=0.005, fail_rollout=True)
+        threads = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="rollout backend down"):
+            TreeBuilder(probe, probe, cfg).build_tree(self.QUESTION)
+        calls = len(probe.events)
+        time.sleep(0.05)
+        assert len(probe.events) == calls
+        assert probe.inflight["all"] == 0
+        assert set(threading.enumerate()) <= threads
+        # the queued rollouts were dropped: fewer completions than the layer's k * n rollouts
+        assert probe.events.count(("start", PolicyRole.ROLLOUT)) < cfg.k * cfg.n
