@@ -59,7 +59,6 @@ class AgentTranscript:
     terminated: bool = False
     final_answer: Optional[str] = None
     failure: Optional[str] = None
-    raw_text: str = ""
 
     def to_dict(self) -> dict:
         events = []
@@ -94,11 +93,13 @@ def run_agent(
     top_k: int = 3,
     temperature: float = 0.7,
     seed: Optional[int] = None,
+    raise_backend_errors: bool = False,
 ) -> AgentTranscript:
     """Drive one episode until ``<answer>``, a cap, or a failure.
 
     ``initial_state`` / ``pending_sub_question`` seed the transcript with prior
     iteration history, which is how rollouts resume from a partial solution.
+    A backend error fails the episode; ``raise_backend_errors`` propagates it.
     """
     templates = templates or load_default_templates()
     state = initial_state or State(question)
@@ -121,6 +122,8 @@ def run_agent(
         try:
             response = policy.complete(request)
         except RagTreeError as exc:
+            if raise_backend_errors:
+                raise
             transcript.failure = f"policy backend failed: {exc}"
             break
         transcript.steps_taken += 1
@@ -133,11 +136,9 @@ def run_agent(
 
         if action is None:
             transcript.failure = "completion carried no <search> or <answer> action"
-            transcript.raw_text += text
             break
 
         kind, content, end = action
-        transcript.raw_text += text[:end]
         if kind == "answer":
             transcript.events.append(AgentEvent("answer", content))
             transcript.final_answer = content
@@ -151,20 +152,17 @@ def run_agent(
         try:
             docs = retriever.retrieve(RetrievalRequest(query=content, top_k=top_k))
         except RagTreeError as exc:
+            if raise_backend_errors:
+                raise
             transcript.failure = f"retriever failed: {exc}"
             break
         transcript.searches_used += 1
         transcript.events.append(AgentEvent("search", content))
         transcript.events.append(AgentEvent("information", "", tuple(docs)))
         info_text = render_documents(docs, history_template)
-        transcript.raw_text += "\n<information>\n" + info_text + "</information>\n"
-        continuation = transcript.raw_text
-    else:
-        if not transcript.terminated and transcript.failure is None:
-            transcript.failure = "step budget exhausted without an answer"
-
-    if not transcript.terminated and transcript.failure is None:
-        transcript.failure = "episode ended without an answer"
+        continuation += text[:end] + "\n<information>\n" + info_text + "</information>\n"
+    else:  # every break above ends the episode with an answer or a failure
+        transcript.failure = "step budget exhausted without an answer"
     return transcript
 
 

@@ -161,6 +161,7 @@ def expand_batch(
             save_snapshot(build_result_to_dict(failed), str(path))
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
         except RagTreeError as exc:
+            path.unlink(missing_ok=True)  # an older build must not pass for this run's
             return ManifestItem(question.id, "failed", str(path), error=str(exc))
         save_snapshot(build_result_to_dict(result), str(path))
         return ManifestItem.built("ok", path, result)

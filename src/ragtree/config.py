@@ -7,13 +7,13 @@ The config file is JSON and round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Literal, Optional, get_origin
 
 from .engine import ExpansionConfig
 from .errors import ConfigurationError, DatasetError
-from .history import DEFAULT_TEMPLATE, HistoryTemplate
+from .history import HistoryTemplate
 from .policy import HttpPolicyBackend, PolicyBackend, RoutedPolicyBackend
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrieverBackend, load_corpus_jsonl
 from .templates import PromptTemplateSet, load_templates
@@ -64,7 +64,6 @@ class RunConfig:
     paths: PathSettings = field(default_factory=PathSettings)
     concurrency: int = 1
     resume: bool = True
-    doc_char_budget: int = 1500
 
     def __post_init__(self):
         if self.concurrency < 1:
@@ -102,9 +101,7 @@ class RunConfig:
                 raise ConfigurationError(f"{label} does not exist: {value}")
 
     def history_template(self) -> HistoryTemplate:
-        if self.doc_char_budget == DEFAULT_TEMPLATE.doc_char_budget:
-            return DEFAULT_TEMPLATE
-        return replace(DEFAULT_TEMPLATE, doc_char_budget=self.doc_char_budget)
+        return self.expansion.history_template()
 
 
 def _from_record(cls, record: dict, where: str):

@@ -76,16 +76,21 @@ class ExpansionConfig:
     top_k: int = 3
     malformed_retries: int = 2
     score_terminate_branch: bool = False
+    doc_char_budget: int = 1500  # characters of each document that prompts and exports show
     concurrency: int = field(default=1, metadata=UNWRITTEN)  # speed only: same tree at any value
 
     def __post_init__(self):
-        if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k) < 1:
-            raise ValueError("k, n, t_max, majority_samples and top_k must be positive")
+        if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k, self.doc_char_budget) < 1:
+            raise ValueError("k, n, t_max, majority_samples, top_k and doc_char_budget must be positive")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
         check_choices(self)
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+
+    def history_template(self) -> HistoryTemplate:
+        """The history format that builds, rollouts and exports render with."""
+        return replace(DEFAULT_TEMPLATE, doc_char_budget=self.doc_char_budget)
 
 
 def theoretical_counts(cfg: ExpansionConfig, l: int, strategy: Optional[Strategy] = None) -> int:
@@ -116,7 +121,6 @@ def derive_seed(*parts: object) -> int:
 
 @dataclass(frozen=True)
 class RolloutResult:
-    transcript: str
     final_answer: Optional[str]
     score: float
     steps_taken: int
@@ -293,6 +297,7 @@ class TreeBuilder:
     ``_Build`` down, so one builder can serve concurrent builds. Direct calls
     to ``expand_termination``, ``expand_retrieval`` or ``run_rollout`` without
     one get their own unmemoized ``_Build`` with no pool, so they run serially.
+    A history template given must cut documents at the config's ``doc_char_budget``.
     """
 
     def __init__(
@@ -301,13 +306,15 @@ class TreeBuilder:
         retriever: RetrieverBackend,
         config: ExpansionConfig,
         templates: Optional[PromptTemplateSet] = None,
-        history_template: HistoryTemplate = DEFAULT_TEMPLATE,
+        history_template: Optional[HistoryTemplate] = None,
     ):
         self.policy = policy
         self.retriever = retriever
         self.config = config
         self.templates = templates or load_default_templates()
-        self.history_template = history_template
+        self.history_template = history_template or config.history_template()
+        if self.history_template.doc_char_budget != config.doc_char_budget:
+            raise ValueError("the history template's doc_char_budget differs from the config's")
 
     # ------------------------------------------------------------------ plumbing
 
@@ -361,7 +368,8 @@ class TreeBuilder:
         seed_parts: Tuple,
         build: Optional[_Build] = None,
     ) -> RolloutResult:
-        """Simulate one completion from the given state and score its final answer."""
+        """Simulate one completion from the given state and score its final answer.
+        Malformed or capped output scores 0; a backend error propagates, as from a vote."""
         build = build or _Build(state.question, self.retriever)
         effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
         horizon = self._rollout_horizon(effective_depth)
@@ -378,11 +386,11 @@ class TreeBuilder:
             top_k=self.config.top_k,
             temperature=self.config.sampling_temperature,
             seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
+            raise_backend_errors=True,
         )
         build.bump(layer, "rollout_calls", transcript.steps_taken)
         build.bump(layer, "retrieval_calls", transcript.searches_used)
         return RolloutResult(
-            transcript=transcript.raw_text,
             final_answer=transcript.final_answer,
             score=self._score(build, transcript.final_answer),
             steps_taken=transcript.steps_taken,
@@ -683,8 +691,8 @@ class TreeBuilder:
 
         The build gets its own ledger, a fresh single-flight retrieval memo and,
         when ``concurrency`` > 1, one pool of that many threads for all its calls.
-        Raises :class:`NodeExpansionFailed` when a layer cannot produce any
-        usable candidate; batch drivers catch this and record a failure.
+        Raises :class:`NodeExpansionFailed` when a layer cannot produce any usable
+        candidate, and any backend error (a rollout's too); batch drivers record either.
         """
         build = _Build(question, MemoRetriever(self.retriever))
         result = BuildResult(question, self.config, ledger=build.ledger)

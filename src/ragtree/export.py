@@ -1,7 +1,8 @@
 """Training-data extraction from expansion results.
 
 The exporters read a ``BuildResult``: live from ``build_tree``, or decoded
-from its snapshot, with the same output either way.
+from its snapshot, with the same output either way. They render documents at
+the ``doc_char_budget`` its config records, the budget its prompts used.
 
 SFT examples slice the retained chain at its retrieval steps: each input is
 the serialized prefix through a retrieval's documents, each output continues
@@ -20,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .engine import BuildResult, Candidate, ChainRecord, TreeNode, best_candidate
 from .errors import ExportError
-from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_chain, serialize_state
+from .history import HistoryTemplate, render_chain, serialize_state
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
@@ -111,9 +112,7 @@ def _select_chain(
     return sorted(contenders, key=key)[0]
 
 
-def segment_chain(
-    chain: ChainRecord, question_id: str, template: HistoryTemplate = DEFAULT_TEMPLATE
-) -> List[SftExample]:
+def segment_chain(chain: ChainRecord, question_id: str, template: HistoryTemplate) -> List[SftExample]:
     """Slice a terminal chain into SFT input/output segments at retrieval steps."""
     text, marks, final_start = render_chain(chain.final_state, template)
     first_step_start = marks[0].start if marks else final_start
@@ -143,16 +142,13 @@ def segment_chain(
 
 
 def export_sft(
-    result: BuildResult,
-    strategy: str = "retained",
-    min_final_score: float = 0.0,
-    template: HistoryTemplate = DEFAULT_TEMPLATE,
+    result: BuildResult, strategy: str = "retained", min_final_score: float = 0.0
 ) -> List[SftExample]:
     """SFT examples for one result; empty when no chain clears the score filter."""
     chain = _select_chain(result, strategy, min_final_score)
     if chain is None:
         return []
-    return segment_chain(chain, result.question.id, template)
+    return segment_chain(chain, result.question.id, result.config.history_template())
 
 
 # ----------------------------------------------------------------------- DPO
@@ -228,11 +224,7 @@ def _node_pairs(
     return pairs
 
 
-def export_dpo(
-    result: BuildResult,
-    margin: float = 0.1,
-    template: HistoryTemplate = DEFAULT_TEMPLATE,
-) -> List[DpoPair]:
+def export_dpo(result: BuildResult, margin: float = 0.1) -> List[DpoPair]:
     """All preference pairs of a result, deterministically ordered and deduplicated.
 
     Deviation chains of no-pruning results contribute only their fork-onward
@@ -243,6 +235,7 @@ def export_dpo(
         raise ExportError("margin must be >= 0")
     if result.failure is not None:
         return []
+    template = result.config.history_template()
     pairs: List[DpoPair] = []
     seen = set()
     for chain in result.chains:

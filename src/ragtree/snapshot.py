@@ -5,13 +5,15 @@ back to an equal one, so a batch can be re-exported without re-expansion.
 One generic codec does the work: a dataclass is written as an object of its
 fields in declaration order, minus the fields marked ``UNWRITTEN``.
 
-Node states are implicit. Each chain writes its steps once, in its final
-state; load rebuilds every node state from those and the question. A
-full_node build keeps no tree, so its snapshot is the question, the config
-and the ledger. The config's ``concurrency`` is not written, since it does
-not shape the tree, so snapshots built at any concurrency are byte-identical.
-Ledger wall time is never recorded, so identical-seed runs produce
-byte-identical files.
+A snapshot holds what the exporters and resume read. A rollout keeps its
+answer, score and steps, not its transcript; the config records the
+``doc_char_budget`` exports render at. Node states are implicit: each chain
+writes its steps once, in its final state, and load rebuilds every node state
+from those and the question. A full_node build keeps no tree, so its snapshot
+is the question, the config and the ledger. The config's ``concurrency`` is
+not written, since it does not shape the tree, so snapshots built at any
+concurrency are byte-identical. Ledger wall time is never recorded, so
+identical-seed runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .engine import BuildResult
 from .errors import ExportError
 from .types import State, has_type, type_hints
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from ragtree.agent import evaluate_dataset, run_agent
+from ragtree.errors import BackendUnavailable
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
 from ragtree.scripted import make_bench_policy, make_bench_retriever
@@ -157,6 +158,15 @@ class TestEvaluateDataset:
         assert report.f1 == pytest.approx((1.0 + 2 * (1.0 * 0.5) / 1.5) / 2, abs=1e-4)
         assert report.f1 == pytest.approx(0.8333, abs=1e-4)
         assert report.em == 0.5
+
+    def test_backend_error_is_an_episode_failure(self, retriever):
+        def handler(request: PolicyRequest) -> str:
+            raise BackendUnavailable("policy endpoint down")
+
+        report = evaluate_dataset(self._questions(), rollout_policy(handler), retriever)
+        assert report.em == 0.0 and report.failures == 2
+        failures = [item["failure"] for item in report.per_item]
+        assert failures == ["policy backend failed: policy endpoint down"] * 2
 
     def test_truncated_item_scores_zero(self, retriever):
         def handler(request: PolicyRequest) -> str:

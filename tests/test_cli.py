@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 from dataclasses import replace
@@ -14,7 +15,7 @@ from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
 from ragtree.engine import BuildResult, ExpansionConfig, TreeBuilder, theoretical_counts
-from ragtree.errors import DatasetError
+from ragtree.errors import BackendUnavailable, DatasetError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import build_result_to_dict, save_snapshot
@@ -208,10 +209,11 @@ class TestExpandCommand:
             lambda record: {**record, "question": "q0"},
             lambda record: {**record, "ledger": None},
             lambda record: {**record, "ledger": {"policy_calls": 1}},
+            lambda record: {**record, "schema_version": 3},
             *MALFORMED.values(),
         ],
         ids=["list", "string", "question-not-object", "ledger-null", "ledger-short",
-             *MALFORMED],
+             "schema-3", *MALFORMED],
     )
     def test_resume_reexpands_an_unreadable_snapshot(self, tmp_path, corrupt):
         out = tmp_path / "snapshots"
@@ -225,6 +227,61 @@ class TestExpandCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [item["status"] for item in manifest["items"]] == ["ok"]
         assert snapshot.read_bytes() == built
+
+    def test_resume_reexpands_a_snapshot_built_at_another_doc_char_budget(self, tmp_path):
+        dataset = write_dataset(tmp_path, n=1)
+        out = tmp_path / "snapshots"
+        for budget, status in ((10, "ok"), (1500, "ok"), (1500, "skipped")):
+            config = write_config(tmp_path, doc_char_budget=budget)
+            argv = ["expand", "--dataset", dataset, "--config", config, "--out", str(out)]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert [item["status"] for item in manifest["items"]] == [status]
+        assert json.loads((out / "q0.json").read_text())["config"]["doc_char_budget"] == 1500
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    @pytest.mark.parametrize("backend", ["policy", "retriever"])
+    def test_backend_error_in_a_rollout_fails_the_question(self, tmp_path, backend, concurrency):
+        """A rollout cut short by its backend has no reward: the question fails, leaves
+        no snapshot (an older build's is removed, so no export reads it), and the next
+        run expands it again."""
+        question = Question(id="q0", text="what is probe number 0?", gold_answers=("fact 0",))
+        healthy = make_bench_policy({question.text: "fact 0"}, rollout_searches=1)
+        retriever = make_bench_retriever()
+        rollout_completions = itertools.count(1)
+
+        class FlakyPolicy:
+            """Fails every third rollout completion."""
+
+            def complete(self, request):
+                if request.role is PolicyRole.ROLLOUT and next(rollout_completions) % 3 == 0:
+                    raise BackendUnavailable("policy endpoint down")
+                return healthy.complete(request)
+
+        class FlakyRetriever:
+            """Fails every rollout search: the bench rollouts search ``alpha probe ...``."""
+
+            def retrieve(self, request):
+                if request.query.startswith("alpha probe"):
+                    raise BackendUnavailable("retriever endpoint down")
+                return retriever.retrieve(request)
+
+        policy = FlakyPolicy() if backend == "policy" else healthy
+        flaky_retriever = FlakyRetriever() if backend == "retriever" else retriever
+        cfg = ExpansionConfig(k=2, n=2, t_max=2, majority_samples=2, rollout_cap="fixed",
+                              concurrency=concurrency)
+        out = str(tmp_path / "snapshots")
+        older = replace(cfg, k=3)
+        built = expand_batch([question], lambda: TreeBuilder(healthy, retriever, older), out)
+        assert [i.status for i in built.items] == ["ok"]
+        first = expand_batch([question], lambda: TreeBuilder(policy, flaky_retriever, cfg), out)
+        assert [(i.status, i.error) for i in first.items] == [("failed", f"{backend} endpoint down")]
+        assert not snapshot_path(out, "q0").exists()
+
+        again = expand_batch([question], lambda: TreeBuilder(healthy, retriever, cfg), out)
+        assert [i.status for i in again.items] == ["ok"]
+        ledger = again.items[0].ledger
+        assert ledger["policy_calls"] + ledger["rollout_calls"] == theoretical_counts(cfg, 2)
 
     def test_manifest_carries_the_full_node_count(self, tmp_path):
         dataset = write_dataset(tmp_path, n=1)
@@ -392,16 +449,37 @@ class TestExportCommands:
         assert err.startswith("error: ") and "malformed snapshot" in err, err
 
     @pytest.mark.parametrize(
-        "corrupt", [MALFORMED["probe-short"], lambda record: {**record, "schema_version": 2}],
-        ids=["probe-short", "schema-2"],
+        "corrupt, needle",
+        [
+            (MALFORMED["probe-short"], "malformed snapshot"),
+            (lambda record: {**record, "schema_version": 2}, "re-run `ragtree expand`"),
+            (lambda record: {**record, "schema_version": 3}, "re-run `ragtree expand`"),
+        ],
+        ids=["probe-short", "schema-2", "schema-3"],
     )
-    def test_bad_snapshot_error_names_its_file(self, tmp_path, capsys, corrupt):
+    def test_bad_snapshot_error_names_its_file(self, tmp_path, capsys, corrupt, needle):
         out = self._expanded(tmp_path)
         path = out / "q1.json"
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))), encoding="utf-8")
         assert main(["export-dpo", "--snapshots", str(out), "--out", str(tmp_path / "x.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err, err
+        assert err.startswith("error: ") and str(path) in err and needle in err, err
+
+    @pytest.mark.parametrize("command", ["export-sft", "export-dpo"])
+    def test_export_cuts_documents_to_the_recorded_budget(self, tmp_path, command):
+        out = tmp_path / "snapshots"
+        config = write_config(tmp_path, doc_char_budget=10)
+        assert main(["expand", "--dataset", write_dataset(tmp_path), "--config", config,
+                     "--out", str(out)]) == 0
+        target = tmp_path / "out.jsonl"
+        assert main([command, "--snapshots", str(out), "--out", str(target)]) == 0
+        texts = [
+            text
+            for line in target.read_text().splitlines()
+            for value in json.loads(line).values() if isinstance(value, str)
+            for text in re.findall(r'^Docs \d+: ".*"\n(.*)$', value, re.MULTILINE)
+        ]
+        assert texts and {len(text) for text in texts} == {10}, texts
 
     def test_export_on_missing_directory_errors(self, tmp_path):
         code = main(["export-sft", "--snapshots", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")])

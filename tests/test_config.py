@@ -59,8 +59,12 @@ class TestRunConfig:
             RunConfig.from_file(str(path))
 
     def test_doc_char_budget_flows_into_template(self):
-        config = RunConfig(doc_char_budget=77)
-        assert config.history_template().doc_char_budget == 77
+        expansion = ExpansionConfig(doc_char_budget=77)
+        assert RunConfig(expansion=expansion).history_template().doc_char_budget == 77
+        assert expansion.history_template().doc_char_budget == 77
+        assert RunConfig.from_dict({"expansion": {"doc_char_budget": 77}}).expansion == expansion
+        with pytest.raises(ConfigurationError, match=r"unknown config keys: \['doc_char_budget'\]"):
+            RunConfig.from_dict({"doc_char_budget": 77})
 
 
 class TestLoadDataset:

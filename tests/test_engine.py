@@ -70,6 +70,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExpansionConfig(score_metric="bleu")
 
+    def test_builder_renders_at_the_config_budget(self, retriever):
+        cfg = ExpansionConfig(doc_char_budget=10)
+        policy = make_bench_policy({})
+        assert TreeBuilder(policy, retriever, cfg).history_template == cfg.history_template()
+        with pytest.raises(ValueError, match="doc_char_budget"):
+            TreeBuilder(policy, retriever, cfg, None, ExpansionConfig().history_template())
+
 
 class TestMajorityVote:
     def test_three_of_five_terminates(self, scenario, retriever):

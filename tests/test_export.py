@@ -25,7 +25,7 @@ DOC = Document(title="source", text="a short passage of evidence", score=1.0)
 
 def cand(kind: str, content: str, reward: float, retained: bool = False, documents=()) -> Candidate:
     rollouts = tuple(
-        RolloutResult(transcript="…", final_answer=content, score=reward, steps_taken=1)
+        RolloutResult(final_answer=content, score=reward, steps_taken=1)
         for _ in range(2)
     )
     return Candidate(

@@ -131,11 +131,25 @@ class TestRoundTrip:
     def test_unsupported_schema_version_rejected(self):
         result = build_fixture()
         record = build_result_to_dict(result)
-        for version in (999, 1, 2):
+        for version in (999, 1, 2, 3):
             record["schema_version"] = version
             with pytest.raises(ExportError, match=f"version: {version}") as excinfo:
                 snapshot_from_dict(record)
-            assert ("re-run `ragtree expand`" in str(excinfo.value)) == (version in (1, 2))
+            assert ("re-run `ragtree expand`" in str(excinfo.value)) == (version in (1, 2, 3))
+
+    def test_rollouts_keep_no_text(self):
+        """A rollout is recorded by its answer, score and steps; its transcript is not
+        kept, since no reader of a snapshot needs it."""
+        question = Question(id="slim-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=3, n=4, t_max=4, majority_samples=3, rollout_cap="fixed")
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=3)
+        result = TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
+        record = build_result_to_dict(result)
+        rollout = record["chains"][0]["nodes"][0]["sub_question_candidates"][0]["rollouts"][0]
+        assert rollout == {"final_answer": "beta", "score": 1.0, "steps_taken": 4}
+        text = dumps_snapshot(record)
+        assert "<search>" not in text and "<information>" not in text
+        assert len(text.encode("utf-8")) < 50_000
 
     def test_config_round_trips_but_concurrency(self):
         question = Question(id="c-q", text="what follows alpha?", gold_answers=("beta",))
@@ -158,9 +172,7 @@ class TestCodec:
         Retrieved, text, documents.map(tuple)
     )
     step = st.builds(Step, text, resolution)
-    rollout = st.builds(
-        RolloutResult, st.text(), st.none() | st.text(), number, st.integers(0, 9)
-    )
+    rollout = st.builds(RolloutResult, st.none() | st.text(), number, st.integers(0, 9))
     candidate = st.builds(
         Candidate, st.sampled_from(["sub_question", "self_answer", "sub_query"]), st.text(),
         st.lists(rollout, max_size=2).map(tuple), number, st.booleans(), documents.map(tuple),
@@ -174,7 +186,7 @@ class TestCodec:
 
 class TestFailureRecords:
     # SHA-256 of the record ``failed_record`` writes: a failed build's file format is pinned.
-    DIGEST = "943eff93fa20acfce9517f00e563f678b3f6e713f6d502e0888a3001b2639a4b"
+    DIGEST = "e3f1eb0335ad7ddc19109c1fa4e1915e9446c432fe1cc4141214cee749506732"
 
     @staticmethod
     def failed_record(tmp_path) -> bytes:
@@ -252,9 +264,9 @@ class TestGoldenSnapshots:
     # strategy -> (t_max, SHA-256 of the encoded snapshot), built with k=2, n=2,
     # a fixed rollout horizon and rollouts that search t_max - 1 times.
     GOLDEN = {
-        "pruning": (3, "483d9e54f70b02e5d68cc27311586ff4d29f9922cb564df23a4da00a83588559"),
-        "no_pruning": (3, "9bc7cac83591b9f9ea39840ffefa2c9025fe3ce99273fe1933b9e992a83a4584"),
-        "full_node": (2, "22035a3974e16c0f1e0d4ae8130e71900354cb9b0b7cf94a256ae08be198b074"),
+        "pruning": (3, "a8abd1a47d9175e670f2f0d63b6ada0b26f6c1b5183bcc387fde7e2b48fa8940"),
+        "no_pruning": (3, "bf6f80b9f12ee7026f8a7d28369dd09014da5aad28a3af0a1cd4649c72deda89"),
+        "full_node": (2, "2486fdcd94bced04c8a0971877700f347ca6427d555ce2e84fe525d79cea35aa"),
     }
 
     @pytest.mark.parametrize("concurrency", [1, 4])
@@ -277,8 +289,8 @@ class TestNoPruningCharacterization:
     """no_pruning paths the golden digests miss, pinned by snapshot bytes."""
 
     DIGESTS = {
-        "cap_without_answer": "afa9169feed54b53e1ad732aad2945dde6fee0b1727a46c639c22a607a20cdbe",
-        "vote_at_layer_two": "5081e65582a7668004dfaab013a3dc659cad7701c08ab890beda2e4240321a8f",
+        "cap_without_answer": "dc709c887b9a414c9e93c134435efc101a7c07296056386eed94cb7cc62f1c41",
+        "vote_at_layer_two": "3ec0ac6cd233f2302555c41c96ec4199db8861bf7b5fe39a5fe66b284debd9e7",
     }
 
     @staticmethod
