@@ -29,9 +29,9 @@ from .types import type_hints
 
 # The config override flags by group: each flag's help and the config fields it sets,
 # as "section.field" or a field of RunConfig itself. --concurrency sets both the batch
-# workers and each build's pool of threads for its votes, samples, retrievals and
-# rollouts, and its help is the command's own. The first field's type hint gives the
-# flag its type and, for a Literal, its choices.
+# workers and each build's sender threads, which hold its requests in flight (a pool
+# of twice as many prepares them), and its help is the command's own. The first
+# field's type hint gives the flag its type and, for a Literal, its choices.
 _FLAGS: Dict[str, Dict[str, tuple]] = {
     "common": {
         "--dataset": ("question JSONL file", "paths.dataset"),
@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume_group.add_argument("--no-resume", dest="resume", action="store_false")
     _add_flags(
         expand, ("common", "tree", "backend"),
-        "batch workers, and threads in each question's build for its votes, samples, "
-        "retrievals and rollouts: up to concurrency squared requests in flight",
+        "batch workers, and requests in flight per question's build (its votes, "
+        "samples, retrievals and rollouts): up to concurrency squared in flight",
     )
     expand.set_defaults(func=_cmd_expand)
 
@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(
         bench, ("common", "tree"),
-        "threads in each question's build for its votes, samples, retrievals and rollouts",
+        "requests in flight per question's build (its votes, samples, retrievals and "
+        "rollouts)",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -14,13 +14,16 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
-With ``concurrency`` above 1, each build has one pool of that many threads.
+With ``concurrency`` c above 1, each build sends every backend call through
+one boundary of c sender threads, so c calls are in flight whenever that many
+are ready, and it prepares calls on a pool of 2c threads that run only Python.
 A layer sends all its termination votes at once, then all ``k`` samples of a
 candidate set; each new candidate's retrieval and rollouts start as soon as
 that candidate is read, while the later samples are still in flight.
 Finalization is one call, made when nothing else is in flight. Seeds are keyed
 by (kind, layer, index, attempt) and results are read in index order, so the
-tree, the counts and the snapshot are the same at any concurrency.
+tree, the counts and the snapshot are the same at any concurrency. The first
+backend error stops the build at the boundary: no queued or later call is sent.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -35,21 +38,28 @@ published closed forms (see ``theoretical_counts``).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
 from .agent import run_agent
-from .errors import NodeExpansionFailed
+from .errors import BuildStopped, NodeExpansionFailed
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
-from .policy import PolicyBackend, PolicyRequest
+from .policy import PolicyBackend, PolicyRequest, PolicyResponse
 from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
+
+try:  # the stdlib's own sha256: the same digests as hashlib's, without loading OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -115,7 +125,7 @@ def theoretical_counts(cfg: ExpansionConfig, l: int, strategy: Optional[Strategy
 
 def derive_seed(*parts: object) -> int:
     """Stable 63-bit seed from structured parts; independent of execution order."""
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
@@ -266,12 +276,80 @@ def _ready(value: T) -> Callable[[], T]:
     return lambda: value
 
 
+class _Boundary:
+    """The one way from a build to its backends at ``concurrency`` above 1.
+
+    ``senders`` threads read one FIFO queue. A caller queues its request and
+    blocks until a sender hands back the response or the error; the sender
+    then takes the next queued request at once. So ``senders`` calls are in
+    flight whenever that many are queued, and the thread that frees a slot
+    runs no engine Python first. The first backend error, or ``stop``, stops
+    the build: queued and new requests raise :class:`BuildStopped`, and
+    ``error`` keeps that first error.
+    """
+
+    def __init__(self, policy: PolicyBackend, retriever: RetrieverBackend, senders: int):
+        from queue import SimpleQueue  # serial builds never load it
+
+        self.policy, self.retriever = policy, retriever
+        self.error: Optional[BaseException] = None
+        self.stopped = False
+        self._lock = threading.Lock()
+        self._queue = SimpleQueue()
+        self._mailbox = SimpleQueue  # one per call, for its reply
+        self._senders = [
+            threading.Thread(target=self._send, name=f"ragtree-send-{i}", daemon=True)
+            for i in range(senders)
+        ]
+        for sender in self._senders:
+            sender.start()
+
+    def complete(self, request: PolicyRequest) -> PolicyResponse:
+        return self._call(self.policy.complete, request)
+
+    def retrieve(self, request: RetrievalRequest) -> List[Document]:
+        return self._call(self.retriever.retrieve, request)
+
+    def _call(self, call: Callable[..., T], request) -> T:
+        if self.stopped:
+            raise BuildStopped("the build has stopped")
+        reply = self._mailbox()
+        self._queue.put((call, request, reply))
+        response, error = reply.get()
+        if error is not None:
+            raise error
+        return response
+
+    def _send(self) -> None:
+        for call, request, reply in iter(self._queue.get, None):
+            try:
+                if self.stopped:
+                    raise BuildStopped("the build has stopped")
+                reply.put((call(request), None))
+            except BaseException as error:  # the caller raises it
+                self.stop(error)
+                reply.put((None, error))
+
+    def stop(self, error: Optional[BaseException] = None) -> None:
+        with self._lock:
+            if not self.stopped:
+                self.stopped, self.error = True, error
+
+    def close(self) -> None:
+        """End the senders once they have answered every queued request."""
+        for _ in self._senders:
+            self._queue.put(None)
+        for sender in self._senders:
+            sender.join()
+
+
 @dataclass
 class _Build:
-    """What one build owns: its question, ledger, retriever, ledger lock and thread pool."""
+    """What one build owns: its question, ledger, backends, ledger lock and thread pool."""
 
     question: Question
-    retriever: RetrieverBackend  # a fresh MemoRetriever inside build_tree
+    policy: PolicyBackend  # the boundary inside build_tree at concurrency > 1
+    retriever: RetrieverBackend  # a fresh MemoRetriever inside build_tree, before the boundary
     ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
     lock: threading.Lock = field(default_factory=threading.Lock)
     pool: Optional["Executor"] = None  # build_tree's pool when concurrency > 1
@@ -341,7 +419,7 @@ class TreeBuilder:
                 max_tokens=self.config.max_tokens,
                 seed=derive_seed(self.config.seed, build.question.id, *seed_parts, attempt),
             )
-            response = self.policy.complete(request)
+            response = build.policy.complete(request)
             build.bump(layer, counter)
             parsed = parse(response.text)
             if parsed is not None:
@@ -370,12 +448,12 @@ class TreeBuilder:
     ) -> RolloutResult:
         """Simulate one completion from the given state and score its final answer.
         Malformed or capped output scores 0; a backend error propagates, as from a vote."""
-        build = build or _Build(state.question, self.retriever)
+        build = build or _Build(state.question, self.policy, self.retriever)
         effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
         horizon = self._rollout_horizon(effective_depth)
         transcript = run_agent(
             build.question,
-            self.policy,
+            build.policy,
             build.retriever,
             templates=self.templates,
             history_template=self.history_template,
@@ -489,7 +567,7 @@ class TreeBuilder:
     ) -> TreeNode:
         """The layer's node: vote on stopping, then on continue retain the best
         sub-question by rollout reward; on stop, record the terminal answer."""
-        build = build or _Build(state.question, self.retriever)
+        build = build or _Build(state.question, self.policy, self.retriever)
         build.bump(layer, "nodes_expanded")
         cfg = self.config
         prompt = self.templates.render(
@@ -549,7 +627,7 @@ class TreeBuilder:
         best rewards, preferring the cheaper self-answer branch on ties.
         """
         state, layer = node.state, node.layer
-        build = build or _Build(state.question, self.retriever)
+        build = build or _Build(state.question, self.policy, self.retriever)
         sub_question = node.retained("sub_question").content
         node.self_answer_candidates = self._candidates(
             build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer", state, sub_question
@@ -689,23 +767,31 @@ class TreeBuilder:
     def build_tree(self, question: Question) -> BuildResult:
         """Expand one question under the configured strategy.
 
-        The build gets its own ledger, a fresh single-flight retrieval memo and,
-        when ``concurrency`` > 1, one pool of that many threads for all its calls.
-        Raises :class:`NodeExpansionFailed` when a layer cannot produce any usable
-        candidate, and any backend error (a rollout's too); batch drivers record either.
+        The build gets its own ledger and a fresh single-flight retrieval memo.
+        When ``concurrency`` c > 1, its calls go through a boundary of c sender
+        threads, and a pool of 2c threads prepares them. Raises
+        :class:`NodeExpansionFailed` when a layer cannot produce any usable
+        candidate, and the first backend error (a rollout's too); batch drivers
+        record either.
         """
-        build = _Build(question, MemoRetriever(self.retriever))
+        senders = self.config.concurrency
+        boundary = _Boundary(self.policy, self.retriever, senders) if senders > 1 else None
+        build = _Build(question, boundary or self.policy, MemoRetriever(boundary or self.retriever))
         result = BuildResult(question, self.config, ledger=build.ledger)
-        if self.config.concurrency > 1:
+        if boundary is not None:
             from concurrent.futures import ThreadPoolExecutor  # serial builds never load it
 
-            build.pool = ThreadPoolExecutor(self.config.concurrency, "ragtree-build")
+            build.pool = ThreadPoolExecutor(2 * senders, "ragtree-build")
         try:
             if self.config.strategy == "full_node":
                 self._build_full_node(build)
             else:
                 result.chains = self._build_chains(build)
+        except BuildStopped:
+            raise boundary.error from None  # the failure itself, not a call it stopped
         finally:
-            if build.pool is not None:
-                build.pool.shutdown(cancel_futures=True)  # drop queued calls, wait for running ones
+            if boundary is not None:
+                boundary.stop()  # a running rollout ends at its next call
+                build.pool.shutdown(cancel_futures=True)
+                boundary.close()  # after the pool, so that no caller is left to queue
         return result

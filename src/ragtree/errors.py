@@ -15,6 +15,10 @@ class BackendUnavailable(RagTreeError):
     """A backend could not be reached after exhausting retries."""
 
 
+class BuildStopped(RagTreeError):
+    """A backend call refused because its build has already failed or ended."""
+
+
 class NodeExpansionFailed(RagTreeError):
     """Every candidate for a tree layer was malformed; the question is abandoned.
 

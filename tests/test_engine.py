@@ -12,11 +12,12 @@ from dataclasses import asdict
 import pytest
 
 from conftest import GOLD, CountingRetriever, Scenario, overlap_answer
+from ragtree.batch import expand_batch
 from ragtree.engine import (
     Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, best_candidate,
-    theoretical_counts,
+    derive_seed, theoretical_counts,
 )
-from ragtree.errors import NodeExpansionFailed
+from ragtree.errors import BackendUnavailable, NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
@@ -475,6 +476,13 @@ class TestDeterminism:
 
         assert build_with(0) != build_with(1)
 
+    @pytest.mark.parametrize("parts", [(), (0,), (7, "q1", "vote", 1, 2, 0), ("cand", "é", None, 2.5)])
+    def test_derive_seed_is_the_sha256_prefix(self, parts):
+        import hashlib
+
+        digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+        assert derive_seed(*parts) == int.from_bytes(digest[:8], "big") >> 1
+
 
 class TestConcurrency:
     def test_concurrent_rollouts_match_sequential(self, scenario, retriever):
@@ -591,13 +599,15 @@ class TestBuilderHoldsNoBuildState:
 
 class InFlightProbe:
     """Policy and retriever in one: each call sleeps ``delay_s`` first and is
-    logged as ("start"/"end", role), with the most calls in flight per role.
+    logged as ("start"/"end", role), with the most calls in flight per role and
+    the threads that made the calls.
 
     ``hold`` makes a call wait for others without relying on timing: it maps
     (role, i), the i-th call of that role to start, to (role2, count), and that
     call waits (for at most ``HOLD_S``) until ``count`` calls of role2 have
     started. A serial scheduler cannot meet the condition, so it runs late. The
-    first rollout completion raises ``RuntimeError`` when ``fail_rollout``.
+    first rollout completion raises ``BackendUnavailable`` when ``fail_rollout``;
+    ``failed_at`` is then the number of events logged up to its end.
     """
 
     HOLD_S = 0.5
@@ -612,6 +622,9 @@ class InFlightProbe:
         self.started = {}  # role -> calls started
         self.inflight = {}  # role -> calls in flight
         self.peak = {}  # role -> most calls in flight at once; "all" counts every role
+        self.threads = set()  # the threads that called
+        self.most_threads = 0  # the most threads alive at a call's start
+        self.failed_at = None
         self._changed = threading.Condition()
 
     def _call(self, role, call, request):
@@ -622,6 +635,8 @@ class InFlightProbe:
                 self.inflight[key] = self.inflight.get(key, 0) + 1
                 self.peak[key] = max(self.peak.get(key, 0), self.inflight[key])
             self.events.append(("start", role))
+            self.threads.add(threading.current_thread())
+            self.most_threads = max(self.most_threads, threading.active_count())
             fail = self.fail_rollout and role == PolicyRole.ROLLOUT
             if fail:
                 self.fail_rollout = False
@@ -632,13 +647,15 @@ class InFlightProbe:
         try:
             time.sleep(self.delay_s)
             if fail:
-                raise RuntimeError("rollout backend down")
+                raise BackendUnavailable("rollout backend down")
             return call(request)
         finally:
             with self._changed:
                 for key in (role, "all"):
                     self.inflight[key] -= 1
                 self.events.append(("end", role))
+                if fail:
+                    self.failed_at = len(self.events)
 
     def complete(self, request):
         return self._call(request.role, self.policy.complete, request)
@@ -672,6 +689,15 @@ class TestBuildScheduler:
     def test_one_build_stays_within_its_bound(self, concurrency):
         probe = self.probe_build(concurrency)
         assert 1 < probe.peak["all"] <= concurrency
+        # the calls leave from the build's senders alone, never from the threads that prepare them
+        assert 1 < len(probe.threads) <= concurrency
+
+    def test_serial_build_calls_from_the_caller_and_starts_no_thread(self):
+        threads = threading.active_count()
+        probe = self.probe_build(concurrency=1)
+        assert probe.threads == {threading.current_thread()}
+        assert probe.peak["all"] == 1
+        assert probe.most_threads == threading.active_count() == threads
 
     def test_rollouts_start_while_samples_are_in_flight(self):
         # the first layer's last (k-th) sub-question sample waits for a rollout to start
@@ -681,17 +707,30 @@ class TestBuildScheduler:
         sample_ends = [i for i, e in enumerate(events) if e == ("end", PolicyRole.SUB_QUESTION)]
         assert first_rollout < sample_ends[2]
 
-    def test_failed_build_stops_spending(self):
-        cfg = ExpansionConfig(k=3, n=4, t_max=2, majority_samples=3, concurrency=2)
+    def test_failed_build_stops_spending(self, tmp_path):
         policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
-        probe = InFlightProbe(policy, make_bench_retriever(), delay_s=0.005, fail_rollout=True)
-        threads = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="rollout backend down"):
-            TreeBuilder(probe, probe, cfg).build_tree(self.QUESTION)
-        calls = len(probe.events)
-        time.sleep(0.05)
-        assert len(probe.events) == calls
-        assert probe.inflight["all"] == 0
-        assert set(threading.enumerate()) <= threads
-        # the queued rollouts were dropped: fewer completions than the layer's k * n rollouts
-        assert probe.events.count(("start", PolicyRole.ROLLOUT)) < cfg.k * cfg.n
+
+        def probe() -> InFlightProbe:
+            return InFlightProbe(policy, make_bench_retriever(), delay_s=0.005, fail_rollout=True)
+
+        for concurrency in (2, 4):
+            cfg = ExpansionConfig(k=3, n=4, t_max=4, majority_samples=3, concurrency=concurrency)
+            failing = probe()
+            threads = set(threading.enumerate())
+            with pytest.raises(BackendUnavailable, match="rollout backend down"):
+                TreeBuilder(failing, failing, cfg).build_tree(self.QUESTION)
+            calls = len(failing.events)
+            time.sleep(0.05)
+            assert len(failing.events) == calls
+            assert failing.inflight["all"] == 0
+            assert set(threading.enumerate()) <= threads
+            # only calls already past the boundary may start once the failing call has returned
+            started_after = [e for e in failing.events[failing.failed_at:] if e[0] == "start"]
+            assert len(started_after) <= concurrency - 1
+
+            failing = probe()
+            out = tmp_path / f"c{concurrency}"
+            manifest = expand_batch([self.QUESTION], lambda: TreeBuilder(failing, failing, cfg),
+                                    str(out))
+            assert manifest.items[0].status == "failed"
+            assert "rollout backend down" in manifest.items[0].error

@@ -1,4 +1,4 @@
-"""Offline runs never load the HTTP stack, and serial ones no thread pool.
+"""Offline runs never load the HTTP stack, and serial ones no thread pool or queue.
 
 Each probe runs in a fresh interpreter, because this test session's
 ``sys.modules`` already holds whatever any other test imported.
@@ -18,7 +18,7 @@ OFFLINE_RUN = """
 import json, sys
 
 HTTP_STACK = ("requests", "urllib3")
-POOL = ("concurrent.futures", "logging")
+POOL = ("concurrent.futures", "logging", "queue")
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in HTTP_STACK)
@@ -91,6 +91,6 @@ def test_offline_run_never_imports_the_http_stack():
     assert modules["preloaded"] == [], "the interpreter loads the HTTP stack before ragtree"
     assert modules["offline"] == [], "an offline run imported the HTTP stack"
     assert modules["pool_preloaded"] == [], "the interpreter loads the thread pool before ragtree"
-    assert modules["pool"] == [], "a serial offline run imported concurrent.futures or logging"
+    assert modules["pool"] == [], "a serial offline run imported concurrent.futures, logging or queue"
     assert "requests" in modules["http"]
 
