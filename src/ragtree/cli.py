@@ -192,6 +192,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    for flag, value, low in (("--max-steps", args.max_steps, 1),
+                             ("--max-searches", args.max_searches, 0),
+                             ("--temperature", args.temperature, 0)):
+        if value < low:
+            raise ConfigurationError(f"{flag} must be >= {low}, not {value}")
     config = _load_config(args)
     questions = load_dataset(_require_dataset(config))
     policy = build_policy_backend(config, questions)

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Literal, Optional, Seque
 
 from .agent import run_agent
 from .errors import BuildStopped, NodeExpansionFailed
-from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_history
+from .history import HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
 from .policy import PolicyBackend, PolicyRequest, PolicyResponse
@@ -90,8 +90,13 @@ class ExpansionConfig:
     concurrency: int = field(default=1, metadata=UNWRITTEN)  # speed only: same tree at any value
 
     def __post_init__(self):
-        if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k, self.doc_char_budget) < 1:
-            raise ValueError("k, n, t_max, majority_samples, top_k and doc_char_budget must be positive")
+        if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k, self.max_tokens,
+               self.doc_char_budget) < 1:
+            raise ValueError("k, n, t_max, majority_samples, top_k, max_tokens and doc_char_budget "
+                             "must be positive")
+        for name in ("malformed_retries", "sampling_temperature", "answer_temperature"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
         check_choices(self)
@@ -99,8 +104,8 @@ class ExpansionConfig:
             raise ValueError("concurrency must be >= 1")
 
     def history_template(self) -> HistoryTemplate:
-        """The history format that builds, rollouts and exports render with."""
-        return replace(DEFAULT_TEMPLATE, doc_char_budget=self.doc_char_budget)
+        """The document budget that builds, rollouts and exports render history at."""
+        return HistoryTemplate(self.doc_char_budget)
 
 
 def theoretical_counts(cfg: ExpansionConfig, l: int, strategy: Optional[Strategy] = None) -> int:
@@ -210,7 +215,7 @@ class ChainRecord:
     final_answer: Optional[str] = None
     final_score: float = 0.0
     terminated_by: Optional[str] = None  # "vote" | "cap"; None while the chain is live
-    final_state: Optional[State] = None  # the chain's steps, plus its answer if it got one
+    final_state: Optional[State] = None  # the state it reached, plus its answer if it got one
 
     def retrieval_steps(self) -> int:
         if self.final_state is None:
@@ -548,13 +553,15 @@ class TreeBuilder:
             candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
         return tuple(candidates)
 
+    def _termination_prompt(self, state: State) -> str:
+        """The prompt of a layer's termination votes and of its chain's terminal answer."""
+        history = render_history(state, template=self.history_template)
+        return self.templates.render(PolicyRole.TERMINATION, question=state.question.text,
+                                     iter_history=history)
+
     def _finalize_answer(self, build: _Build, state: State, layer: int) -> Optional[str]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
-        prompt = self.templates.render(
-            PolicyRole.TERMINATION,
-            question=build.question.text,
-            iter_history=render_history(state, template=self.history_template),
-        )
+        prompt = self._termination_prompt(state)
         return self._sample(
             build, PolicyRole.TERMINATION, prompt, lambda raw: parse_termination(raw).answer,
             layer, "finalize_calls", ("finalize", layer), self.config.answer_temperature,
@@ -570,11 +577,7 @@ class TreeBuilder:
         build = build or _Build(state.question, self.policy, self.retriever)
         build.bump(layer, "nodes_expanded")
         cfg = self.config
-        prompt = self.templates.render(
-            PolicyRole.TERMINATION,
-            question=build.question.text,
-            iter_history=render_history(state, template=self.history_template),
-        )
+        prompt = self._termination_prompt(state)
         pending_votes = [
             build.submit(
                 self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
@@ -688,7 +691,6 @@ class TreeBuilder:
         cfg = self.config
         pruning = cfg.strategy == "pruning"
         chains = [ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[])]
-        frontier: Dict[int, State] = {}  # chain_id -> the state a live chain has reached
         for rnd in [cfg.t_max] if pruning else range(1, cfg.t_max + 1):
             live = [chain for chain in chains if chain.terminated_by is None]
             if not live:
@@ -714,21 +716,21 @@ class TreeBuilder:
                             nodes=[replace(n) for n in chain.nodes],
                         )
                         alt = fork.nodes[-1].resolve_by(alt_kind)
-                        frontier[fork.chain_id] = state.with_step(self._step_for(alt, sub_question))
+                        fork.final_state = state.with_step(self._step_for(alt, sub_question))
                         chains.append(fork)
                     taken = node.retained(node.chosen_kind)
                     state = state.with_step(self._step_for(taken, sub_question))
-                frontier[chain.chain_id] = state
+                if chain.terminated_by is None:
+                    chain.final_state = state
 
         for chain in chains:
             if chain.terminated_by is None:
-                state = frontier[chain.chain_id]
-                answer = self._finalize_answer(build, state, cfg.t_max)
+                answer = self._finalize_answer(build, chain.final_state, cfg.t_max)
                 if answer is None and pruning:
                     raise NodeExpansionFailed(
                         build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
                     )
-                self._finish_chain(build, chain, state, "cap", answer)
+                self._finish_chain(build, chain, chain.final_state, "cap", answer)
         return chains
 
     def _build_full_node(self, build: _Build) -> None:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import BuildResult, Candidate, ChainRecord, TreeNode, best_candidate
+from .engine import BuildResult, ChainRecord, TreeNode, best_candidate
 from .errors import ExportError
-from .history import HistoryTemplate, render_chain, serialize_state
+from .history import (
+    FINAL_ANSWER_BLOCK, STEP_HEADER, HistoryTemplate, render_chain, render_history, resolution_line,
+    serialize_state,
+)
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
@@ -154,12 +157,6 @@ def export_sft(
 # ----------------------------------------------------------------------- DPO
 
 
-def _resolution_text(kind: str, candidate: Candidate, template: HistoryTemplate) -> str:
-    if kind == "self_answer":
-        return template.self_answer_block.format(answer=candidate.content)
-    return template.sub_query_line.format(sub_query=candidate.content)
-
-
 def _node_pairs(
     node: TreeNode,
     question_id: str,
@@ -183,9 +180,7 @@ def _node_pairs(
     chosen_sub_question = node.retained("sub_question")
     resolution_prefix = None
     if chosen_sub_question is not None:
-        resolution_prefix = state_prefix + template.step_header.format(
-            index=node.layer, sub_question=chosen_sub_question.content
-        )
+        resolution_prefix = render_history(node.state, chosen_sub_question.content, template)
 
     # Execution pairs: the retained candidate against each same-kind sibling.
     for kind in ("sub_question", "self_answer", "sub_query"):
@@ -204,8 +199,8 @@ def _node_pairs(
     best_sq = best_candidate(node.sub_query_candidates)
     if best_sa is not None and best_sq is not None and resolution_prefix is not None:
         pair("decision", resolution_prefix, *ranked(
-            (_resolution_text("self_answer", best_sa, template), best_sa.reward),
-            (_resolution_text("sub_query", best_sq, template), best_sq.reward),
+            (resolution_line("self_answer", best_sa.content), best_sa.reward),
+            (resolution_line("sub_query", best_sq.content), best_sq.reward),
         ))
 
     # Termination decision pair: both outcomes scored; ties prefer terminating.
@@ -217,8 +212,8 @@ def _node_pairs(
     continue_side = chosen_sub_question or best_candidate(node.sub_question_candidates)
     if terminate_side is not None and continue_side is not None:
         pair("decision", state_prefix, *ranked(
-            (template.final_answer_block.format(answer=terminate_side[0]), terminate_side[1]),
-            (template.step_header.format(index=node.layer, sub_question=continue_side.content),
+            (FINAL_ANSWER_BLOCK.format(answer=terminate_side[0]), terminate_side[1]),
+            (STEP_HEADER.format(index=node.layer, sub_question=continue_side.content),
              continue_side.reward),
         ))
     return pairs

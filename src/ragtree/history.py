@@ -3,7 +3,7 @@
 The rendered history fills the ``{iter_history}`` placeholder of the prompt
 templates and is also the canonical chain text that SFT exports slice into
 input/output segments, so the format is frozen: byte-identical output for
-identical states.
+identical states. No other module writes history text.
 """
 
 from __future__ import annotations
@@ -14,21 +14,23 @@ from typing import List, Optional, Sequence, Tuple
 from .types import Document, Retrieved, SelfAnswer, State, Step
 
 
+# The history format: one per block, the same in prompts, rollouts and exports.
+QUESTION_BLOCK = "Question: {question}\n"
+STEP_HEADER = "Sub-question {index}: {sub_question}\n"
+SELF_ANSWER_BLOCK = "Answer: {answer}\n"
+SUB_QUERY_LINE = "Sub-query: {sub_query}\n"
+DOC_BLOCK = 'Docs {doc_index}: "{title}"\n{text}\n'
+FINAL_ANSWER_BLOCK = "Final answer: {answer}\n"
+
+
 @dataclass(frozen=True)
 class HistoryTemplate:
-    """Format strings for each history block.
+    """How much of each retrieved document the history shows.
 
-    ``doc_char_budget`` truncates each retrieved document's text before it is
-    rendered into history; retrieval services return long passages and prompts
-    need a bound.
+    ``doc_char_budget`` truncates each document's text before it is rendered;
+    retrieval services return long passages and prompts need a bound.
     """
 
-    question_block: str = "Question: {question}\n"
-    step_header: str = "Sub-question {index}: {sub_question}\n"
-    self_answer_block: str = "Answer: {answer}\n"
-    sub_query_line: str = "Sub-query: {sub_query}\n"
-    doc_block: str = 'Docs {doc_index}: "{title}"\n{text}\n'
-    final_answer_block: str = "Final answer: {answer}\n"
     doc_char_budget: int = 1500
 
 
@@ -36,12 +38,19 @@ DEFAULT_TEMPLATE = HistoryTemplate()
 
 
 def render_documents(documents: Sequence[Document], template: HistoryTemplate) -> str:
-    """One ``doc_block`` per document, its text cut to the template's budget."""
+    """One ``DOC_BLOCK`` per document, its text cut to the template's budget."""
     budget = template.doc_char_budget
     return "".join(
-        template.doc_block.format(doc_index=j, title=doc.title, text=doc.text[:budget])
+        DOC_BLOCK.format(doc_index=j, title=doc.title, text=doc.text[:budget])
         for j, doc in enumerate(documents, start=1)
     )
+
+
+def resolution_line(kind: str, content: str) -> str:
+    """A step's resolution without documents: the ``self_answer`` or the ``sub_query``."""
+    if kind == "self_answer":
+        return SELF_ANSWER_BLOCK.format(answer=content)
+    return SUB_QUERY_LINE.format(sub_query=content)
 
 
 def _render_step(template: HistoryTemplate, index: int, step: Step) -> Tuple[str, int]:
@@ -51,17 +60,14 @@ def _render_step(template: HistoryTemplate, index: int, step: Step) -> Tuple[str
     line within ``text`` (the point where the docs begin); for self-answered
     steps it equals len(text).
     """
-    parts = [template.step_header.format(index=index, sub_question=step.sub_question)]
+    text = STEP_HEADER.format(index=index, sub_question=step.sub_question)
     res = step.resolution
     if isinstance(res, SelfAnswer):
-        parts.append(template.self_answer_block.format(answer=res.answer))
-        text = "".join(parts)
+        text += resolution_line("self_answer", res.answer)
         return text, len(text)
     assert isinstance(res, Retrieved)
-    parts.append(template.sub_query_line.format(sub_query=res.sub_query))
-    pre_docs_len = sum(len(p) for p in parts)
-    parts.append(render_documents(res.documents, template))
-    return "".join(parts), pre_docs_len
+    text += resolution_line("sub_query", res.sub_query)
+    return text + render_documents(res.documents, template), len(text)
 
 
 def serialize_state(state: State, template: HistoryTemplate = DEFAULT_TEMPLATE) -> str:
@@ -71,7 +77,7 @@ def serialize_state(state: State, template: HistoryTemplate = DEFAULT_TEMPLATE) 
         text, _ = _render_step(template, i, step)
         parts.append(text)
     if state.final_answer is not None:
-        parts.append(template.final_answer_block.format(answer=state.final_answer))
+        parts.append(FINAL_ANSWER_BLOCK.format(answer=state.final_answer))
     return "".join(parts)
 
 
@@ -87,9 +93,7 @@ def render_history(
     """
     text = serialize_state(state, template)
     if pending_sub_question is not None:
-        text += template.step_header.format(
-            index=state.depth + 1, sub_question=pending_sub_question
-        )
+        text += STEP_HEADER.format(index=state.depth + 1, sub_question=pending_sub_question)
     return text
 
 
@@ -114,7 +118,7 @@ def render_chain(
     """
     if state.final_answer is None:
         raise ValueError("render_chain requires a terminal state")
-    parts = [template.question_block.format(question=state.question.text)]
+    parts = [QUESTION_BLOCK.format(question=state.question.text)]
     offset = len(parts[0])
     marks: List[ChainMark] = []
     for i, step in enumerate(state.steps, start=1):
@@ -130,5 +134,5 @@ def render_chain(
         parts.append(text)
         offset += len(text)
     final_block_start = offset
-    parts.append(template.final_answer_block.format(answer=state.final_answer))
+    parts.append(FINAL_ANSWER_BLOCK.format(answer=state.final_answer))
     return "".join(parts), marks, final_block_start

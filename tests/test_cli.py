@@ -54,6 +54,16 @@ def write_config(tmp_path, **expansion_overrides):
     return str(path)
 
 
+def forbid_backends(monkeypatch):
+    """Make building either backend fail the test: a refused command calls neither."""
+
+    def no_backend(*args, **kwargs):
+        raise AssertionError("a backend was built")
+
+    monkeypatch.setattr(cli, "build_policy_backend", no_backend)
+    monkeypatch.setattr(cli, "build_retriever_backend", no_backend)
+
+
 def _trunk_node(record, **changes):
     record["chains"][0]["nodes"][0].update(changes)
     return record
@@ -641,6 +651,23 @@ class TestEvaluateCommand:
         assert err.startswith("error: ") and "no questions" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-steps", "0"), ("--max-steps", "-3"), ("--max-searches", "-1"),
+         ("--temperature", "-1")],
+    )
+    def test_out_of_range_flag_is_refused_before_any_backend_call(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        forbid_backends(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--dataset", write_dataset(tmp_path, n=1), "--config",
+                write_config(tmp_path), "--out", str(out), flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, err
+        assert not out.exists()
+
 
 class TestBadSettings:
     """Out-of-range or unknown settings end with ``error: ...`` and status 2."""
@@ -682,6 +709,27 @@ class TestBadSettings:
     def test_out_of_range_value_in_config_file(self, tmp_path, capsys):
         code = self._expand(tmp_path, self._config_file(tmp_path, expansion={"k": 0}))
         self._assert_error(capsys, code, "must be positive")
+
+    @pytest.mark.parametrize(
+        "expansion, needle",
+        [
+            ({"max_tokens": 0}, "max_tokens"),
+            ({"malformed_retries": -1}, "malformed_retries"),
+            ({"sampling_temperature": -0.5}, "sampling_temperature"),
+            ({"answer_temperature": -1}, "answer_temperature"),
+        ],
+        ids=["zero-max-tokens", "negative-retries", "negative-sampling-temperature",
+             "negative-answer-temperature"],
+    )
+    def test_out_of_range_expansion_value_is_refused_before_any_backend_call(
+        self, tmp_path, capsys, monkeypatch, expansion, needle
+    ):
+        forbid_backends(monkeypatch)
+        code = self._expand(tmp_path, self._config_file(tmp_path, expansion=expansion))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and needle in err, err
+        assert not (tmp_path / "snapshots").exists()
 
     def test_unknown_key_in_config_section(self, tmp_path, capsys):
         for key in ("bogus", "scripted_rollout_searches", "scripted_terminate_after"):

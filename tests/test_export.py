@@ -6,6 +6,7 @@ import pytest
 
 from ragtree.engine import (
     BuildResult, Candidate, ChainRecord, ExpansionConfig, RolloutResult, TerminationVotes, TreeNode,
+    TreeBuilder,
 )
 from ragtree.errors import ExportError
 from ragtree.export import (
@@ -16,6 +17,7 @@ from ragtree.export import (
     write_sft_jsonl,
 )
 from ragtree.history import render_chain, serialize_state
+from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.types import Document, Question, Retrieved, SelfAnswer, State, Step
 
 Q = Question(id="exp-q", text="what is established?", gold_answers=("the fact",))
@@ -383,3 +385,31 @@ class TestDpoInvariantsAndWriters:
         snapshot = chain_snapshot((), "x")
         snapshot.failure = {"layer": 1, "reason": "boom"}
         assert export_dpo(snapshot) == []
+
+
+class TestExportsShowWhatThePolicySaw:
+    """Export prompts are history text that the policy received while the tree grew."""
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_pruning_build(self, concurrency):
+        question = Question(id="seen-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(
+            k=3, n=1, t_max=3, majority_samples=2, rollout_cap="fixed", concurrency=concurrency
+        )
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=2)
+        prompts = []
+        complete = policy.complete
+        policy.complete = lambda request: prompts.append(request.prompt) or complete(request)
+        result = TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
+
+        def seen(text: str) -> bool:
+            return any(text in prompt for prompt in prompts)
+
+        pairs = export_dpo(result, margin=0.0)
+        examples = export_sft(result)
+        question_block = f"Question: {question.text}\n"
+        assert len(pairs) == 15 and len(examples) == 4
+        assert all(seen(pair.prompt) for pair in pairs)
+        for example in examples:
+            assert example.input.startswith(question_block)
+            assert seen(example.input[len(question_block):])

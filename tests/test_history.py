@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from ragtree.history import (
     DEFAULT_TEMPLATE,
+    HistoryTemplate,
     render_chain,
     render_history,
     serialize_state,
@@ -109,3 +112,9 @@ def test_render_chain_marks_slice_cleanly():
     # Marks tile the step region exactly.
     assert marks[0].end == marks[1].start
     assert marks[1].end == final_start
+
+
+def test_the_document_budget_is_the_only_setting():
+    assert HistoryTemplate(5) == HistoryTemplate(doc_char_budget=5)
+    with pytest.raises(TypeError):
+        HistoryTemplate(step_header="Step {index}: {sub_question}\n")
