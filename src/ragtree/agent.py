@@ -21,7 +21,7 @@ from .policy import PolicyBackend, PolicyRequest
 from .retrieval import RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import Document, Question, State
-from .errors import RagTreeError
+from .errors import RagTreeError, check_at_least
 
 STOP_SEQUENCES = ("</search>", "</answer>")
 
@@ -213,8 +213,12 @@ def evaluate_dataset(
     ``concurrency`` above 1, questions run on a pool of that many threads.
     Each question's seed comes from its index, so items and transcripts keep
     the input order, and backends that answer a request the same way each
-    time give the same contents at any concurrency.
+    time give the same contents at any concurrency. Limits out of range raise
+    :class:`ConfigurationError` before any backend call.
     """
+    check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
+                   ("top_k", top_k, 1), ("temperature", temperature, 0),
+                   ("concurrency", concurrency, 1))
 
     def run_one(job: Tuple[int, Question]) -> Tuple[AgentTranscript, dict]:
         index, question = job

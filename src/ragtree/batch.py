@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .agent import fan_out
 from .engine import LAYER_COUNTERS, BuildResult, TreeBuilder
-from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError
+from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError, check_at_least
 from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
 from .types import Question
 
@@ -112,11 +112,13 @@ def expand_batch(
     ``builder_factory`` is called once per question; since a builder keeps no
     per-build state, it may return one shared builder, and concurrent builds
     on it still get their own ledgers and retrieval memos (direct
-    ``run_rollout`` or ``expand_*`` calls get their own unmemoized counters).
+    ``run_rollout`` or ``expand_*`` calls get their own as well).
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
-    before anything is built or written.
+    before anything is built or written, as does a ``concurrency`` below 1
+    (:class:`ConfigurationError`).
     """
+    check_at_least(("concurrency", concurrency, 1))
     manifest_path = Path(out_dir) / "manifest.json"
     owners: Dict[Path, str] = {}
     for question in questions:

@@ -20,7 +20,7 @@ from .config import (
     load_dataset,
 )
 from .engine import BuildResult, Strategy, TreeBuilder
-from .errors import ConfigurationError, ExportError, RagTreeError
+from .errors import ConfigurationError, ExportError, RagTreeError, check_at_least
 from .export import SFT_STRATEGIES, export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import strategy_costs
 from .snapshot import load_snapshot
@@ -192,11 +192,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    for flag, value, low in (("--max-steps", args.max_steps, 1),
-                             ("--max-searches", args.max_searches, 0),
-                             ("--temperature", args.temperature, 0)):
-        if value < low:
-            raise ConfigurationError(f"{flag} must be >= {low}, not {value}")
+    check_at_least(("--max-steps", args.max_steps, 1), ("--max-searches", args.max_searches, 0),
+                   ("--temperature", args.temperature, 0))
     config = _load_config(args)
     questions = load_dataset(_require_dataset(config))
     policy = build_policy_backend(config, questions)

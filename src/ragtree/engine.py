@@ -14,16 +14,17 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
-With ``concurrency`` c above 1, each build sends every backend call through
-one boundary of c sender threads, so c calls are in flight whenever that many
-are ready, and it prepares calls on a pool of 2c threads that run only Python.
+Each build is one ``_Build``, whose ``_call`` makes every backend call of the
+build, the rollouts' too. With ``concurrency`` c above 1, c sender threads keep
+c calls in flight whenever that many are ready, and a pool of 2c threads that
+run only Python prepares them.
 A layer sends all its termination votes at once, then all ``k`` samples of a
 candidate set; each new candidate's retrieval and rollouts start as soon as
 that candidate is read, while the later samples are still in flight.
 Finalization is one call, made when nothing else is in flight. Seeds are keyed
 by (kind, layer, index, attempt) and results are read in index order, so the
 tree, the counts and the snapshot are the same at any concurrency. The first
-backend error stops the build at the boundary: no queued or later call is sent.
+backend error stops the build: no queued or later call is sent.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -49,7 +50,7 @@ from .history import HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
 from .policy import PolicyBackend, PolicyRequest, PolicyResponse
-from .retrieval import MemoRetriever, RetrievalRequest, RetrieverBackend
+from .retrieval import RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
 
@@ -234,7 +235,7 @@ class ExpansionLedger:
     policy_calls: int = 0  # termination votes + candidate generations
     rollout_calls: int = 0  # completions issued inside rollout simulations
     finalize_calls: int = 0  # terminal-answer generations (not expansion work)
-    retrieval_calls: int = 0  # logical; build_tree sends each distinct request once
+    retrieval_calls: int = 0  # logical; a build sends each distinct request once
     nodes_expanded: int = 0
     leaf_nodes: int = 0  # full-node strategy only
     per_layer: Dict[int, Dict[str, int]] = field(default_factory=dict)  # layer -> LAYER_COUNTERS
@@ -281,43 +282,62 @@ def _ready(value: T) -> Callable[[], T]:
     return lambda: value
 
 
-class _Boundary:
-    """The one way from a build to its backends at ``concurrency`` above 1.
+class _Build:
+    """One build: its question, ledger, retrieval memo, senders, pool and stop.
 
-    ``senders`` threads read one FIFO queue. A caller queues its request and
-    blocks until a sender hands back the response or the error; the sender
-    then takes the next queued request at once. So ``senders`` calls are in
-    flight whenever that many are queued, and the thread that frees a slot
-    runs no engine Python first. The first backend error, or ``stop``, stops
-    the build: queued and new requests raise :class:`BuildStopped`, and
-    ``error`` keeps that first error.
+    Every backend call goes through ``_call``. At ``concurrency`` c = 1 the
+    caller makes it and no thread starts. Above 1, c sender threads read one
+    FIFO queue and the caller blocks for its reply, so c calls are in flight
+    whenever that many are queued, and the thread that frees a slot runs no
+    engine Python first; a pool of 2c threads prepares calls (``submit``). The
+    first error a sender meets, or ``stop``, stops the build: queued and new
+    calls raise :class:`BuildStopped`, and ``error`` keeps that first error.
+
+    ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
+    senders, so a hit takes no slot; callers of one key wait for its first
+    caller, or call again if it failed. Retrieval must be a pure function of
+    the request over one build.
     """
 
-    def __init__(self, policy: PolicyBackend, retriever: RetrieverBackend, senders: int):
-        from queue import SimpleQueue  # serial builds never load it
+    def __init__(self, question: Question, policy: PolicyBackend, retriever: RetrieverBackend,
+                 concurrency: int = 1):
+        self.question, self.policy, self.retriever = question, policy, retriever
+        self.ledger = ExpansionLedger()
+        self.lock = threading.Lock()  # for the ledger, the memo's key locks and the stop
+        self.stopped, self.error = False, None  # error: the first one, once stopped
+        self._memo: Dict[Tuple[str, int], list] = {}  # key -> [its lock, its documents or None]
+        self._senders: List[threading.Thread] = []
+        self.pool: Optional["Executor"] = None
+        if concurrency > 1:
+            from concurrent.futures import ThreadPoolExecutor  # serial builds never load them
+            from queue import SimpleQueue
 
-        self.policy, self.retriever = policy, retriever
-        self.error: Optional[BaseException] = None
-        self.stopped = False
-        self._lock = threading.Lock()
-        self._queue = SimpleQueue()
-        self._mailbox = SimpleQueue  # one per call, for its reply
-        self._senders = [
-            threading.Thread(target=self._send, name=f"ragtree-send-{i}", daemon=True)
-            for i in range(senders)
-        ]
-        for sender in self._senders:
-            sender.start()
+            self._queue, self._mailbox = SimpleQueue(), SimpleQueue  # one mailbox per call
+            self._senders = [
+                threading.Thread(target=self._send, name=f"ragtree-send-{i}", daemon=True)
+                for i in range(concurrency)
+            ]
+            for sender in self._senders:
+                sender.start()
+            self.pool = ThreadPoolExecutor(2 * concurrency, "ragtree-build")
 
     def complete(self, request: PolicyRequest) -> PolicyResponse:
         return self._call(self.policy.complete, request)
 
     def retrieve(self, request: RetrievalRequest) -> List[Document]:
-        return self._call(self.retriever.retrieve, request)
+        key = (request.query, request.top_k)
+        with self.lock:
+            entry = self._memo.setdefault(key, [threading.Lock(), None])
+        with entry[0]:
+            if entry[1] is None:
+                entry[1] = tuple(self._call(self.retriever.retrieve, request))
+            return list(entry[1])
 
     def _call(self, call: Callable[..., T], request) -> T:
         if self.stopped:
             raise BuildStopped("the build has stopped")
+        if not self._senders:
+            return call(request)
         reply = self._mailbox()
         self._queue.put((call, request, reply))
         response, error = reply.get()
@@ -336,28 +356,9 @@ class _Boundary:
                 reply.put((None, error))
 
     def stop(self, error: Optional[BaseException] = None) -> None:
-        with self._lock:
+        with self.lock:
             if not self.stopped:
                 self.stopped, self.error = True, error
-
-    def close(self) -> None:
-        """End the senders once they have answered every queued request."""
-        for _ in self._senders:
-            self._queue.put(None)
-        for sender in self._senders:
-            sender.join()
-
-
-@dataclass
-class _Build:
-    """What one build owns: its question, ledger, backends, ledger lock and thread pool."""
-
-    question: Question
-    policy: PolicyBackend  # the boundary inside build_tree at concurrency > 1
-    retriever: RetrieverBackend  # a fresh MemoRetriever inside build_tree, before the boundary
-    ledger: ExpansionLedger = field(default_factory=ExpansionLedger)
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    pool: Optional["Executor"] = None  # build_tree's pool when concurrency > 1
 
     def bump(self, layer: int, counter: str, amount: int = 1) -> None:
         with self.lock:
@@ -372,6 +373,17 @@ class _Build:
             return _ready(fn(*args))
         return self.pool.submit(fn, *args).result
 
+    def close(self) -> None:
+        """Stop the build, cancel its queued tasks, then end the senders once
+        they have answered every queued request."""
+        self.stop()  # a running rollout ends at its next call
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+        for _ in self._senders:  # after the pool, so that no caller is left to queue
+            self._queue.put(None)
+        for sender in self._senders:
+            sender.join()
+
 
 class TreeBuilder:
     """Expands questions against the configured backends.
@@ -379,7 +391,8 @@ class TreeBuilder:
     The builder holds no per-build state: ``build_tree`` passes a fresh
     ``_Build`` down, so one builder can serve concurrent builds. Direct calls
     to ``expand_termination``, ``expand_retrieval`` or ``run_rollout`` without
-    one get their own unmemoized ``_Build`` with no pool, so they run serially.
+    one get their own serial ``_Build``: a ledger and a retrieval memo of the
+    call's own, and no threads.
     A history template given must cut documents at the config's ``doc_char_budget``.
     """
 
@@ -424,7 +437,7 @@ class TreeBuilder:
                 max_tokens=self.config.max_tokens,
                 seed=derive_seed(self.config.seed, build.question.id, *seed_parts, attempt),
             )
-            response = build.policy.complete(request)
+            response = build.complete(request)
             build.bump(layer, counter)
             parsed = parse(response.text)
             if parsed is not None:
@@ -458,8 +471,8 @@ class TreeBuilder:
         horizon = self._rollout_horizon(effective_depth)
         transcript = run_agent(
             build.question,
-            build.policy,
-            build.retriever,
+            build,
+            build,
             templates=self.templates,
             history_template=self.history_template,
             initial_state=state,
@@ -531,7 +544,7 @@ class TreeBuilder:
             ]
 
         def retrieve(query: str, index: int):
-            docs = build.retriever.retrieve(RetrievalRequest(query=query, top_k=cfg.top_k))
+            docs = build.retrieve(RetrievalRequest(query=query, top_k=cfg.top_k))
             build.bump(layer, "retrieval_calls")
             return start(Candidate("sub_query", query, documents=tuple(docs)), index)
 
@@ -769,31 +782,22 @@ class TreeBuilder:
     def build_tree(self, question: Question) -> BuildResult:
         """Expand one question under the configured strategy.
 
-        The build gets its own ledger and a fresh single-flight retrieval memo.
-        When ``concurrency`` c > 1, its calls go through a boundary of c sender
-        threads, and a pool of 2c threads prepares them. Raises
+        One ``_Build`` holds the build's ledger, retrieval memo and, when
+        ``concurrency`` c > 1, its c sender threads and the pool of 2c that
+        prepares their calls; ``close`` ends them however the build ends. Raises
         :class:`NodeExpansionFailed` when a layer cannot produce any usable
         candidate, and the first backend error (a rollout's too); batch drivers
         record either.
         """
-        senders = self.config.concurrency
-        boundary = _Boundary(self.policy, self.retriever, senders) if senders > 1 else None
-        build = _Build(question, boundary or self.policy, MemoRetriever(boundary or self.retriever))
+        build = _Build(question, self.policy, self.retriever, self.config.concurrency)
         result = BuildResult(question, self.config, ledger=build.ledger)
-        if boundary is not None:
-            from concurrent.futures import ThreadPoolExecutor  # serial builds never load it
-
-            build.pool = ThreadPoolExecutor(2 * senders, "ragtree-build")
         try:
             if self.config.strategy == "full_node":
                 self._build_full_node(build)
             else:
                 result.chains = self._build_chains(build)
         except BuildStopped:
-            raise boundary.error from None  # the failure itself, not a call it stopped
+            raise build.error from None  # the failure itself, not a call it stopped
         finally:
-            if boundary is not None:
-                boundary.stop()  # a running rollout ends at its next call
-                build.pool.shutdown(cancel_futures=True)
-                boundary.close()  # after the pool, so that no caller is left to queue
+            build.close()
         return result

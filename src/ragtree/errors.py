@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check that raises one."""
 
 from __future__ import annotations
+
+from typing import Tuple
 
 
 class RagTreeError(Exception):
@@ -9,6 +11,13 @@ class RagTreeError(Exception):
 
 class ConfigurationError(RagTreeError):
     """Invalid configuration, or a non-retryable (4xx) backend response."""
+
+
+def check_at_least(*limits: Tuple[str, float, float]) -> None:
+    """Refuse the first ``(name, value, low)`` whose value lies below ``low``."""
+    for name, value, low in limits:
+        if value < low:
+            raise ConfigurationError(f"{name} must be >= {low}, not {value}")
 
 
 class BackendUnavailable(RagTreeError):

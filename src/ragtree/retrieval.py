@@ -1,14 +1,13 @@
-"""Retriever backends: an HTTP client for a dense-retrieval service, an
-in-memory lexical index used as an auditable test oracle, and the per-build
-single-flight memo the engine puts in front of either."""
+"""Retriever backends: an HTTP client for a dense-retrieval service and an
+in-memory lexical index used as an auditable test oracle. Each engine build
+memoizes its own retrievals in front of either (``engine._Build.retrieve``)."""
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Protocol, Sequence, Tuple
 
 from .errors import BackendUnavailable, DatasetError
 from .httpclient import HttpJsonClient
@@ -59,35 +58,6 @@ class HttpRetrieverBackend(HttpJsonClient):
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendUnavailable(f"malformed retriever response body: {exc}")
         return parsed[:top_k]
-
-
-class MemoRetriever:
-    """Single-flight memo over a retriever, keyed by ``(query, top_k)``.
-
-    Each key has its own lock: the caller holding it calls the inner
-    retriever, and callers of the same key wait for the lock, then read the
-    stored result. Only successes are stored, so after a failure the next
-    waiter calls the inner retriever itself. Every caller gets its own list;
-    documents are frozen and shared.
-
-    This assumes retrieval is a pure function of the request, which holds for
-    a fixed index over the span of one build; keep one memo per build.
-    """
-
-    def __init__(self, inner: RetrieverBackend):
-        self.inner = inner
-        self._lock = threading.Lock()
-        self._locks: Dict[Tuple[str, int], threading.Lock] = {}
-        self._done: Dict[Tuple[str, int], Tuple[Document, ...]] = {}
-
-    def retrieve(self, request: RetrievalRequest) -> List[Document]:
-        key = (request.query, request.top_k)
-        with self._lock:
-            key_lock = self._locks.setdefault(key, threading.Lock())
-        with key_lock:
-            if key not in self._done:
-                self._done[key] = tuple(self.inner.retrieve(request))
-            return list(self._done[key])
 
 
 class LexicalRetriever:

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from ragtree.agent import evaluate_dataset, run_agent
-from ragtree.errors import BackendUnavailable
+from ragtree.errors import BackendUnavailable, ConfigurationError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
 from ragtree.scripted import make_bench_policy, make_bench_retriever
@@ -177,6 +177,28 @@ class TestEvaluateDataset:
         )
         assert report.em == 0.0
         assert report.failures == 2
+
+    @pytest.mark.parametrize(
+        "limit, value",
+        [("max_steps", 0), ("max_steps", -3), ("max_searches", -1), ("top_k", 0),
+         ("temperature", -1), ("concurrency", 0), ("concurrency", -2)],
+    )
+    def test_out_of_range_limit_is_refused_before_any_backend_call(self, limit, value):
+        calls = []
+
+        def handler(request: PolicyRequest) -> str:
+            calls.append(request)
+            return "<answer> right one </answer>"
+
+        class NoRetriever:
+            def retrieve(self, request):
+                calls.append(request)
+                return []
+
+        with pytest.raises(ConfigurationError, match=f"{limit} must be >= "):
+            evaluate_dataset(self._questions(), rollout_policy(handler), NoRetriever(),
+                             **{limit: value})
+        assert calls == []
 
     def test_report_schema_and_transcripts(self, retriever, tmp_path):
         transcripts_path = tmp_path / "transcripts.jsonl"

@@ -15,7 +15,7 @@ from ragtree import cli
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.cli import main
 from ragtree.engine import BuildResult, ExpansionConfig, TreeBuilder, theoretical_counts
-from ragtree.errors import BackendUnavailable, DatasetError
+from ragtree.errors import BackendUnavailable, ConfigurationError, DatasetError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import build_result_to_dict, save_snapshot
@@ -370,6 +370,18 @@ class TestExpandCommand:
         out = tmp_path / "snapshots"
         with pytest.raises(DatasetError, match=re.escape(needle)):
             expand_batch(questions, no_builder, str(out), resume=False)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("concurrency", [0, -3])
+    def test_concurrency_below_one_is_refused_before_any_write(self, tmp_path, concurrency):
+        question = Question(id="q0", text="what is probe number 0?", gold_answers=("fact 0",))
+
+        def no_builder() -> TreeBuilder:
+            raise AssertionError("a builder was requested")
+
+        out = tmp_path / "snapshots"
+        with pytest.raises(ConfigurationError, match="concurrency must be >= 1"):
+            expand_batch([question], no_builder, str(out), concurrency=concurrency)
         assert not out.exists()
 
     def test_dataset_without_questions_is_refused(self, tmp_path, capsys):

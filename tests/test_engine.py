@@ -11,14 +11,15 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import GOLD, CountingRetriever, Scenario, overlap_answer
+from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
 from ragtree.batch import expand_batch
 from ragtree.engine import (
-    Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, best_candidate,
+    Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build, best_candidate,
     derive_seed, theoretical_counts,
 )
 from ragtree.errors import BackendUnavailable, NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
+from ragtree.retrieval import LexicalRetriever, RetrievalRequest
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
 from ragtree.types import Question, Retrieved, SelfAnswer, State
@@ -519,6 +520,20 @@ class TestRetrievalMemo:
         distinct = {(r.query, r.top_k) for r in retriever.requests}
         assert len(retriever.requests) == len(distinct) == 15
 
+    def test_a_direct_call_sends_each_distinct_retrieval_once(self):
+        question = Question(id="memo-one-call", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=3, n=4, t_max=4, rollout_cap="fixed", tau=1.0)
+        retriever = CountingRetriever(make_bench_retriever())
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
+        builder = TreeBuilder(policy, retriever, cfg)
+        probe = Candidate("sub_question", "probe?", retained=True)
+        node = TreeNode(1, State(question), TerminationVotes(), sub_question_candidates=(probe,))
+        builder.expand_retrieval(node)
+        assert node.chosen_kind is not None and node.sub_query_candidates
+        # 3 sub-queries plus 3 searches in each of 24 rollouts, logically
+        distinct = {(r.query, r.top_k) for r in retriever.requests}
+        assert len(retriever.requests) == len(distinct) == 6
+
     def test_calls_outside_build_tree_are_not_memoized(self):
         question = Question(id="memo-direct", text="what follows alpha?", gold_answers=("beta",))
         cfg = ExpansionConfig(k=2, n=2, t_max=3, rollout_cap="fixed")
@@ -529,9 +544,100 @@ class TestRetrievalMemo:
         sent = len(retriever.requests)
         for index in range(2):
             builder.run_rollout(State(question), None, layer=0, seed_parts=("direct", index))
-        # each rollout searches twice; neither the last build's memo nor a
-        # builder-wide one serves them
+        # each rollout searches twice, for two queries; neither the last build's
+        # memo nor a builder-wide one serves them, only each call's own
         assert len(retriever.requests) - sent == 4
+
+
+def serial_build(retriever) -> _Build:
+    """A build at concurrency 1 around ``retriever``, with no policy."""
+    question = Question(id="memo-build", text="what follows alpha?", gold_answers=("beta",))
+    return _Build(question, None, retriever)
+
+
+class TestBuildRetrieve:
+    """A serial build's single-flight retrieval memo."""
+
+    def test_concurrent_callers_share_one_call(self):
+        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.05)
+        memo = serial_build(inner)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def call(slot):
+            barrier.wait(timeout=10)
+            results[slot] = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
+
+        threads = [threading.Thread(target=call, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(inner.requests) == 1
+        expected = LexicalRetriever(TEST_CORPUS).retrieve(RetrievalRequest(query="gamma", top_k=2))
+        assert all(docs == expected for docs in results)
+
+    def test_failure_raises_and_is_not_cached(self):
+        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), fail_first=1)
+        memo = serial_build(inner)
+        request = RetrievalRequest(query="gamma", top_k=2)
+        with pytest.raises(BackendUnavailable):
+            memo.retrieve(request)
+        assert [d.title for d in memo.retrieve(request)] == ["gamma", "alpha"]
+        assert len(inner.requests) == 2
+
+    def test_waiter_calls_backend_when_leader_fails(self):
+        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.1, fail_first=1)
+        memo = serial_build(inner)
+        request = RetrievalRequest(query="gamma", top_k=2)
+        outcome = {}
+
+        def leader():
+            try:
+                memo.retrieve(request)
+            except BackendUnavailable as exc:
+                outcome["leader"] = exc
+
+        def waiter():
+            outcome["waiter"] = memo.retrieve(request)
+
+        first = threading.Thread(target=leader)
+        first.start()
+        deadline = time.monotonic() + 10
+        while not inner.requests and time.monotonic() < deadline:
+            time.sleep(0.001)
+        second = threading.Thread(target=waiter)
+        second.start()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert isinstance(outcome["leader"], BackendUnavailable)
+        assert [d.title for d in outcome["waiter"]] == ["gamma", "alpha"]
+        assert len(inner.requests) == 2
+
+    def test_top_k_is_part_of_the_key(self):
+        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS))
+        memo = serial_build(inner)
+        one = memo.retrieve(RetrievalRequest(query="gamma", top_k=1))
+        two = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
+        assert (len(one), len(two)) == (1, 2)
+        assert [r.top_k for r in inner.requests] == [1, 2]
+
+    def test_callers_get_distinct_lists(self):
+        memo = serial_build(LexicalRetriever(TEST_CORPUS))
+        request = RetrievalRequest(query="gamma", top_k=2)
+        first = memo.retrieve(request)
+        second = memo.retrieve(request)
+        assert first == second and first is not second
+        first.clear()
+        assert memo.retrieve(request) == second
 
 
 class SlowPolicy:

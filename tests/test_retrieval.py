@@ -1,21 +1,16 @@
-"""Retriever backends: lexical oracle ranking, clamping, the HTTP client, and the
-single-flight memo."""
+"""Retriever backends: lexical oracle ranking, clamping, and the HTTP client."""
 
 from __future__ import annotations
 
 import json
-import sys
-import threading
-import time
 
 import pytest
 
-from conftest import CountingRetriever, StubRetrieverServer, TEST_CORPUS
+from conftest import StubRetrieverServer, TEST_CORPUS
 from ragtree.errors import BackendUnavailable, ConfigurationError, DatasetError
 from ragtree.retrieval import (
     HttpRetrieverBackend,
     LexicalRetriever,
-    MemoRetriever,
     RetrievalRequest,
     load_corpus_jsonl,
 )
@@ -122,90 +117,6 @@ class TestHttpRetriever:
             assert server.requests_seen == 1
         finally:
             server.close()
-
-
-
-class TestMemoRetriever:
-    def test_concurrent_callers_share_one_call(self):
-        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.05)
-        memo = MemoRetriever(inner)
-        workers = 8
-        barrier = threading.Barrier(workers)
-        results = [None] * workers
-
-        def call(slot):
-            barrier.wait(timeout=10)
-            results[slot] = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
-
-        threads = [threading.Thread(target=call, args=(slot,)) for slot in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(inner.requests) == 1
-        expected = LexicalRetriever(TEST_CORPUS).retrieve(RetrievalRequest(query="gamma", top_k=2))
-        assert all(docs == expected for docs in results)
-
-    def test_failure_raises_and_is_not_cached(self):
-        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), fail_first=1)
-        memo = MemoRetriever(inner)
-        request = RetrievalRequest(query="gamma", top_k=2)
-        with pytest.raises(BackendUnavailable):
-            memo.retrieve(request)
-        assert [d.title for d in memo.retrieve(request)] == ["gamma", "alpha"]
-        assert len(inner.requests) == 2
-
-    def test_waiter_calls_backend_when_leader_fails(self):
-        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.1, fail_first=1)
-        memo = MemoRetriever(inner)
-        request = RetrievalRequest(query="gamma", top_k=2)
-        outcome = {}
-
-        def leader():
-            try:
-                memo.retrieve(request)
-            except BackendUnavailable as exc:
-                outcome["leader"] = exc
-
-        def waiter():
-            outcome["waiter"] = memo.retrieve(request)
-
-        first = threading.Thread(target=leader)
-        first.start()
-        deadline = time.monotonic() + 10
-        while not inner.requests and time.monotonic() < deadline:
-            time.sleep(0.001)
-        second = threading.Thread(target=waiter)
-        second.start()
-        first.join(timeout=10)
-        second.join(timeout=10)
-        assert not first.is_alive() and not second.is_alive()
-        assert isinstance(outcome["leader"], BackendUnavailable)
-        assert [d.title for d in outcome["waiter"]] == ["gamma", "alpha"]
-        assert len(inner.requests) == 2
-
-    def test_top_k_is_part_of_the_key(self):
-        inner = CountingRetriever(LexicalRetriever(TEST_CORPUS))
-        memo = MemoRetriever(inner)
-        one = memo.retrieve(RetrievalRequest(query="gamma", top_k=1))
-        two = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
-        assert (len(one), len(two)) == (1, 2)
-        assert [r.top_k for r in inner.requests] == [1, 2]
-
-    def test_callers_get_distinct_lists(self):
-        memo = MemoRetriever(LexicalRetriever(TEST_CORPUS))
-        request = RetrievalRequest(query="gamma", top_k=2)
-        first = memo.retrieve(request)
-        second = memo.retrieve(request)
-        assert first == second and first is not second
-        first.clear()
-        assert memo.retrieve(request) == second
 
 
 class TestCorpusLoader:
