@@ -10,7 +10,7 @@ expansion and the evaluation of trained models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -94,6 +94,7 @@ def run_agent(
     temperature: float = 0.7,
     seed: Optional[int] = None,
     raise_backend_errors: bool = False,
+    max_tokens: int = PolicyRequest.max_tokens,
 ) -> AgentTranscript:
     """Drive one episode until ``<answer>``, a cap, or a failure.
 
@@ -116,6 +117,7 @@ def run_agent(
             role=PolicyRole.ROLLOUT,
             prompt=base_prompt + continuation,
             temperature=temperature,
+            max_tokens=max_tokens,
             seed=None if seed is None else seed + step,
             stop=STOP_SEQUENCES,
         )
@@ -178,15 +180,7 @@ class EvaluationReport:
     per_item: List[dict] = field(default_factory=list)
 
     def to_dict(self, include_items: bool = False) -> dict:
-        record = {
-            "dataset": self.dataset,
-            "n": self.n,
-            "em": self.em,
-            "f1": self.f1,
-            "avg_searches": self.avg_searches,
-            "avg_steps": self.avg_steps,
-            "failures": self.failures,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_item"}
         if include_items:
             record["items"] = self.per_item
         return record
@@ -209,23 +203,29 @@ def evaluate_dataset(
 ) -> EvaluationReport:
     """Run the agent on every question and aggregate EM/F1.
 
-    Unanswered episodes (caps, failures) score 0 and count in the means. With
-    ``concurrency`` above 1, questions run on a pool of that many threads.
-    Each question's seed comes from its index, so items and transcripts keep
-    the input order, and backends that answer a request the same way each
-    time give the same contents at any concurrency. Limits out of range raise
-    :class:`ConfigurationError` before any backend call.
+    Unanswered episodes (caps, failures) score 0 and count in the means. Each
+    question is one engine build, with its own retrieval memo, on a run-wide
+    ``Boundary`` at ``concurrency`` c: above 1, c threads run questions and the
+    boundary's c senders make their calls. Each question's seed comes from its
+    index, so items and transcripts keep the input order, and backends that
+    answer a request the same way each time give the same contents at any
+    concurrency. Limits out of range raise :class:`ConfigurationError` before
+    any backend call.
     """
+    from .engine import Boundary, _Build  # the engine imports this module
+
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
+    boundary = Boundary(concurrency)
 
     def run_one(job: Tuple[int, Question]) -> Tuple[AgentTranscript, dict]:
         index, question = job
+        build = _Build(question, policy, retriever, boundary)
         transcript = run_agent(
             question,
-            policy,
-            retriever,
+            build,
+            build,
             templates=templates,
             history_template=history_template,
             max_steps=max_steps,
@@ -248,7 +248,10 @@ def evaluate_dataset(
         }
         return transcript, item
 
-    done = fan_out(run_one, list(enumerate(questions)), concurrency)
+    try:
+        done = fan_out(run_one, list(enumerate(questions)), concurrency)
+    finally:
+        boundary.close()
     transcripts = [transcript for transcript, _ in done]
     items = [item for _, item in done]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .agent import fan_out
-from .engine import LAYER_COUNTERS, BuildResult, TreeBuilder
+from .engine import LAYER_COUNTERS, Boundary, BuildResult, TreeBuilder
 from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError, check_at_least
 from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
 from .types import Question
@@ -60,10 +60,6 @@ class Manifest:
         return summary
 
     @property
-    def hard_failures(self) -> int:
-        return self.counts["failed"]
-
-    @property
     def ledger_totals(self) -> dict:
         ledgers = [item.ledger for item in self.items if item.ledger]
         return {key: sum(ledger[key] for ledger in ledgers) for key in _LEDGER_KEYS}
@@ -111,8 +107,9 @@ def expand_batch(
     the worker thread that built it.
     ``builder_factory`` is called once per question; since a builder keeps no
     per-build state, it may return one shared builder, and concurrent builds
-    on it still get their own ledgers and retrieval memos (direct
-    ``run_rollout`` or ``expand_*`` calls get their own as well).
+    on it still get their own ledgers and retrieval memos. ``concurrency``
+    builds run at once and share one ``Boundary`` at the builders' own
+    ``config.concurrency`` c, so the batch has at most c requests in flight.
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
     before anything is built or written, as does a ``concurrency`` below 1
@@ -134,11 +131,12 @@ def expand_batch(
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()
 
-    config = encode(builder_factory().config) if resume else None
+    config = builder_factory().config
+    encoded = encode(config) if resume else None
     pending: List[Question] = []
     for question in questions:
         path = snapshot_path(out_dir, question.id)
-        kept = _valid_snapshot(path, question.id, config) if resume else None
+        kept = _valid_snapshot(path, question.id, encoded) if resume else None
         if kept is not None:
             manifest.items.append(ManifestItem.built("skipped", path, kept))
             if on_progress:
@@ -156,7 +154,7 @@ def expand_batch(
         path = snapshot_path(out_dir, question.id)
         builder = builder_factory()
         try:
-            result = builder.build_tree(question)
+            result = builder.build_tree(question, boundary)
         except NodeExpansionFailed as exc:
             failure = {"layer": exc.layer, "reason": exc.reason}
             failed = BuildResult(question, builder.config, ledger=None, failure=failure)
@@ -168,7 +166,11 @@ def expand_batch(
         save_snapshot(build_result_to_dict(result), str(path))
         return ManifestItem.built("ok", path, result)
 
-    manifest.items.extend(fan_out(expand_one, pending, concurrency))
+    boundary = Boundary(config.concurrency)
+    try:
+        manifest.items.extend(fan_out(expand_one, pending, concurrency))
+    finally:
+        boundary.close()
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])

@@ -29,15 +29,15 @@ from .types import type_hints
 
 # The config override flags by group: each flag's help and the config fields it sets,
 # as "section.field" or a field of RunConfig itself. --concurrency sets both the batch
-# workers and each build's sender threads, which hold its requests in flight (a pool
-# of twice as many prepares them), and its help is the command's own. The first
+# workers and the run's sender threads, which hold its requests in flight. The first
 # field's type hint gives the flag its type and, for a Literal, its choices.
 _FLAGS: Dict[str, Dict[str, tuple]] = {
     "common": {
         "--dataset": ("question JSONL file", "paths.dataset"),
         "--tmax": ("maximum decision iterations", "expansion.t_max"),
         "--seed": ("base random seed", "expansion.seed"),
-        "--concurrency": (None, "concurrency", "expansion.concurrency"),
+        "--concurrency": ("backend requests in flight at once", "concurrency",
+                          "expansion.concurrency"),
     },
     "tree": {
         "--k": ("candidate executions per decision", "expansion.k"),
@@ -58,7 +58,7 @@ _FLAGS: Dict[str, Dict[str, tuple]] = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, groups: tuple, concurrency_help: str) -> None:
+def _add_flags(parser: argparse.ArgumentParser, groups: tuple) -> None:
     """``--config`` and the override flags of ``groups``: what ``_load_config`` reads."""
     parser.add_argument("--config", help="JSON run-config file")
     for group in groups:
@@ -68,7 +68,6 @@ def _add_flags(parser: argparse.ArgumentParser, groups: tuple, concurrency_help:
                 hint = type_hints(hint)[name]
             choices = get_args(hint) if get_origin(hint) is Literal else None
             convert = {int: int, float: float}.get(hint, str)
-            help_text = help_text or concurrency_help
             parser.add_argument(flag, type=convert, choices=choices, help=help_text)
 
 
@@ -119,7 +118,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     )
     counts = manifest.counts
     print(f"expanded: {counts['ok']} ok, {counts['failed']} failed, {counts['skipped']} skipped")
-    return 1 if manifest.hard_failures else 0
+    return 1 if counts["failed"] else 0
 
 
 def _snapshot_files(directory: str) -> List[Path]:
@@ -236,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume_group = expand.add_mutually_exclusive_group()
     resume_group.add_argument("--resume", dest="resume", action="store_true", default=None)
     resume_group.add_argument("--no-resume", dest="resume", action="store_false")
-    _add_flags(
-        expand, ("common", "tree", "backend"),
-        "batch workers, and requests in flight per question's build (its votes, "
-        "samples, retrievals and rollouts): up to concurrency squared in flight",
-    )
+    _add_flags(expand, ("common", "tree", "backend"))
     expand.set_defaults(func=_cmd_expand)
 
     export_sft_cmd = sub.add_parser("export-sft", help="extract SFT chains from snapshots")
@@ -274,11 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="depth cap for the full-node strategy (its cost is exponential)",
     )
-    _add_flags(
-        bench, ("common", "tree"),
-        "requests in flight per question's build (its votes, samples, retrievals and "
-        "rollouts)",
-    )
+    _add_flags(bench, ("common", "tree"))
     bench.set_defaults(func=_cmd_bench)
 
     # No abbreviations, so an expansion-only flag such as --n is rejected, not read as --name.
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--max-steps", type=int, default=8)
     evaluate.add_argument("--max-searches", type=int, default=4)
     evaluate.add_argument("--temperature", type=float, default=0.0)
-    _add_flags(evaluate, ("common", "backend"), "questions evaluated at once")
+    _add_flags(evaluate, ("common", "backend"))
     evaluate.set_defaults(func=_cmd_evaluate)
 
     return parser

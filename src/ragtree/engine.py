@@ -14,10 +14,10 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
-Each build is one ``_Build``, whose ``_call`` makes every backend call of the
-build, the rollouts' too. With ``concurrency`` c above 1, c sender threads keep
-c calls in flight whenever that many are ready, and a pool of 2c threads that
-run only Python prepares them.
+Each build is one ``_Build``, whose ``_call`` sends every backend call of the
+build, the rollouts' too, through the run's ``Boundary``: with ``concurrency`` c
+above 1, its c sender threads keep c calls of any builds in flight whenever that
+many are ready, and a pool of 2c threads that run only Python prepares them.
 A layer sends all its termination votes at once, then all ``k`` samples of a
 candidate set; each new candidate's retrieval and rollouts start as soon as
 that candidate is read, while the later samples are still in flight.
@@ -88,7 +88,7 @@ class ExpansionConfig:
     malformed_retries: int = 2
     score_terminate_branch: bool = False
     doc_char_budget: int = 1500  # characters of each document that prompts and exports show
-    concurrency: int = field(default=1, metadata=UNWRITTEN)  # speed only: same tree at any value
+    concurrency: int = field(default=1, metadata=UNWRITTEN)  # the run's requests in flight
 
     def __post_init__(self):
         if min(self.k, self.n, self.t_max, self.majority_samples, self.top_k, self.max_tokens,
@@ -282,34 +282,21 @@ def _ready(value: T) -> Callable[[], T]:
     return lambda: value
 
 
-class _Build:
-    """One build: its question, ledger, retrieval memo, senders, pool and stop.
-
-    Every backend call goes through ``_call``. At ``concurrency`` c = 1 the
-    caller makes it and no thread starts. Above 1, c sender threads read one
-    FIFO queue and the caller blocks for its reply, so c calls are in flight
-    whenever that many are queued, and the thread that frees a slot runs no
-    engine Python first; a pool of 2c threads prepares calls (``submit``). The
-    first error a sender meets, or ``stop``, stops the build: queued and new
-    calls raise :class:`BuildStopped`, and ``error`` keeps that first error.
-
-    ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
-    senders, so a hit takes no slot; callers of one key wait for its first
-    caller, or call again if it failed. Retrieval must be a pure function of
-    the request over one build.
+class Boundary:
+    """Where the backend calls of a run's builds leave: at ``concurrency`` c = 1
+    the caller makes each call and no thread starts. Above 1, c sender threads
+    read one FIFO queue of (build, request) and each caller blocks for its
+    reply, so c calls of any builds are in flight whenever that many are
+    queued, and the thread that frees a slot runs no engine Python first; a
+    pool of 2c threads prepares calls. A sender refuses a stopped build's
+    requests, and the first error it meets stops only the build that sent it.
     """
 
-    def __init__(self, question: Question, policy: PolicyBackend, retriever: RetrieverBackend,
-                 concurrency: int = 1):
-        self.question, self.policy, self.retriever = question, policy, retriever
-        self.ledger = ExpansionLedger()
-        self.lock = threading.Lock()  # for the ledger, the memo's key locks and the stop
-        self.stopped, self.error = False, None  # error: the first one, once stopped
-        self._memo: Dict[Tuple[str, int], list] = {}  # key -> [its lock, its documents or None]
+    def __init__(self, concurrency: int = 1):
         self._senders: List[threading.Thread] = []
         self.pool: Optional["Executor"] = None
         if concurrency > 1:
-            from concurrent.futures import ThreadPoolExecutor  # serial builds never load them
+            from concurrent.futures import ThreadPoolExecutor  # serial runs never load them
             from queue import SimpleQueue
 
             self._queue, self._mailbox = SimpleQueue(), SimpleQueue  # one mailbox per call
@@ -320,6 +307,59 @@ class _Build:
             for sender in self._senders:
                 sender.start()
             self.pool = ThreadPoolExecutor(2 * concurrency, "ragtree-build")
+
+    def send(self, build: _Build, call: Callable[..., T], request) -> T:
+        if not self._senders:
+            return call(request)
+        reply = self._mailbox()
+        self._queue.put((build, call, request, reply))
+        response, error = reply.get()
+        if error is not None:
+            raise error
+        return response
+
+    def _send(self) -> None:
+        for build, call, request, reply in iter(self._queue.get, None):
+            try:
+                if build.stopped:
+                    raise BuildStopped("the build has stopped")
+                reply.put((call(request), None))
+            except BaseException as error:  # the caller raises it
+                build.stop(error)
+                reply.put((None, error))
+
+    def close(self) -> None:
+        """After its builds: cancel queued preparations, then end the senders."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+        for _ in self._senders:  # after the pool, so that no caller is left to queue
+            self._queue.put(None)
+        for sender in self._senders:
+            sender.join()
+
+
+class _Build:
+    """One build: its question, ledger, retrieval memo and stop; it starts no thread.
+
+    Every backend call goes through ``_call`` to the ``boundary`` (by default
+    a serial one). The first error of its calls, or ``stop``, stops the build:
+    its queued and new calls raise :class:`BuildStopped`, and ``error`` keeps
+    that first error.
+
+    ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
+    boundary, so a hit takes no slot; callers of one key wait for its first
+    caller, or call again if it failed. Retrieval must be a pure function of
+    the request over one build.
+    """
+
+    def __init__(self, question: Question, policy: PolicyBackend, retriever: RetrieverBackend,
+                 boundary: Optional[Boundary] = None):
+        self.question, self.policy, self.retriever = question, policy, retriever
+        self.boundary = boundary or Boundary()
+        self.ledger = ExpansionLedger()
+        self.lock = threading.Lock()  # for the ledger, the memo's key locks and the stop
+        self.stopped, self.error = False, None  # error: the first one, once stopped
+        self._memo: Dict[Tuple[str, int], list] = {}  # key -> [its lock, its documents or None]
 
     def complete(self, request: PolicyRequest) -> PolicyResponse:
         return self._call(self.policy.complete, request)
@@ -336,24 +376,7 @@ class _Build:
     def _call(self, call: Callable[..., T], request) -> T:
         if self.stopped:
             raise BuildStopped("the build has stopped")
-        if not self._senders:
-            return call(request)
-        reply = self._mailbox()
-        self._queue.put((call, request, reply))
-        response, error = reply.get()
-        if error is not None:
-            raise error
-        return response
-
-    def _send(self) -> None:
-        for call, request, reply in iter(self._queue.get, None):
-            try:
-                if self.stopped:
-                    raise BuildStopped("the build has stopped")
-                reply.put((call(request), None))
-            except BaseException as error:  # the caller raises it
-                self.stop(error)
-                reply.put((None, error))
+        return self.boundary.send(self, call, request)
 
     def stop(self, error: Optional[BaseException] = None) -> None:
         with self.lock:
@@ -367,22 +390,11 @@ class _Build:
             per_layer[counter] += amount
 
     def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
-        """Start ``fn(*args)`` on the pool, or run it now when there is none;
-        calling the result waits for the value."""
-        if self.pool is None:
+        """Start ``fn(*args)`` on the boundary's pool, or run it now when there
+        is none; calling the result waits for the value."""
+        if self.boundary.pool is None:
             return _ready(fn(*args))
-        return self.pool.submit(fn, *args).result
-
-    def close(self) -> None:
-        """Stop the build, cancel its queued tasks, then end the senders once
-        they have answered every queued request."""
-        self.stop()  # a running rollout ends at its next call
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-        for _ in self._senders:  # after the pool, so that no caller is left to queue
-            self._queue.put(None)
-        for sender in self._senders:
-            sender.join()
+        return self.boundary.pool.submit(fn, *args).result
 
 
 class TreeBuilder:
@@ -481,6 +493,7 @@ class TreeBuilder:
             max_searches=max(0, horizon - 1),
             top_k=self.config.top_k,
             temperature=self.config.sampling_temperature,
+            max_tokens=self.config.max_tokens,
             seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
             raise_backend_errors=True,
         )
@@ -779,17 +792,18 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ entry point
 
-    def build_tree(self, question: Question) -> BuildResult:
+    def build_tree(self, question: Question, boundary: Optional[Boundary] = None) -> BuildResult:
         """Expand one question under the configured strategy.
 
-        One ``_Build`` holds the build's ledger, retrieval memo and, when
-        ``concurrency`` c > 1, its c sender threads and the pool of 2c that
-        prepares their calls; ``close`` ends them however the build ends. Raises
-        :class:`NodeExpansionFailed` when a layer cannot produce any usable
-        candidate, and the first backend error (a rollout's too); batch drivers
-        record either.
+        One ``_Build`` holds the build's ledger and retrieval memo and sends
+        its calls through ``boundary``, or else through a ``Boundary`` of its
+        own at the config's ``concurrency``, closed however the build ends.
+        Raises :class:`NodeExpansionFailed` when a layer cannot produce any
+        usable candidate, and the first backend error (a rollout's too); batch
+        drivers record either.
         """
-        build = _Build(question, self.policy, self.retriever, self.config.concurrency)
+        build = _Build(question, self.policy, self.retriever,
+                       boundary or Boundary(self.config.concurrency))
         result = BuildResult(question, self.config, ledger=build.ledger)
         try:
             if self.config.strategy == "full_node":
@@ -799,5 +813,7 @@ class TreeBuilder:
         except BuildStopped:
             raise build.error from None  # the failure itself, not a call it stopped
         finally:
-            build.close()
+            build.stop()  # a rollout still running ends at its next call
+            if boundary is None:
+                build.boundary.close()
         return result

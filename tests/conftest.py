@@ -47,6 +47,15 @@ def infer_role(prompt: str) -> PolicyRole:
     raise ValueError("prompt does not match any known template")
 
 
+@pytest.fixture(autouse=True)
+def no_ragtree_thread_outlives_its_test():
+    """Fail a test that leaves a sender or preparer thread of ragtree running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in set(threading.enumerate()) - before if t.name.startswith("ragtree-")]
+    assert not left, f"threads left running: {sorted(left)}"
+
+
 @pytest.fixture
 def question() -> Question:
     return Question(id="q1", text="which tokens follow alpha?", gold_answers=(GOLD,))

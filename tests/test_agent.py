@@ -288,3 +288,25 @@ class TestEvaluateConcurrency:
         )
         assert report.failures == 0
         assert report.em == 0.25
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_calls_leave_from_the_boundary(self, concurrency):
+        callers = set()
+        inner_policy, inner_retriever = search_then_answer(1, "fact 0"), LexicalRetriever(TEST_CORPUS)
+
+        class Recording:
+            def complete(self, request):
+                callers.add(threading.current_thread())
+                return inner_policy.complete(request)
+
+            def retrieve(self, request):
+                callers.add(threading.current_thread())
+                return inner_retriever.retrieve(request)
+
+        report = evaluate_dataset(self.QUESTIONS, Recording(), Recording(), concurrency=concurrency)
+        assert report.avg_searches == 1 and report.failures == 0
+        if concurrency == 1:
+            assert callers == {threading.current_thread()}
+        else:
+            assert 1 < len(callers) <= concurrency
+            assert all(thread.name.startswith("ragtree-send-") for thread in callers)

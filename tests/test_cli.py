@@ -313,9 +313,9 @@ class TestExpandCommand:
         reported, seen_at_build = [], []
 
         class Watched(TreeBuilder):
-            def build_tree(self, question):
+            def build_tree(self, question, boundary):
                 seen_at_build.append(list(reported))
-                return super().build_tree(question)
+                return super().build_tree(question, boundary)
 
         watched = Watched(policy, make_bench_retriever(), ExpansionConfig(k=2, n=1, t_max=1))
         manifest = expand_batch(

@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -840,3 +841,88 @@ class TestBuildScheduler:
                                     str(out))
             assert manifest.items[0].status == "failed"
             assert "rollout backend down" in manifest.items[0].error
+
+
+class TestMaxTokens:
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_every_request_carries_the_configured_budget(self, concurrency):
+        question = Question(id="tokens-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=2, n=2, t_max=2, majority_samples=2, max_tokens=64,
+                              concurrency=concurrency)
+        inner = make_bench_policy({question.text: "beta"}, rollout_searches=1)
+        seen = []
+
+        class Recording:
+            def complete(self, request):
+                seen.append((request.role, request.max_tokens))
+                return inner.complete(request)
+
+        TreeBuilder(Recording(), make_bench_retriever(), cfg).build_tree(question)
+        assert {role for role, _ in seen} == set(PolicyRole)
+        assert {tokens for _, tokens in seen} == {64}
+
+
+class TestRunBoundary:
+    """The builds of a batch share one boundary: ``concurrency`` c requests in flight."""
+
+    QUESTIONS = [
+        Question(id=f"run-{i}", text=f"what is probe number {i}?", gold_answers=(f"fact {i}",))
+        for i in range(8)
+    ]
+
+    @staticmethod
+    def config(concurrency: int) -> ExpansionConfig:
+        return ExpansionConfig(
+            k=3, n=2, t_max=2, majority_samples=3, rollout_cap="fixed", concurrency=concurrency
+        )
+
+    def shared_probe(self) -> InFlightProbe:
+        gold = {q.text: q.gold_answers[0] for q in self.QUESTIONS}
+        return InFlightProbe(make_bench_policy(gold, rollout_searches=1), make_bench_retriever())
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_a_batch_stays_within_one_bound(self, concurrency, tmp_path):
+        cfg = self.config(concurrency)
+        probe = self.shared_probe()
+        threads = threading.active_count()
+        manifest = expand_batch(self.QUESTIONS, lambda: TreeBuilder(probe, probe, cfg),
+                                str(tmp_path), concurrency=concurrency)
+        assert manifest.counts["ok"] == len(self.QUESTIONS)
+        assert 1 < probe.peak["all"] <= concurrency
+        assert 1 < len(probe.threads) <= concurrency
+        # c batch workers, c senders and a pool of 2c that prepares their calls
+        assert probe.most_threads - threads <= 4 * concurrency
+
+    def test_a_failed_question_stops_only_its_own_build(self, tmp_path):
+        concurrency, questions = 4, self.QUESTIONS[:4]
+        failing = questions[1]
+        shared = self.shared_probe()
+        # each question's calls pass through a probe of its own on their way to the shared one
+        probes = {
+            q.id: InFlightProbe(shared, shared, delay_s=0, fail_rollout=q is failing)
+            for q in questions
+        }
+        cfg = self.config(concurrency)
+
+        class PerQuestion(TreeBuilder):
+            def build_tree(self, question, *boundary):
+                probe = probes[question.id]
+                return TreeBuilder(probe, probe, self.config).build_tree(question, *boundary)
+
+        clean_cfg = self.config(1)
+        clean = expand_batch(questions, lambda: TreeBuilder(shared, shared, clean_cfg),
+                             str(tmp_path / "clean"))
+        assert clean.counts["ok"] == len(questions)
+        shared.peak.clear()
+        batch = expand_batch(questions, lambda: PerQuestion(shared, shared, cfg),
+                             str(tmp_path / "batch"), concurrency=concurrency)
+        assert [item.status for item in batch.items] == ["ok", "failed", "ok", "ok"]
+        assert "rollout backend down" in batch.items[1].error
+        for item, reference in zip(batch.items, clean.items):
+            if item.status == "ok":
+                assert Path(item.snapshot).read_bytes() == Path(reference.snapshot).read_bytes()
+        assert shared.peak["all"] <= concurrency
+        # only calls already past the boundary may start once the failing call has returned
+        failed = probes[failing.id]
+        started_after = [e for e in failed.events[failed.failed_at:] if e[0] == "start"]
+        assert len(started_after) <= concurrency - 1
