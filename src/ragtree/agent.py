@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_documents, render_history
 from .metrics import exact_match, f1_score
@@ -24,24 +24,6 @@ from .types import Document, Question, State
 from .errors import RagTreeError, check_at_least
 
 STOP_SEQUENCES = ("</search>", "</answer>")
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def fan_out(fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
-    """``[fn(item) for item in items]``, on up to ``workers`` threads above 1.
-
-    Results keep the order of ``items``. ``concurrent.futures`` is imported
-    only when a call fans out, so serial runs never load it.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent import futures
-
-    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 @dataclass(frozen=True)
 class AgentEvent:
@@ -204,20 +186,19 @@ def evaluate_dataset(
     """Run the agent on every question and aggregate EM/F1.
 
     Unanswered episodes (caps, failures) score 0 and count in the means. Each
-    question is one engine build, with its own retrieval memo, on a run-wide
-    ``Boundary`` at ``concurrency`` c: above 1, c threads run questions and the
-    boundary's c senders make their calls. Each question's seed comes from its
-    index, so items and transcripts keep the input order, and backends that
-    answer a request the same way each time give the same contents at any
-    concurrency. Limits out of range raise :class:`ConfigurationError` before
-    any backend call.
+    question is one engine build, with its own retrieval memo, and one
+    ``Boundary`` at ``concurrency`` c runs them all: above 1, up to c questions at
+    once, whose calls its c senders make; at 1, one question at a time on the
+    caller's thread. Each question's seed comes from its index, so items and
+    transcripts keep the input order, and backends that answer a request the
+    same way each time give the same contents at any concurrency. Limits out of
+    range raise :class:`ConfigurationError` before any backend call.
     """
     from .engine import Boundary, _Build  # the engine imports this module
 
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
-    boundary = Boundary(concurrency)
 
     def run_one(job: Tuple[int, Question]) -> Tuple[AgentTranscript, dict]:
         index, question = job
@@ -248,10 +229,8 @@ def evaluate_dataset(
         }
         return transcript, item
 
-    try:
-        done = fan_out(run_one, list(enumerate(questions)), concurrency)
-    finally:
-        boundary.close()
+    with Boundary(concurrency) as boundary:
+        done = boundary.map(run_one, list(enumerate(questions)), concurrency)
     transcripts = [transcript for transcript, _ in done]
     items = [item for _, item in done]
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .agent import fan_out
 from .engine import LAYER_COUNTERS, Boundary, BuildResult, TreeBuilder
 from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError, check_at_least
 from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
@@ -107,9 +106,10 @@ def expand_batch(
     the worker thread that built it.
     ``builder_factory`` is called once per question; since a builder keeps no
     per-build state, it may return one shared builder, and concurrent builds
-    on it still get their own ledgers and retrieval memos. ``concurrency``
-    builds run at once and share one ``Boundary`` at the builders' own
-    ``config.concurrency`` c, so the batch has at most c requests in flight.
+    on it still get their own ledgers and retrieval memos. One ``Boundary`` at
+    the builders' own ``config.concurrency`` c runs every build and makes its
+    calls, so the batch has at most c requests in flight: up to
+    ``concurrency`` builds run at once above c = 1, and one at a time at 1.
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
     before anything is built or written, as does a ``concurrency`` below 1
@@ -166,11 +166,8 @@ def expand_batch(
         save_snapshot(build_result_to_dict(result), str(path))
         return ManifestItem.built("ok", path, result)
 
-    boundary = Boundary(config.concurrency)
-    try:
-        manifest.items.extend(fan_out(expand_one, pending, concurrency))
-    finally:
-        boundary.close()
+    with Boundary(config.concurrency) as boundary:
+        manifest.items.extend(boundary.map(expand_one, pending, concurrency))
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])

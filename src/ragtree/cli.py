@@ -27,17 +27,16 @@ from .snapshot import load_snapshot
 from .types import type_hints
 
 
-# The config override flags by group: each flag's help and the config fields it sets,
-# as "section.field" or a field of RunConfig itself. --concurrency sets both the batch
-# workers and the run's sender threads, which hold its requests in flight. The first
-# field's type hint gives the flag its type and, for a Literal, its choices.
-_FLAGS: Dict[str, Dict[str, tuple]] = {
+# The config override flags by group: each flag's help and the config field it sets,
+# as "section.field" or a field of RunConfig itself. The field's type hint gives the
+# flag its type and, for a Literal, its choices. --concurrency sets the run's one
+# concurrency, which _load_config hands to every build as expansion.concurrency.
+_FLAGS: Dict[str, Dict[str, Tuple[str, str]]] = {
     "common": {
         "--dataset": ("question JSONL file", "paths.dataset"),
         "--tmax": ("maximum decision iterations", "expansion.t_max"),
         "--seed": ("base random seed", "expansion.seed"),
-        "--concurrency": ("backend requests in flight at once", "concurrency",
-                          "expansion.concurrency"),
+        "--concurrency": ("backend requests in flight at once", "concurrency"),
     },
     "tree": {
         "--k": ("candidate executions per decision", "expansion.k"),
@@ -62,7 +61,7 @@ def _add_flags(parser: argparse.ArgumentParser, groups: tuple) -> None:
     """``--config`` and the override flags of ``groups``: what ``_load_config`` reads."""
     parser.add_argument("--config", help="JSON run-config file")
     for group in groups:
-        for flag, (help_text, target, *_) in _FLAGS[group].items():
+        for flag, (help_text, target) in _FLAGS[group].items():
             hint = RunConfig
             for name in target.split("."):
                 hint = type_hints(hint)[name]
@@ -72,22 +71,23 @@ def _add_flags(parser: argparse.ArgumentParser, groups: tuple) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file with the flags applied. The run's ``concurrency``, from the
+    flag or the file, is the one bound: it becomes every build's too."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     given = vars(args)
     changes: Dict[str, dict] = {}
     for flags in _FLAGS.values():
-        for flag, (_, *targets) in flags.items():
+        for flag, (_, target) in flags.items():
             value = given.get(flag[2:].replace("-", "_"))
-            if value is None:
-                continue
-            for target in targets:
+            if value is not None:
                 section, _, name = target.rpartition(".")
                 changes.setdefault(section, {})[name] = value
     try:
         sections = {s: replace(getattr(config, s), **v) for s, v in changes.items() if s}
-        return replace(config, **sections, **changes.get("", {}))
+        config = replace(config, **sections, **changes.get("", {}))
     except ValueError as exc:
         raise ConfigurationError(f"invalid flag value: {exc}") from None
+    return replace(config, expansion=replace(config.expansion, concurrency=config.concurrency))
 
 
 def _require_dataset(config: RunConfig) -> str:

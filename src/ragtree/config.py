@@ -7,15 +7,16 @@ The config file is JSON and round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Literal, Optional, get_origin
 
 from .engine import ExpansionConfig
-from .errors import ConfigurationError, DatasetError
+from .errors import ConfigurationError, DatasetError, json_objects
 from .history import HistoryTemplate
 from .policy import HttpPolicyBackend, PolicyBackend, RoutedPolicyBackend
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrieverBackend, load_corpus_jsonl
+from .snapshot import encode
 from .templates import PromptTemplateSet, load_templates
 from .types import Question, check_choices, has_type, type_hints
 
@@ -70,7 +71,8 @@ class RunConfig:
             raise ValueError("concurrency must be >= 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The file form: ``expansion.concurrency`` is left out, as from snapshots."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, record: dict) -> "RunConfig":
@@ -106,13 +108,14 @@ class RunConfig:
 
 def _from_record(cls, record: dict, where: str):
     """``cls(**record)`` that names unknown keys and wrongly typed values. A field with
-    a default factory is a settings section, built the same way from its own record."""
+    a default factory is a settings section, built the same way from its own record.
+    A field that snapshots leave out (``UNWRITTEN``) is unknown here too."""
     if not isinstance(record, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    known = {f.name: f for f in fields(cls)}
+        raise ValueError(f"{where} must be a JSON object")
+    known = {f.name: f for f in fields(cls) if f.metadata.get("snapshot", True)}
     unknown = set(record) - set(known)
     if unknown:
-        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     hints = type_hints(cls)
     values = {}
     for key, value in record.items():
@@ -122,47 +125,34 @@ def _from_record(cls, record: dict, where: str):
         elif not has_type(value, hints[key]):
             hint = hints[key]
             expected = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
-            raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
+            raise ValueError(f"{where}.{key} must be {expected}, not {value!r}")
         values[key] = value
     return cls(**values)
 
 
 def load_dataset(path: str) -> List[Question]:
     """Parse a question file: one ``{"id", "question", "golden_answers"}`` per line."""
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise DatasetError(f"dataset file not found: {path}")
     questions: List[Question] = []
     seen: Dict[str, int] = {}
-    with file_path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise DatasetError(f"invalid JSON ({exc})", line=line_no)
-            if not isinstance(record, dict):
-                raise DatasetError("record is not an object", line=line_no)
-            missing = [k for k in ("id", "question", "golden_answers") if k not in record]
-            if missing:
-                raise DatasetError(f"missing fields: {missing}", line=line_no)
-            qid = str(record["id"])
-            if qid in seen:
-                raise DatasetError(
-                    f"duplicate question id {qid!r} (first seen on line {seen[qid]})", line=line_no
-                )
-            seen[qid] = line_no
-            golds = record["golden_answers"]
-            if not isinstance(golds, list) or not golds or any(not str(g).strip() for g in golds):
-                raise DatasetError("golden_answers must be a non-empty list of non-empty strings", line=line_no)
-            try:
-                questions.append(
-                    Question(id=qid, text=str(record["question"]), gold_answers=tuple(str(g) for g in golds))
-                )
-            except ValueError as exc:
-                raise DatasetError(str(exc), line=line_no)
+    for line_no, record in json_objects(path, "dataset"):
+        missing = [k for k in ("id", "question", "golden_answers") if k not in record]
+        if missing:
+            raise DatasetError(f"missing fields: {missing}", line=line_no)
+        qid = str(record["id"])
+        if qid in seen:
+            raise DatasetError(
+                f"duplicate question id {qid!r} (first seen on line {seen[qid]})", line=line_no
+            )
+        seen[qid] = line_no
+        golds = record["golden_answers"]
+        if not isinstance(golds, list) or not golds or any(not str(g).strip() for g in golds):
+            raise DatasetError("golden_answers must be a non-empty list of non-empty strings", line=line_no)
+        try:
+            questions.append(
+                Question(id=qid, text=str(record["question"]), gold_answers=tuple(str(g) for g in golds))
+            )
+        except ValueError as exc:
+            raise DatasetError(str(exc), line=line_no)
     if not questions:
         raise DatasetError(f"dataset {path} has no questions")
     return questions

@@ -14,17 +14,19 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
-Each build is one ``_Build``, whose ``_call`` sends every backend call of the
-build, the rollouts' too, through the run's ``Boundary``: with ``concurrency`` c
-above 1, its c sender threads keep c calls of any builds in flight whenever that
-many are ready, and a pool of 2c threads that run only Python prepares them.
-A layer sends all its termination votes at once, then all ``k`` samples of a
-candidate set; each new candidate's retrieval and rollouts start as soon as
-that candidate is read, while the later samples are still in flight.
-Finalization is one call, made when nothing else is in flight. Seeds are keyed
-by (kind, layer, index, attempt) and results are read in index order, so the
-tree, the counts and the snapshot are the same at any concurrency. The first
-backend error stops the build: no queued or later call is sent.
+A run's ``Boundary`` owns every thread of the run: it runs the questions
+(``map``), and each build is one ``_Build``, whose ``_call`` sends every backend
+call of the build, the rollouts' too, through it. With ``concurrency`` c above
+1, its c sender threads keep c calls of any builds in flight whenever that many
+are ready, and a pool of 2c threads that run only Python prepares them; at 1 no
+thread starts, and questions run one at a time. A layer sends all its
+termination votes at once, then all ``k`` samples of a candidate set; each new
+candidate's retrieval and rollouts start as soon as that candidate is read,
+while the later samples are still in flight. Finalization is one call, made
+when nothing else is in flight. Seeds are keyed by (kind, layer, index,
+attempt) and results are read in index order, so the tree, the counts and the
+snapshot are the same at any concurrency. The first backend error stops the
+build: none of its queued or later calls or preparations starts.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -68,6 +70,7 @@ if TYPE_CHECKING:
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -283,59 +286,75 @@ def _ready(value: T) -> Callable[[], T]:
 
 
 class Boundary:
-    """Where the backend calls of a run's builds leave: at ``concurrency`` c = 1
-    the caller makes each call and no thread starts. Above 1, c sender threads
-    read one FIFO queue of (build, request) and each caller blocks for its
-    reply, so c calls of any builds are in flight whenever that many are
-    queued, and the thread that frees a slot runs no engine Python first; a
-    pool of 2c threads prepares calls. A sender refuses a stopped build's
-    requests, and the first error it meets stops only the build that sent it.
+    """The one owner of a run's threads: every backend call of its builds leaves
+    here, and ``map`` runs its questions. At ``concurrency`` c = 1 the caller
+    makes each call, ``map`` runs one item at a time, and no thread starts. Above
+    1, a pool of c sender threads reads one FIFO queue of calls and each caller
+    blocks for its reply, so c calls of any builds are in flight whenever that
+    many are queued, and the thread that frees a slot runs no engine Python
+    first; a pool of 2c threads prepares calls. The senders refuse a stopped
+    build's requests and the preparers its queued work, and the first error a
+    sender meets stops only the build that sent it. Use it as
+    ``with Boundary(c) as boundary:``, which joins every thread it started.
     """
 
     def __init__(self, concurrency: int = 1):
-        self._senders: List[threading.Thread] = []
-        self.pool: Optional["Executor"] = None
+        self._senders: Optional["Executor"] = None
+        self._pool: Optional["Executor"] = None
         if concurrency > 1:
-            from concurrent.futures import ThreadPoolExecutor  # serial runs never load them
-            from queue import SimpleQueue
+            from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
 
-            self._queue, self._mailbox = SimpleQueue(), SimpleQueue  # one mailbox per call
-            self._senders = [
-                threading.Thread(target=self._send, name=f"ragtree-send-{i}", daemon=True)
-                for i in range(concurrency)
-            ]
-            for sender in self._senders:
-                sender.start()
-            self.pool = ThreadPoolExecutor(2 * concurrency, "ragtree-build")
+            self._senders = ThreadPoolExecutor(concurrency, "ragtree-send-")
+            self._pool = ThreadPoolExecutor(2 * concurrency, "ragtree-build")
+
+    def __enter__(self) -> "Boundary":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
+        """``[fn(item) for item in items]``, in order, on up to ``workers`` threads of
+        their own when the boundary has senders. Not on the preparers: a build
+        waits on its own preparations, so builds there could take every preparer and deadlock."""
+        if self._senders is None or workers <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(workers, len(items)), "ragtree-question") as questions:
+            return list(questions.map(fn, items))
+
+    def submit(self, build: _Build, fn: Callable[..., T], *args) -> Callable[[], T]:
+        """Start ``fn(*args)`` for ``build`` on the preparers, or run it now when
+        there are none; calling the result waits for the value."""
+        if self._pool is None:
+            return _ready(self._unless_stopped(build, fn, *args))
+        return self._pool.submit(self._unless_stopped, build, fn, *args).result
 
     def send(self, build: _Build, call: Callable[..., T], request) -> T:
-        if not self._senders:
-            return call(request)
-        reply = self._mailbox()
-        self._queue.put((build, call, request, reply))
-        response, error = reply.get()
-        if error is not None:
-            raise error
-        return response
+        """``call(request)``, made by a sender when there are any; the caller waits."""
+        if self._senders is None:
+            return self._unless_stopped(build, call, request)
+        return self._senders.submit(self._send, build, call, request).result()
 
-    def _send(self) -> None:
-        for build, call, request, reply in iter(self._queue.get, None):
-            try:
-                if build.stopped:
-                    raise BuildStopped("the build has stopped")
-                reply.put((call(request), None))
-            except BaseException as error:  # the caller raises it
-                build.stop(error)
-                reply.put((None, error))
+    @staticmethod
+    def _unless_stopped(build: _Build, fn: Callable[..., T], *args) -> T:
+        if build.stopped:
+            raise BuildStopped("the build has stopped")
+        return fn(*args)
+
+    def _send(self, build: _Build, call: Callable[..., T], request) -> T:
+        try:
+            return self._unless_stopped(build, call, request)
+        except BaseException as error:  # the caller raises it
+            build.stop(error)
+            raise
 
     def close(self) -> None:
         """After its builds: cancel queued preparations, then end the senders."""
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-        for _ in self._senders:  # after the pool, so that no caller is left to queue
-            self._queue.put(None)
-        for sender in self._senders:
-            sender.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._senders.shutdown()  # after the pool, so that no caller is left to queue
 
 
 class _Build:
@@ -343,8 +362,8 @@ class _Build:
 
     Every backend call goes through ``_call`` to the ``boundary`` (by default
     a serial one). The first error of its calls, or ``stop``, stops the build:
-    its queued and new calls raise :class:`BuildStopped`, and ``error`` keeps
-    that first error.
+    the boundary refuses its queued and new calls and preparations with
+    :class:`BuildStopped`, and ``error`` keeps that first error.
 
     ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
     boundary, so a hit takes no slot; callers of one key wait for its first
@@ -374,8 +393,6 @@ class _Build:
             return list(entry[1])
 
     def _call(self, call: Callable[..., T], request) -> T:
-        if self.stopped:
-            raise BuildStopped("the build has stopped")
         return self.boundary.send(self, call, request)
 
     def stop(self, error: Optional[BaseException] = None) -> None:
@@ -388,13 +405,6 @@ class _Build:
             setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
             per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
             per_layer[counter] += amount
-
-    def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
-        """Start ``fn(*args)`` on the boundary's pool, or run it now when there
-        is none; calling the result waits for the value."""
-        if self.boundary.pool is None:
-            return _ready(fn(*args))
-        return self.boundary.pool.submit(fn, *args).result
 
 
 class TreeBuilder:
@@ -536,8 +546,8 @@ class TreeBuilder:
         cfg = self.config
         prompt = self.templates.render(role, question=question)
         samples = [
-            build.submit(
-                self._sample, build, role, prompt, _CANDIDATE_PARSERS[role], layer,
+            build.boundary.submit(
+                build, self._sample, build, role, prompt, _CANDIDATE_PARSERS[role], layer,
                 "policy_calls", ("cand", kind, layer, index),
             )
             for index in range(cfg.k)
@@ -552,7 +562,8 @@ class TreeBuilder:
             else:
                 base, pending = state.with_step(self._step_for(candidate, sub_question)), None
             return candidate, [
-                build.submit(self.run_rollout, base, pending, layer, (layer, kind, index, r), build)
+                build.boundary.submit(build, self.run_rollout, base, pending, layer,
+                                      (layer, kind, index, r), build)
                 for r in range(cfg.n)
             ]
 
@@ -568,7 +579,7 @@ class TreeBuilder:
                 continue
             seen.add(normalize_answer(content))
             if role is PolicyRole.SUB_QUERY:
-                started.append(build.submit(retrieve, content, len(started)))
+                started.append(build.boundary.submit(build, retrieve, content, len(started)))
             else:
                 started.append(_ready(start(Candidate(role.value, content), len(started))))
         candidates = []
@@ -605,8 +616,8 @@ class TreeBuilder:
         cfg = self.config
         prompt = self._termination_prompt(state)
         pending_votes = [
-            build.submit(
-                self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
+            build.boundary.submit(
+                build, self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
                 "policy_calls", ("vote", layer, v),
             )
             for v in range(cfg.majority_samples)

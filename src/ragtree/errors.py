@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the range check that raises one."""
+"""Exception types shared across the package, the range check that raises one, and
+the JSONL reader that refuses a line that is not an object."""
 
 from __future__ import annotations
 
-from typing import Tuple
+import json
+from pathlib import Path
+from typing import Iterator, Tuple
 
 
 class RagTreeError(Exception):
@@ -54,3 +57,23 @@ class DatasetError(RagTreeError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def json_objects(path: str, kind: str) -> Iterator[Tuple[int, dict]]:
+    """Each non-blank line of the JSONL file at ``path`` as (line number, object). A
+    missing file, invalid JSON or a line that is not an object raises
+    :class:`DatasetError`; ``kind`` names the file in the first."""
+    file_path = Path(path)
+    if not file_path.is_file():
+        raise DatasetError(f"{kind} file not found: {path}")
+    with file_path.open(encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise DatasetError(f"invalid JSON ({exc})", line=line_no)
+            if not isinstance(record, dict):
+                raise DatasetError("record is not an object", line=line_no)
+            yield line_no, record

@@ -4,12 +4,10 @@ memoizes its own retrievals in front of either (``engine._Build.retrieve``)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, List, Protocol, Sequence, Tuple
 
-from .errors import BackendUnavailable, DatasetError
+from .errors import BackendUnavailable, DatasetError, json_objects
 from .httpclient import HttpJsonClient
 from .metrics import normalize_answer
 from .types import Document
@@ -87,19 +85,14 @@ class LexicalRetriever:
 
 
 def load_corpus_jsonl(path: str) -> List[Tuple[str, str]]:
-    """Load a lexical corpus: one ``{"title", "text"}`` JSON object per line."""
+    """Load a lexical corpus: one ``{"title", "text"}`` JSON object per line, with a
+    string title (default "") and a non-empty string text; any other line raises
+    :class:`DatasetError` naming it."""
     corpus: List[Tuple[str, str]] = []
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise DatasetError(f"corpus file not found: {path}")
-    with file_path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                corpus.append((obj.get("title", ""), obj["text"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetError(f"bad corpus record ({exc})", line=line_no)
+    for line_no, record in json_objects(path, "corpus"):
+        title, text = record.get("title", ""), record.get("text")
+        if not (isinstance(title, str) and isinstance(text, str) and text):
+            raise DatasetError("a corpus record needs a string title and a non-empty string "
+                               "text", line=line_no)
+        corpus.append((title, text))
     return corpus

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Mapping, Optional, Sequence
 
-from .engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from .engine import Boundary, ExpansionConfig, TreeBuilder, theoretical_counts
 from .errors import ConfigurationError, DatasetError
 from .policy import PolicyRequest, ScriptedPolicyBackend
 from .retrieval import LexicalRetriever
@@ -134,8 +134,9 @@ def strategy_costs(
     The regime pins ``majority_samples`` to ``k`` and runs scripted rollouts to
     the fixed horizon ``t_max``, so each measured count should equal
     ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
-    because its cost is exponential in depth. Every input is checked before
-    the first build.
+    because its cost is exponential in depth. One ``Boundary`` at the config's
+    ``concurrency`` makes the calls of every build, one question at a time.
+    Every input is checked before the first build.
     """
     if not questions:
         raise DatasetError("no questions to bench")
@@ -156,17 +157,19 @@ def strategy_costs(
     gold = {q.text: q.gold_answers[0] for q in questions}
     retriever = make_bench_retriever()
     costs = []
-    for expansion in expansions:
-        strategy, depth = expansion.strategy, expansion.t_max
-        policy = make_bench_policy(gold, rollout_searches=depth - 1)
-        builder = TreeBuilder(policy, retriever, expansion)
-        measured, seconds = 0, 0.0
-        for question in questions:
-            started = time.monotonic()
-            result = builder.build_tree(question)
-            seconds += time.monotonic() - started
-            measured += result.ledger.expansion_count(strategy)
-        theoretical = theoretical_counts(expansion, depth, strategy)
-        count = len(questions)
-        costs.append(StrategyCost(strategy, depth, measured // count, theoretical, seconds / count))
+    with Boundary(config.concurrency) as boundary:
+        for expansion in expansions:
+            strategy, depth = expansion.strategy, expansion.t_max
+            policy = make_bench_policy(gold, rollout_searches=depth - 1)
+            builder = TreeBuilder(policy, retriever, expansion)
+            measured, seconds = 0, 0.0
+            for question in questions:
+                started = time.monotonic()
+                result = builder.build_tree(question, boundary)
+                seconds += time.monotonic() - started
+                measured += result.ledger.expansion_count(strategy)
+            theoretical = theoretical_counts(expansion, depth, strategy)
+            count = len(questions)
+            costs.append(StrategyCost(strategy, depth, measured // count, theoretical,
+                                      seconds / count))
     return costs

@@ -6,6 +6,8 @@ import csv
 import itertools
 import json
 import re
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -354,6 +356,36 @@ class TestExpandCommand:
                 seq_bytes = snapshot_path(seq_out, question.id).read_bytes()
                 par_bytes = snapshot_path(par_out, question.id).read_bytes()
                 assert seq_bytes == par_bytes
+
+    def test_config_file_concurrency_bounds_a_lone_question(self, tmp_path, monkeypatch):
+        lock, inflight, peak, callers = threading.Lock(), [0], [0], set()
+        build_policy = cli.build_policy_backend
+
+        class Watched:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                with lock:
+                    inflight[0] += 1
+                    peak[0] = max(peak[0], inflight[0])
+                    callers.add(threading.current_thread().name)
+                try:
+                    time.sleep(0.002)
+                    return self.inner.complete(request)
+                finally:
+                    with lock:
+                        inflight[0] -= 1
+
+        monkeypatch.setattr(cli, "build_policy_backend", lambda *args: Watched(build_policy(*args)))
+        config = json.loads(Path(write_config(tmp_path)).read_text(encoding="utf-8"))
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**config, "concurrency": 4}), encoding="utf-8")
+        argv = ["expand", "--dataset", write_dataset(tmp_path, n=1), "--config", str(config_path),
+                "--out", str(tmp_path / "snapshots")]
+        assert main(argv) == 0
+        assert 1 < peak[0] <= 4
+        assert callers and all(name.startswith("ragtree-send-") for name in callers), callers
 
     @pytest.mark.parametrize(
         "ids, needle",
@@ -716,6 +748,26 @@ class TestBadSettings:
     def test_top_level_concurrency_in_config_file(self, tmp_path, capsys):
         code = self._expand(tmp_path, self._config_file(tmp_path, concurrency=0))
         self._assert_error(capsys, code, "concurrency")
+        assert not (tmp_path / "snapshots").exists()
+
+    def test_expansion_concurrency_in_config_file(self, tmp_path, capsys, monkeypatch):
+        forbid_backends(monkeypatch)
+        code = self._expand(tmp_path, self._config_file(tmp_path, expansion={"concurrency": 4}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and "['concurrency']" in err, err
+        assert not (tmp_path / "snapshots").exists()
+
+    @pytest.mark.parametrize(
+        "record", [[1, 2], {"title": "t", "text": ""}], ids=["not-an-object", "empty-text"]
+    )
+    def test_bad_corpus_line_is_refused_before_any_build(self, tmp_path, capsys, record):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"title": "t", "text": "body"}) + "\n" + json.dumps(record)
+                          + "\n", encoding="utf-8")
+        code = self._expand(tmp_path, write_config(tmp_path), "--retriever-kind", "lexical",
+                            "--corpus", str(corpus))
+        self._assert_error(capsys, code, "line 2: ")
         assert not (tmp_path / "snapshots").exists()
 
     def test_out_of_range_value_in_config_file(self, tmp_path, capsys):

@@ -14,11 +14,12 @@ import pytest
 
 from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
 from ragtree.batch import expand_batch
+from ragtree import engine, scripted
 from ragtree.engine import (
-    Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build, best_candidate,
-    derive_seed, theoretical_counts,
+    Boundary, Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build,
+    best_candidate, derive_seed, theoretical_counts,
 )
-from ragtree.errors import BackendUnavailable, NodeExpansionFailed
+from ragtree.errors import BackendUnavailable, BuildStopped, NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever, RetrievalRequest
 from ragtree.scripted import make_bench_policy, make_bench_retriever
@@ -842,6 +843,16 @@ class TestBuildScheduler:
             assert manifest.items[0].status == "failed"
             assert "rollout backend down" in manifest.items[0].error
 
+    def test_a_stopped_build_prepares_nothing(self):
+        ran = []
+        with Boundary(2) as boundary:
+            build = _Build(self.QUESTION, None, None, boundary)
+            build.stop()
+            result = boundary.submit(build, ran.append, "prepared")
+            with pytest.raises(BuildStopped):
+                result()
+        assert ran == []
+
 
 class TestMaxTokens:
     @pytest.mark.parametrize("concurrency", [1, 2])
@@ -926,3 +937,28 @@ class TestRunBoundary:
         failed = probes[failing.id]
         started_after = [e for e in failed.events[failed.failed_at:] if e[0] == "start"]
         assert len(started_after) <= concurrency - 1
+
+    def test_a_serial_boundary_runs_one_question_at_a_time(self, tmp_path):
+        probe, cfg = self.shared_probe(), self.config(1)
+        threads = threading.active_count()
+        manifest = expand_batch(self.QUESTIONS[:4], lambda: TreeBuilder(probe, probe, cfg),
+                                str(tmp_path), concurrency=4)
+        assert manifest.counts["ok"] == 4
+        assert probe.peak["all"] == 1
+        assert probe.threads == {threading.current_thread()}
+        assert probe.most_threads == threads
+
+    def test_strategy_costs_runs_every_build_on_one_boundary(self, monkeypatch):
+        made = []
+
+        class Counted(Boundary):
+            def __init__(self, concurrency=1):
+                made.append(concurrency)
+                super().__init__(concurrency)
+
+        monkeypatch.setattr(engine, "Boundary", Counted)
+        monkeypatch.setattr(scripted, "Boundary", Counted, raising=False)
+        cfg = ExpansionConfig(k=2, n=1, t_max=2, concurrency=2)
+        costs = scripted.strategy_costs(self.QUESTIONS[:3], cfg, ("pruning", "full_node"), 1)
+        assert [cost.measured for cost in costs] == [cost.theoretical for cost in costs]
+        assert made == [2]

@@ -139,6 +139,21 @@ class TestCorpusLoader:
             load_corpus_jsonl(str(path))
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize(
+        "record, needle",
+        [([1, 2], "not an object"), ("text", "not an object"),
+         ({"title": 3, "text": "body"}, "title"), ({"title": "t", "text": 5}, "text"),
+         ({"title": "t", "text": None}, "text"), ({"title": "t", "text": ""}, "text")],
+        ids=["list", "string", "int-title", "int-text", "null-text", "empty-text"],
+    )
+    def test_bad_record_is_refused_with_its_line(self, tmp_path, record, needle):
+        path = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"title": "t1", "text": "body one"}), json.dumps(record)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=needle) as excinfo:
+            load_corpus_jsonl(str(path))
+        assert excinfo.value.line == 2
+
     def test_missing_file(self):
         with pytest.raises(DatasetError):
             load_corpus_jsonl("/nonexistent/corpus.jsonl")
