@@ -9,9 +9,7 @@ expansion and the evaluation of trained models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_documents, render_history
@@ -195,6 +193,7 @@ def evaluate_dataset(
     range raise :class:`ConfigurationError` before any backend call.
     """
     from .engine import Boundary, _Build  # the engine imports this module
+    from .export import write_jsonl  # and the exporters import the engine
 
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
@@ -247,10 +246,6 @@ def evaluate_dataset(
     )
 
     if transcripts_path:
-        path = Path(transcripts_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            for transcript in transcripts:
-                handle.write(json.dumps(transcript.to_dict(), ensure_ascii=False) + "\n")
+        write_jsonl([transcript.to_dict() for transcript in transcripts], transcripts_path)
 
     return report

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .engine import LAYER_COUNTERS, Boundary, BuildResult, TreeBuilder
+from .engine import LAYER_COUNTERS, Boundary, BuildResult, ExpansionConfig, TreeBuilder
 from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError, check_at_least
 from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
 from .types import Question
@@ -21,15 +20,16 @@ def snapshot_path(out_dir: str, question_id: str) -> Path:
 _LEDGER_KEYS = LAYER_COUNTERS + ("leaf_nodes",)
 
 
-def _valid_snapshot(path: Path, question_id: str, config: dict) -> Optional[BuildResult]:
+def _valid_snapshot(path: Path, question: Question, config: ExpansionConfig) -> Optional[BuildResult]:
     """The snapshot at ``path``, or None unless resume may keep it: it must load as the
-    exporters load it, be this question's, with this encoded config, and hold a ledger
-    and no failure."""
+    exporters load it (so it holds no key the program does not write), be this
+    question's (its id, text and gold answers), with this config (the concurrency
+    aside), and hold a ledger and no failure."""
     try:
         kept = load_snapshot(str(path))
     except ExportError:
         return None
-    same = kept.question.id == question_id and encode(kept.config) == config
+    same = kept.question == question and encode(kept.config) == encode(config)
     return kept if same and kept.failure is None and kept.ledger is not None else None
 
 
@@ -79,13 +79,6 @@ class Manifest:
             ],
         }
 
-    def save(self, path: str) -> None:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-
 
 def expand_batch(
     questions: Sequence[Question],
@@ -95,12 +88,15 @@ def expand_batch(
     concurrency: int = 1,
     on_progress: Optional[Callable[[str, str], None]] = None,
 ) -> Manifest:
-    """Expand every question, writing one snapshot per question plus a manifest.
+    """Expand every question, writing one snapshot per question plus a manifest,
+    each atomically (``save_snapshot``).
 
     With ``resume`` enabled, questions whose snapshot already exists and
     validates are skipped without touching any backend; a snapshot that
-    records a failure, or was built with another ``ExpansionConfig`` (the
-    concurrency aside), does not validate, so its question is expanded again.
+    records a failure, holds a key the program does not write, belongs to
+    another question (id, text or gold answers) or was built with another
+    ``ExpansionConfig`` (the concurrency aside) does not validate, so its
+    question is expanded again.
     A skipped question's manifest item takes its ledger from its snapshot.
     ``on_progress`` hears of each question as it is skipped or finishes, from
     the worker thread that built it.
@@ -132,11 +128,10 @@ def expand_batch(
     manifest = Manifest()
 
     config = builder_factory().config
-    encoded = encode(config) if resume else None
     pending: List[Question] = []
     for question in questions:
         path = snapshot_path(out_dir, question.id)
-        kept = _valid_snapshot(path, question.id, encoded) if resume else None
+        kept = _valid_snapshot(path, question, config) if resume else None
         if kept is not None:
             manifest.items.append(ManifestItem.built("skipped", path, kept))
             if on_progress:
@@ -171,5 +166,5 @@ def expand_batch(
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])
-    manifest.save(str(manifest_path))
+    save_snapshot(manifest.to_dict(), str(manifest_path))
     return manifest

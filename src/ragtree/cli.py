@@ -20,10 +20,10 @@ from .config import (
     load_dataset,
 )
 from .engine import BuildResult, Strategy, TreeBuilder
-from .errors import ConfigurationError, ExportError, RagTreeError, check_at_least
+from .errors import ExportError, RagTreeError, check_at_least
 from .export import SFT_STRATEGIES, export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import strategy_costs
-from .snapshot import load_snapshot
+from .snapshot import load_snapshot, save_snapshot
 from .types import type_hints
 
 
@@ -71,22 +71,17 @@ def _add_flags(parser: argparse.ArgumentParser, groups: tuple) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The config file with the flags applied. The run's ``concurrency``, from the
-    flag or the file, is the one bound: it becomes every build's too."""
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    given = vars(args)
-    changes: Dict[str, dict] = {}
+    """The config file's record with the flags' values set in it, decoded as a file is
+    (``RunConfig.from_dict``). The run's ``concurrency``, from the flag or the file, is
+    the one bound: it becomes every build's too."""
+    record = (RunConfig.from_file(args.config) if args.config else RunConfig()).to_dict()
     for flags in _FLAGS.values():
         for flag, (_, target) in flags.items():
-            value = given.get(flag[2:].replace("-", "_"))
+            value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is not None:
                 section, _, name = target.rpartition(".")
-                changes.setdefault(section, {})[name] = value
-    try:
-        sections = {s: replace(getattr(config, s), **v) for s, v in changes.items() if s}
-        config = replace(config, **sections, **changes.get("", {}))
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid flag value: {exc}") from None
+                (record[section] if section else record)[name] = value
+    config = RunConfig.from_dict(record)
     return replace(config, expansion=replace(config.expansion, concurrency=config.concurrency))
 
 
@@ -215,9 +210,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     record = report.to_dict()
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        save_snapshot(record, args.out)
     print(json.dumps(record, ensure_ascii=False))
     return 0
 

@@ -7,18 +7,18 @@ The config file is JSON and round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Literal, Optional, get_origin
+from typing import Any, Dict, List, Literal, Optional
 
 from .engine import ExpansionConfig
 from .errors import ConfigurationError, DatasetError, json_objects
 from .history import HistoryTemplate
 from .policy import HttpPolicyBackend, PolicyBackend, RoutedPolicyBackend
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrieverBackend, load_corpus_jsonl
-from .snapshot import encode
+from .snapshot import decode, encode
 from .templates import PromptTemplateSet, load_templates
-from .types import Question, check_choices, has_type, type_hints
+from .types import Question, check_choices
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, record: dict) -> "RunConfig":
+        """``record`` laid over the defaults' ``to_dict``, so a key it lacks takes its
+        default, and decoded by ``snapshot.decode``: a key ``to_dict`` never writes or a
+        wrongly typed value is refused by its path, such as ``config.expansion.k``."""
         try:
-            return _from_record(cls, record, "config")
+            return decode(cls, _laid_over(encode(cls()), record), ("config",))
         except ValueError as exc:
             raise ConfigurationError(f"invalid config: {exc}") from None
 
@@ -85,10 +88,8 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         try:
             record = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}")
-        except ValueError as exc:
-            raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
         config = cls.from_dict(record)
         config.validate_paths()
         return config
@@ -106,28 +107,11 @@ class RunConfig:
         return self.expansion.history_template()
 
 
-def _from_record(cls, record: dict, where: str):
-    """``cls(**record)`` that names unknown keys and wrongly typed values. A field with
-    a default factory is a settings section, built the same way from its own record.
-    A field that snapshots leave out (``UNWRITTEN``) is unknown here too."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    known = {f.name: f for f in fields(cls) if f.metadata.get("snapshot", True)}
-    unknown = set(record) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = type_hints(cls)
-    values = {}
-    for key, value in record.items():
-        section = known[key].default_factory
-        if section is not MISSING:
-            value = _from_record(section, value, key)
-        elif not has_type(value, hints[key]):
-            hint = hints[key]
-            expected = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
-            raise ValueError(f"{where}.{key} must be {expected}, not {value!r}")
-        values[key] = value
-    return cls(**values)
+def _laid_over(defaults: Any, record: Any) -> Any:
+    """``record`` with every key it lacks taken from ``defaults``, section by section."""
+    if not (isinstance(defaults, dict) and isinstance(record, dict)):
+        return record
+    return {**defaults, **{key: _laid_over(defaults.get(key), value) for key, value in record.items()}}
 
 
 def load_dataset(path: str) -> List[Question]:

@@ -247,7 +247,7 @@ def export_dpo(result: BuildResult, margin: float = 0.1) -> List[DpoPair]:
 # --------------------------------------------------------------------- writers
 
 
-def _write_jsonl(records: Sequence[dict], path: str) -> None:
+def write_jsonl(records: Sequence[dict], path: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
@@ -256,8 +256,8 @@ def _write_jsonl(records: Sequence[dict], path: str) -> None:
 
 
 def write_sft_jsonl(examples: Sequence[SftExample], path: str) -> None:
-    _write_jsonl([e.to_dict() for e in examples], path)
+    write_jsonl([e.to_dict() for e in examples], path)
 
 
 def write_dpo_jsonl(pairs: Sequence[DpoPair], path: str) -> None:
-    _write_jsonl([p.to_dict() for p in pairs], path)
+    write_jsonl([p.to_dict() for p in pairs], path)

@@ -3,7 +3,9 @@
 A snapshot encodes one ``BuildResult`` (a failed build included) and decodes
 back to an equal one, so a batch can be re-exported without re-expansion.
 One generic codec does the work: a dataclass is written as an object of its
-fields in declaration order, minus the fields marked ``UNWRITTEN``.
+fields in declaration order, minus the fields marked ``UNWRITTEN``. Its decoder
+reads config files too (``RunConfig.from_dict``). Keys are strict: a record holds
+exactly the fields the encoder writes, and every refusal names the field's path.
 
 A snapshot holds what the exporters and resume read. A rollout keeps its
 answer, score and steps, not its transcript; the config records the
@@ -33,32 +35,28 @@ SCHEMA_VERSION = 4
 
 
 @lru_cache(maxsize=None)
-def _written(cls: Any) -> Optional[Tuple[str, ...]]:
-    """The written field names of a dataclass type, or None for any other type."""
+def _written(cls: Any) -> Optional[Tuple[Mapping[str, Any], Mapping[str, None]]]:
+    """For a dataclass type, its written fields in order with their type hints, and its
+    unwritten fields without a default, which decode as None until load rebuilds them.
+    None for any other type."""
     if not is_dataclass(cls):
         return None
-    return tuple(f.name for f in fields(cls) if f.metadata.get("snapshot", True))
-
-
-@lru_cache(maxsize=None)
-def _decode_plan(cls: type) -> Tuple[Tuple[Tuple[str, Any], ...], Mapping[str, None]]:
-    """A dataclass's written fields with their type hints, and its unwritten fields
-    without a default, which decode as None until load rebuilds them."""
     hints = type_hints(cls)
+    written = [f for f in fields(cls) if f.metadata.get("snapshot", True)]
     unset = {
         f.name: None
         for f in fields(cls)
-        if f.name not in _written(cls) and f.default is MISSING and f.default_factory is MISSING
+        if f not in written and f.default is MISSING and f.default_factory is MISSING
     }
-    return tuple((name, hints[name]) for name in _written(cls)), MappingProxyType(unset)
+    return MappingProxyType({f.name: hints[f.name] for f in written}), MappingProxyType(unset)
 
 
 def encode(value: Any) -> Any:
     """A JSON-ready copy of ``value``. Dict keys are sorted, so a ledger's per-layer
     counters keep one order whichever thread counted first."""
-    names = _written(type(value))
-    if names is not None:
-        return {name: encode(getattr(value, name)) for name in names}
+    plan = _written(type(value))
+    if plan is not None:
+        return {name: encode(getattr(value, name)) for name in plan[0]}
     if isinstance(value, (list, tuple)):
         return [encode(item) for item in value]
     if isinstance(value, dict):
@@ -66,31 +64,51 @@ def encode(value: Any) -> Any:
     return value
 
 
-def decode(hint: Any, data: Any) -> Any:
-    """The value of type ``hint`` that ``encode`` wrote as ``data``. A union of
-    dataclasses takes the arm whose written field names are the record's keys. Every
-    other value decodes to itself, and must have the hint's type (``has_type``), so a
-    file with a string for a number is malformed here, not a crash in an exporter."""
+def _path(where: Tuple) -> str:
+    """The dotted text of a path of keys; the empty path reads as "record"."""
+    return ".".join(map(str, where)) or "record"
+
+
+def decode(hint: Any, data: Any, where: Tuple = ()) -> Any:
+    """The value of type ``hint`` that ``encode`` wrote as ``data`` at path ``where``.
+    A dataclass record must hold exactly the fields ``encode`` writes; a union of
+    dataclasses takes the arm that shares the most keys with it. Every other value
+    decodes to itself and must have the hint's type (``has_type``). A refusal is a
+    ValueError naming the path, such as ``chains.0.nodes.0.terminate_probe``."""
     if isinstance(data, (dict, list)):
         origin, args = get_origin(hint), get_args(hint)
         if origin is Union:
             arms = [arm for arm in args if arm is not type(None)]
-            if len(arms) > 1:
-                arms = [arm for arm in arms if set(_written(arm)) == set(data)]
-            return decode(arms[0], data)
-        if _written(hint) is not None:
-            written, unset = _decode_plan(hint)
-            return hint(**{name: decode(h, data[name]) for name, h in written}, **unset)
-        if origin is tuple and args[-1:] == (Ellipsis,):
-            return tuple(decode(args[0], item) for item in data)
-        if origin is tuple:
-            return tuple(decode(arg, item) for arg, item in zip(args, data, strict=True))
-        if origin is list:
-            return [decode(args[0], item) for item in data]
-        if origin is dict and args:
-            return {args[0](key): decode(args[1], item) for key, item in data.items()}
+            if len(arms) > 1 and isinstance(data, dict):
+                arms = [max(arms, key=lambda arm: len(_written(arm)[0].keys() & data.keys()))]
+            return decode(arms[0], data, where)
+        if isinstance(data, list) and origin in (list, tuple):
+            hints = args if origin is tuple and args[-1:] != (Ellipsis,) else args[:1] * len(data)
+            if len(hints) != len(data):
+                raise ValueError(f"{_path(where)} must have {len(hints)} items, not {len(data)}")
+            items = [decode(h, item, where + (i,)) for i, (h, item) in enumerate(zip(hints, data))]
+            return items if origin is list else tuple(items)
+        if isinstance(data, dict) and origin is dict and args:
+            try:
+                keys = [args[0](key) for key in data]
+            except ValueError:
+                raise ValueError(f"{_path(where)} keys must be {args[0].__name__}") from None
+            return {key: decode(args[1], item, where + (key,)) for key, item in zip(keys, data.values())}
+        plan = _written(hint) if isinstance(data, dict) else None
+        if plan is not None:
+            written, unset = plan
+            if data.keys() != written.keys():
+                unknown = sorted(data.keys() - written.keys())
+                raise ValueError(f"unknown {_path(where)} keys: {unknown}" if unknown else
+                                 f"missing {_path(where)} keys: {sorted(written.keys() - data.keys())}")
+            values = {name: decode(h, data[name], where + (name,)) for name, h in written.items()}
+            try:
+                return hint(**values, **unset)
+            except ValueError as exc:
+                raise ValueError(f"{_path(where)}: {exc}") from None
     if type(data) is not hint and not has_type(data, hint):
-        raise TypeError(f"expected {getattr(hint, '__name__', hint)}, not {data!r}")
+        expected = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
+        raise ValueError(f"{_path(where)} must be {expected}, not {data!r}")
     return data
 
 
@@ -103,7 +121,7 @@ def dumps_snapshot(record: dict) -> str:
 
 
 def save_snapshot(record: dict, path: str) -> None:
-    """Atomic write: a crash mid-write never leaves a truncated snapshot."""
+    """Atomic write of a snapshot, manifest or report: a crash never leaves it truncated."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_suffix(target.suffix + ".tmp")
@@ -118,9 +136,9 @@ def snapshot_from_dict(record: dict) -> BuildResult:
         rerun = "; re-run `ragtree expand` on its directory" if stale else ""
         raise ExportError(f"unsupported snapshot schema version: {version!r}{rerun}")
     try:
-        result = decode(BuildResult, record)
-    except (LookupError, AttributeError, TypeError, ValueError) as exc:
-        raise ExportError(f"malformed snapshot: {exc!r}") from None
+        result = decode(BuildResult, {key: v for key, v in record.items() if key != "schema_version"})
+    except ValueError as exc:
+        raise ExportError(f"malformed snapshot: {exc}") from None
     question = result.question
     for chain in result.chains:
         steps = chain.final_state.steps if chain.final_state is not None else ()

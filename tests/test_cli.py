@@ -76,12 +76,15 @@ def _reward_as_string(record):
     return record
 
 
-# Snapshot edits that keep every key but give a value the wrong type or length.
+# Snapshot edits that give a value the wrong type or length, or add a key the
+# program never writes.
 MALFORMED = {
     "reward-string": _reward_as_string,
     "layer-string": lambda record: _trunk_node(record, layer="1"),
     "probe-string": lambda record: _trunk_node(record, terminate_probe="x"),
     "probe-short": lambda record: _trunk_node(record, terminate_probe=["x"]),
+    "node-unknown-key": lambda record: _trunk_node(record, bogus=1),
+    "config-unknown-key": lambda record: {**record, "config": {**record["config"], "bogus": 1}},
 }
 
 
@@ -197,6 +200,27 @@ class TestExpandCommand:
         assert main(argv + ["--k", "3", "--resume"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [item["status"] for item in manifest["items"]] == ["skipped"]
+
+    @pytest.mark.parametrize(
+        "changes", [{"question": "who wrote beta?"}, {"golden_answers": ["sappho"]}],
+        ids=["text", "golds"],
+    )
+    def test_resume_reexpands_a_snapshot_of_another_question(self, tmp_path, changes):
+        """A dataset edit that keeps a question's id but changes its text or its gold
+        answers makes the old snapshot another question's: resume expands it again."""
+        dataset = Path(write_dataset(tmp_path, n=1))
+        out = tmp_path / "snapshots"
+        argv = ["expand", "--dataset", str(dataset), "--config", write_config(tmp_path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        record = {**json.loads(dataset.read_text(encoding="utf-8")), **changes}
+        dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [item["status"] for item in manifest["items"]] == ["ok"]
+        question = json.loads((out / "q0.json").read_text())["question"]
+        assert question == {"id": "q0", "text": record["question"],
+                            "gold_answers": record["golden_answers"]}
 
     def test_resume_keeps_the_ledger_totals(self, tmp_path):
         dataset = write_dataset(tmp_path, n=1)
@@ -506,10 +530,11 @@ class TestExportCommands:
         "corrupt, needle",
         [
             (MALFORMED["probe-short"], "malformed snapshot"),
+            (MALFORMED["probe-short"], "chains.0.nodes.0.terminate_probe"),
             (lambda record: {**record, "schema_version": 2}, "re-run `ragtree expand`"),
             (lambda record: {**record, "schema_version": 3}, "re-run `ragtree expand`"),
         ],
-        ids=["probe-short", "schema-2", "schema-3"],
+        ids=["probe-short", "probe-short-path", "schema-2", "schema-3"],
     )
     def test_bad_snapshot_error_names_its_file(self, tmp_path, capsys, corrupt, needle):
         out = self._expanded(tmp_path)
@@ -798,7 +823,7 @@ class TestBadSettings:
     def test_unknown_key_in_config_section(self, tmp_path, capsys):
         for key in ("bogus", "scripted_rollout_searches", "scripted_terminate_after"):
             code = self._expand(tmp_path, self._config_file(tmp_path, policy={key: 1}))
-            self._assert_error(capsys, code, f"unknown policy keys: ['{key}']")
+            self._assert_error(capsys, code, f"unknown config.policy keys: ['{key}']")
 
     @pytest.mark.parametrize(
         "changes, needle",
