@@ -86,22 +86,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """The file's config. Its paths are checked where they are read (``load_dataset``,
+        ``load_corpus_jsonl``, ``load_templates``), so a flag can replace a missing one."""
         try:
             record = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}")
-        config = cls.from_dict(record)
-        config.validate_paths()
-        return config
-
-    def validate_paths(self) -> None:
-        for label, value in (
-            ("paths.dataset", self.paths.dataset),
-            ("paths.templates_dir", self.paths.templates_dir),
-            ("retriever.corpus_path", self.retriever.corpus_path),
-        ):
-            if value is not None and not Path(value).exists():
-                raise ConfigurationError(f"{label} does not exist: {value}")
+        return cls.from_dict(record)
 
     def history_template(self) -> HistoryTemplate:
         return self.expansion.history_template()
@@ -115,28 +106,30 @@ def _laid_over(defaults: Any, record: Any) -> Any:
 
 
 def load_dataset(path: str) -> List[Question]:
-    """Parse a question file: one ``{"id", "question", "golden_answers"}`` per line."""
+    """Parse a question file: one ``{"id", "question", "golden_answers"}`` per line, with
+    a non-empty string question and gold answers and an id that is a non-empty string
+    or an integer; any other line raises :class:`DatasetError` naming it."""
     questions: List[Question] = []
     seen: Dict[str, int] = {}
     for line_no, record in json_objects(path, "dataset"):
         missing = [k for k in ("id", "question", "golden_answers") if k not in record]
         if missing:
             raise DatasetError(f"missing fields: {missing}", line=line_no)
-        qid = str(record["id"])
+        qid, text, golds = record["id"], record["question"], record["golden_answers"]
+        if isinstance(qid, bool) or not isinstance(qid, (str, int)) or qid == "":
+            raise DatasetError("id must be a non-empty string or an integer", line=line_no)
+        qid = str(qid)
         if qid in seen:
             raise DatasetError(
                 f"duplicate question id {qid!r} (first seen on line {seen[qid]})", line=line_no
             )
         seen[qid] = line_no
-        golds = record["golden_answers"]
-        if not isinstance(golds, list) or not golds or any(not str(g).strip() for g in golds):
+        if not (isinstance(text, str) and text):
+            raise DatasetError("question must be a non-empty string", line=line_no)
+        if not (isinstance(golds, list) and golds
+                and all(isinstance(g, str) and g.strip() for g in golds)):
             raise DatasetError("golden_answers must be a non-empty list of non-empty strings", line=line_no)
-        try:
-            questions.append(
-                Question(id=qid, text=str(record["question"]), gold_answers=tuple(str(g) for g in golds))
-            )
-        except ValueError as exc:
-            raise DatasetError(str(exc), line=line_no)
+        questions.append(Question(id=qid, text=text, gold_answers=tuple(golds)))
     if not questions:
         raise DatasetError(f"dataset {path} has no questions")
     return questions

@@ -4,12 +4,13 @@ The exporters read a ``BuildResult``: live from ``build_tree``, or decoded
 from its snapshot, with the same output either way. They render documents at
 the ``doc_char_budget`` its config records, the budget its prompts used.
 
-SFT examples slice the retained chain at its retrieval steps: each input is
-the serialized prefix through a retrieval's documents, each output continues
-through the next retrieval's sub-query (documents are injected by the live
-retriever at inference time) or through the final answer. DPO pairs come from
-the candidate sets generated before pruning: same-kind execution siblings and
-opposing decision branches that were both scored.
+SFT examples slice the retained chain at the offsets ``history.render_chain``
+returns with it: each input is the rendered prefix through the question block
+or a retrieval's documents, each output continues through the next retrieval's
+sub-query (documents are injected by the live retriever at inference time) or
+through the final answer. DPO pairs come from the candidate sets generated
+before pruning: same-kind execution siblings and opposing decision branches
+that were both scored.
 """
 
 from __future__ import annotations
@@ -115,43 +116,24 @@ def _select_chain(
     return sorted(contenders, key=key)[0]
 
 
-def segment_chain(chain: ChainRecord, question_id: str, template: HistoryTemplate) -> List[SftExample]:
-    """Slice a terminal chain into SFT input/output segments at retrieval steps."""
-    text, marks, final_start = render_chain(chain.final_state, template)
-    first_step_start = marks[0].start if marks else final_start
-    retrievals = [m for m in marks if m.is_retrieval]
-
-    examples: List[SftExample] = []
-    input_end = first_step_start  # segment 0 input: the question block
-    for index, mark in enumerate(retrievals):
-        examples.append(
-            SftExample(
-                question_id=question_id,
-                segment_index=index,
-                input=text[:input_end],
-                output=text[input_end : mark.after_sub_query],
-            )
-        )
-        input_end = mark.end
-    examples.append(
-        SftExample(
-            question_id=question_id,
-            segment_index=len(retrievals),
-            input=text[:input_end],
-            output=text[input_end:],
-        )
-    )
-    return examples
-
-
 def export_sft(
     result: BuildResult, strategy: str = "retained", min_final_score: float = 0.0
 ) -> List[SftExample]:
-    """SFT examples for one result; empty when no chain clears the score filter."""
+    """SFT examples for one result; empty when no chain clears the score filter.
+
+    ``render_chain``'s cuts, closed by the chain's end, pair up as each segment's
+    (input end, output end): the input is the chain up to the first, the output
+    the text between the two.
+    """
     chain = _select_chain(result, strategy, min_final_score)
     if chain is None:
         return []
-    return segment_chain(chain, result.question.id, result.config.history_template())
+    text, cuts = render_chain(chain.final_state, result.config.history_template())
+    ends = [*cuts, len(text)]
+    return [
+        SftExample(result.question.id, index, text[:start], text[start:end])
+        for index, (start, end) in enumerate(zip(ends[::2], ends[1::2]))
+    ]
 
 
 # ----------------------------------------------------------------------- DPO

@@ -3,7 +3,8 @@
 The rendered history fills the ``{iter_history}`` placeholder of the prompt
 templates and is also the canonical chain text that SFT exports slice into
 input/output segments, so the format is frozen: byte-identical output for
-identical states. No other module writes history text.
+identical states. No other module writes history text, and none decides where
+a chain is cut: ``render_chain`` returns the offsets with the text.
 """
 
 from __future__ import annotations
@@ -97,42 +98,22 @@ def render_history(
     return text
 
 
-@dataclass(frozen=True)
-class ChainMark:
-    """Slice offsets for one step within a rendered chain."""
-
-    is_retrieval: bool
-    start: int
-    after_sub_query: int  # == end for self-answered steps
-    end: int
-
-
 def render_chain(
     state: State, template: HistoryTemplate = DEFAULT_TEMPLATE
-) -> Tuple[str, List[ChainMark], int]:
-    """Render a terminal chain with per-step slice marks.
+) -> Tuple[str, List[int]]:
+    """Render a terminal chain with the offsets that SFT export slices it at.
 
-    Returns (text, marks, final_block_start). The text is the question block,
-    every step block, then the final-answer block; SFT segmentation slices it
-    at the marks.
+    Returns (text, cuts). The text is the question block, every step block, then
+    the final-answer block. The cuts are the end of the question block, then, for
+    each retrieval step, the end of its sub-query line and the end of its documents.
     """
     if state.final_answer is None:
         raise ValueError("render_chain requires a terminal state")
-    parts = [QUESTION_BLOCK.format(question=state.question.text)]
-    offset = len(parts[0])
-    marks: List[ChainMark] = []
+    text = QUESTION_BLOCK.format(question=state.question.text)
+    cuts = [len(text)]
     for i, step in enumerate(state.steps, start=1):
-        text, pre_docs = _render_step(template, i, step)
-        marks.append(
-            ChainMark(
-                is_retrieval=isinstance(step.resolution, Retrieved),
-                start=offset,
-                after_sub_query=offset + pre_docs,
-                end=offset + len(text),
-            )
-        )
-        parts.append(text)
-        offset += len(text)
-    final_block_start = offset
-    parts.append(FINAL_ANSWER_BLOCK.format(answer=state.final_answer))
-    return "".join(parts), marks, final_block_start
+        step_text, pre_docs = _render_step(template, i, step)
+        if isinstance(step.resolution, Retrieved):
+            cuts += [len(text) + pre_docs, len(text) + len(step_text)]
+        text += step_text
+    return text + FINAL_ANSWER_BLOCK.format(answer=state.final_answer), cuts

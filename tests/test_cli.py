@@ -440,6 +440,21 @@ class TestExpandCommand:
             expand_batch([question], no_builder, str(out), concurrency=concurrency)
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", [("paths", "dataset"), ("retriever", "corpus_path")],
+                             ids=["dataset", "corpus"])
+    def test_a_flag_replaces_a_missing_path_of_the_config_file(self, tmp_path, section, key):
+        config_path = write_config(tmp_path)
+        record = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        record.setdefault(section, {})[key] = str(tmp_path / "gone.jsonl")
+        Path(config_path).write_text(json.dumps(record), encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"title": "t", "text": "fact 0"}) + "\n", encoding="utf-8")
+        out = tmp_path / "snapshots"
+        code = main(["expand", "--config", config_path, "--dataset", write_dataset(tmp_path, n=1),
+                     "--corpus", str(corpus), "--out", str(out)])
+        assert code == 0
+        assert (out / "q0.json").is_file()
+
     def test_dataset_without_questions_is_refused(self, tmp_path, capsys):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
@@ -793,6 +808,21 @@ class TestBadSettings:
         code = self._expand(tmp_path, write_config(tmp_path), "--retriever-kind", "lexical",
                             "--corpus", str(corpus))
         self._assert_error(capsys, code, "line 2: ")
+        assert not (tmp_path / "snapshots").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("paths", "dataset"), ("retriever", "corpus_path"), ("paths", "templates_dir")],
+        ids=["dataset", "corpus", "templates"],
+    )
+    def test_missing_path_in_config_file_is_refused_before_any_write(
+        self, tmp_path, capsys, section, key
+    ):
+        missing = str(tmp_path / "gone")
+        flags = [] if key == "dataset" else ["--dataset", write_dataset(tmp_path, n=1)]
+        config = self._config_file(tmp_path, **{section: {key: missing}})
+        code = main(["expand", "--config", config, *flags, "--out", str(tmp_path / "snapshots")])
+        self._assert_error(capsys, code, missing)
         assert not (tmp_path / "snapshots").exists()
 
     def test_out_of_range_value_in_config_file(self, tmp_path, capsys):

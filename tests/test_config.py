@@ -51,13 +51,6 @@ class TestRunConfig:
         assert config.expansion.tau == 1 and config.policy.timeout == 5
         assert config.policy.self_answer_model is None
 
-    def test_missing_referenced_path_rejected(self, tmp_path):
-        config = RunConfig(paths=PathSettings(dataset=str(tmp_path / "absent.jsonl")))
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            RunConfig.from_file(str(path))
-
     def test_doc_char_budget_flows_into_template(self):
         expansion = ExpansionConfig(doc_char_budget=77)
         assert RunConfig(expansion=expansion).history_template().doc_char_budget == 77
@@ -111,6 +104,34 @@ class TestLoadDataset:
         )
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "changes, needle",
+        [
+            ({"question": None}, "question must be a non-empty string"),
+            ({"question": {"a": 1}}, "question must be a non-empty string"),
+            ({"question": ""}, "question must be a non-empty string"),
+            ({"golden_answers": [None]}, "golden_answers must be a non-empty list"),
+            ({"golden_answers": ["alpha", ["beta"]]}, "golden_answers must be a non-empty list"),
+            ({"golden_answers": [3]}, "golden_answers must be a non-empty list"),
+            ({"id": None}, "id must be a non-empty string or an integer"),
+            ({"id": True}, "id must be a non-empty string or an integer"),
+            ({"id": 1.5}, "id must be a non-empty string or an integer"),
+            ({"id": ""}, "id must be a non-empty string or an integer"),
+        ],
+        ids=["null-question", "object-question", "empty-question", "null-gold", "list-gold",
+             "number-gold", "null-id", "bool-id", "float-id", "empty-id"],
+    )
+    def test_a_value_that_is_not_a_string_is_refused(self, tmp_path, changes, needle):
+        good = {"id": "a", "question": "q?", "golden_answers": ["x"]}
+        path = self._write(tmp_path, [json.dumps(good), json.dumps({**good, "id": "b", **changes})])
+        with pytest.raises(DatasetError, match=needle) as excinfo:
+            load_dataset(path)
+        assert excinfo.value.line == 2
+
+    def test_an_integer_id_is_read_as_text(self, tmp_path):
+        path = self._write(tmp_path, [json.dumps({"id": 7, "question": "q?", "golden_answers": ["x"]})])
+        assert load_dataset(path)[0].id == "7"
 
     def test_file_without_questions_rejected(self, tmp_path):
         path = self._write(tmp_path, ["", "   "])

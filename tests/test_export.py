@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragtree.engine import (
     BuildResult, Candidate, ChainRecord, ExpansionConfig, RolloutResult, TerminationVotes, TreeNode,
@@ -16,7 +18,9 @@ from ragtree.export import (
     write_dpo_jsonl,
     write_sft_jsonl,
 )
-from ragtree.history import render_chain, serialize_state
+from ragtree.history import (
+    QUESTION_BLOCK, SUB_QUERY_LINE, HistoryTemplate, render_chain, serialize_state,
+)
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.types import Document, Question, Retrieved, SelfAnswer, State, Step
 
@@ -106,18 +110,20 @@ class TestSftSegmentation:
         examples = export_sft(snapshot)
         assert [e.segment_index for e in examples] == [0, 1, 2]
 
-        text, marks, final_start = render_chain(snapshot.trunk.final_state)
+        text, cuts = render_chain(snapshot.trunk.final_state)
+        question_end, sub_query_1, docs_1, sub_query_3, docs_3 = cuts
         # segment 0: question only -> through step 1's sub-query
         assert examples[0].input == "Question: what is established?\n"
-        assert examples[0].output == text[marks[0].start : marks[0].after_sub_query]
+        assert examples[0].output == text[question_end:sub_query_1]
         assert examples[0].output.endswith("Sub-query: query 1\n")
         # segment 1: prefix through step 1's docs -> steps 2..3 through step 3's sub-query
-        assert examples[1].input == text[: marks[0].end]
-        assert examples[1].output == text[marks[0].end : marks[2].after_sub_query]
+        assert examples[1].input == text[:docs_1]
+        assert text[docs_1:].startswith("Sub-question 2: hop 2?\n")
+        assert examples[1].output == text[docs_1:sub_query_3]
         assert "Answer: fact 2\n" in examples[1].output
         assert examples[1].output.endswith("Sub-query: query 3\n")
         # segment 2: prefix through step 3's docs -> step 4 and the final answer
-        assert examples[2].input == text[: marks[2].end]
+        assert examples[2].input == text[:docs_3]
         assert examples[2].output.endswith("Final answer: the fact\n")
 
     def test_zero_retrievals_single_segment(self):
@@ -179,6 +185,46 @@ class TestSftSegmentation:
         snapshot = chain_snapshot((), "the fact")
         with pytest.raises(ExportError):
             export_sft(snapshot, strategy="best")
+
+
+_words = st.text(alphabet="ab \n", min_size=1, max_size=12)
+_documents = st.lists(st.builds(Document, title=_words, text=_words), max_size=3)
+_steps = st.lists(
+    st.one_of(
+        st.builds(Step, _words, st.builds(SelfAnswer, _words)),
+        st.builds(Step, _words, st.builds(Retrieved, _words, _documents.map(tuple))),
+    ),
+    max_size=6,
+)
+
+
+class TestSftSlicingProperty:
+    """Every terminal chain slices into one segment per retrieval plus one, each
+    input ending where a retrieval's documents end and each non-final output at
+    the next retrieval's sub-query line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps, answer=_words, budget=st.integers(min_value=1, max_value=20))
+    def test_segments_cut_at_the_retrievals(self, steps, answer, budget):
+        config = ExpansionConfig(doc_char_budget=budget)
+        state = State(Q, tuple(steps), answer)
+        chain = ChainRecord(chain_id=0, fork_layer=0, fork_kind=None, nodes=[],
+                            final_answer=answer, final_score=1.0, terminated_by="cap",
+                            final_state=state)
+        examples = export_sft(BuildResult(question=Q, config=config, chains=[chain]))
+
+        template = HistoryTemplate(budget)
+        question_block = QUESTION_BLOCK.format(question=Q.text)
+        retrievals = [i for i, step in enumerate(steps) if isinstance(step.resolution, Retrieved)]
+        assert [e.segment_index for e in examples] == list(range(len(retrievals) + 1))
+        assert examples[0].input == question_block
+        for example, at in zip(examples[1:], retrievals):
+            through_docs = serialize_state(State(Q, tuple(steps[: at + 1])), template)
+            assert example.input == question_block + through_docs
+        for example, at in zip(examples, retrievals):
+            sub_query = SUB_QUERY_LINE.format(sub_query=steps[at].resolution.sub_query)
+            assert example.output.endswith(sub_query)
+        assert examples[-1].input + examples[-1].output == render_chain(state, template)[0]
 
 
 class TestDpoExecutionPairs:

@@ -98,20 +98,17 @@ def test_distinct_states_render_distinct_text():
 
 def test_render_chain_marks_slice_cleanly():
     state = State(Q, (_retrieved_step(), Step("q2", SelfAnswer("w2"))), "done")
-    text, marks, final_start = render_chain(state)
-    assert text.startswith("Question: who wrote it?\n")
-    assert len(marks) == 2
-    retrieval = marks[0]
-    assert retrieval.is_retrieval
-    # after_sub_query lands right before the docs block
-    assert text[retrieval.after_sub_query :].startswith('Docs 1: "venues"')
-    assert text[retrieval.start : retrieval.after_sub_query] == (
+    text, cuts = render_chain(state)
+    # One retrieval: the question's end, then its sub-query's and its documents' ends.
+    question_end, after_sub_query, docs_end = cuts
+    assert text[:question_end] == "Question: who wrote it?\n"
+    # the sub-query cut lands right before the docs block
+    assert text[after_sub_query:].startswith('Docs 1: "venues"')
+    assert text[question_end:after_sub_query] == (
         "Sub-question 1: where was it published?\nSub-query: publication venue\n"
     )
-    assert text[final_start:] == "Final answer: done\n"
-    # Marks tile the step region exactly.
-    assert marks[0].end == marks[1].start
-    assert marks[1].end == final_start
+    # The documents end where the next step begins; the final block closes the text.
+    assert text[docs_end:] == "Sub-question 2: q2\nAnswer: w2\nFinal answer: done\n"
 
 
 def test_the_document_budget_is_the_only_setting():
