@@ -189,8 +189,9 @@ def evaluate_dataset(
     once, whose calls its c senders make; at 1, one question at a time on the
     caller's thread. Each question's seed comes from its index, so items and
     transcripts keep the input order, and backends that answer a request the
-    same way each time give the same contents at any concurrency. Limits out of
-    range raise :class:`ConfigurationError` before any backend call.
+    same way each time give the same contents at any concurrency. A question's
+    transcript is kept only when ``transcripts_path`` will write it. Limits out
+    of range raise :class:`ConfigurationError` before any backend call.
     """
     from .engine import Boundary, _Build  # the engine imports this module
     from .export import write_jsonl  # and the exporters import the engine
@@ -199,7 +200,7 @@ def evaluate_dataset(
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
 
-    def run_one(job: Tuple[int, Question]) -> Tuple[AgentTranscript, dict]:
+    def run_one(job: Tuple[int, Question]) -> Tuple[Optional[AgentTranscript], dict]:
         index, question = job
         build = _Build(question, policy, retriever, boundary)
         transcript = run_agent(
@@ -226,11 +227,10 @@ def evaluate_dataset(
             "steps": transcript.steps_taken,
             "failure": transcript.failure,
         }
-        return transcript, item
+        return (transcript if transcripts_path else None), item
 
     with Boundary(concurrency) as boundary:
         done = boundary.map(run_one, list(enumerate(questions)), concurrency)
-    transcripts = [transcript for transcript, _ in done]
     items = [item for _, item in done]
 
     denom = max(1, len(items))
@@ -246,6 +246,6 @@ def evaluate_dataset(
     )
 
     if transcripts_path:
-        write_jsonl([transcript.to_dict() for transcript in transcripts], transcripts_path)
+        write_jsonl([transcript.to_dict() for transcript, _ in done], transcripts_path)
 
     return report

@@ -107,8 +107,9 @@ def _laid_over(defaults: Any, record: Any) -> Any:
 
 def load_dataset(path: str) -> List[Question]:
     """Parse a question file: one ``{"id", "question", "golden_answers"}`` per line, with
-    a non-empty string question and gold answers and an id that is a non-empty string
-    or an integer; any other line raises :class:`DatasetError` naming it."""
+    a question and gold answers that are strings of more than whitespace and an id that
+    is a non-empty string or an integer; any other line raises :class:`DatasetError`
+    naming it."""
     questions: List[Question] = []
     seen: Dict[str, int] = {}
     for line_no, record in json_objects(path, "dataset"):
@@ -124,7 +125,7 @@ def load_dataset(path: str) -> List[Question]:
                 f"duplicate question id {qid!r} (first seen on line {seen[qid]})", line=line_no
             )
         seen[qid] = line_no
-        if not (isinstance(text, str) and text):
+        if not (isinstance(text, str) and text.strip()):
             raise DatasetError("question must be a non-empty string", line=line_no)
         if not (isinstance(golds, list) and golds
                 and all(isinstance(g, str) and g.strip() for g in golds)):

@@ -22,11 +22,19 @@ are ready, and a pool of 2c threads that run only Python prepares them; at 1 no
 thread starts, and questions run one at a time. A layer sends all its
 termination votes at once, then all ``k`` samples of a candidate set; each new
 candidate's retrieval and rollouts start as soon as that candidate is read,
-while the later samples are still in flight. Finalization is one call, made
-when nothing else is in flight. Seeds are keyed by (kind, layer, index,
-attempt) and results are read in index order, so the tree, the counts and the
-snapshot are the same at any concurrency. The first backend error stops the
-build: none of its queued or later calls or preparations starts.
+while the later samples are still in flight. Each decision (terminate or
+continue, which sub-question, whether to retrieve, which execution) settles
+as soon as the results read so far decide it, and the next one starts while
+the rest come in: a rollout scores between 0 and 1, so bounds on each
+candidate's mean reward can name the winner, or settle the skip gate, before
+the last rollouts return, and the votes settle once the unread ones cannot
+turn the majority. A chain's terminal answer likewise goes out beside the
+last layer's remaining rollouts. The build fills its nodes with every result
+before ``build_tree`` returns, and makes no call that a serial build would
+not make. Seeds are keyed by (kind, layer, index, attempt) and results are
+read in index order, so the tree, the counts and the snapshot are the same at
+any concurrency. The first backend error stops the build: none of its queued
+or later calls or preparations starts.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -183,6 +191,10 @@ class TerminationVotes:
 
 @dataclass
 class TreeNode:
+    """One layer of a chain. Inside a build, a node whose decisions settled before
+    all their results came in holds no votes and only its retained candidates
+    until the build fills it; ``build_tree`` returns whole nodes."""
+
     layer: int  # 1-based
     state: State = field(metadata=UNWRITTEN)  # the question plus the chain's first layer - 1 steps
     votes: TerminationVotes
@@ -281,8 +293,89 @@ _CANDIDATE_PARSERS: Dict[PolicyRole, Callable[[str], Optional[str]]] = {
 }
 
 
-def _ready(value: T) -> Callable[[], T]:
-    return lambda: value
+class _Ready:
+    """A result made on the caller's thread: the handle ``Boundary.submit`` returns
+    when it has no threads, like a finished future's."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+    @staticmethod
+    def done() -> bool:
+        return True
+
+
+def _settle(poll: Callable[[], Tuple[Optional[T], list]]) -> T:
+    """``poll()``'s decision, once it makes one. ``poll`` returns its decision, or
+    None and the handles whose results could make it; the caller waits for the
+    first of those, and polls again."""
+    decision, waiting = poll()
+    while decision is None:
+        # only a boundary with threads leaves a handle undone
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        wait(waiting, return_when=FIRST_COMPLETED)
+        decision, waiting = poll()
+    return decision
+
+
+def _read(handles: Sequence) -> Tuple[list, list]:
+    """The results of the handles that are done, and the handles that are not."""
+    results, waiting = [], []
+    for handle in handles:
+        if handle.done():
+            results.append(handle.result())
+        else:
+            waiting.append(handle)
+    return results, waiting
+
+
+# Rules that settle a decision from the results read so far. Each returns the
+# decision that every result yet to come leaves standing, or None while one
+# could still change it; on complete results each decides.
+
+def _vote_outcome(terminate: int, continue_: int, left: int) -> Optional[bool]:
+    """Whether a strict majority of the votes will terminate, ``left`` votes unread."""
+    if continue_ >= terminate + left:
+        return False
+    if terminate > continue_ + left:
+        return True
+    return None
+
+
+def _reward_bounds(scores: Sequence[float], left: int) -> Tuple[float, float]:
+    """The least and greatest reward a candidate can end with, ``left`` of its
+    rollouts unread: a rollout scores between 0 and 1."""
+    total = len(scores) + left
+    if not total:
+        return 0.0, 0.0
+    return math.fsum(scores) / total, math.fsum([*scores, *[1.0] * left]) / total
+
+
+def _winner(bounds: Sequence[Tuple[float, float]]) -> Optional[int]:
+    """The index ``best_candidate`` will pick, given each candidate's reward bounds:
+    the one whose least reward beats every lower index's greatest and reaches
+    every higher index's."""
+    for i, (least, _) in enumerate(bounds):
+        if (all(least > greatest for _, greatest in bounds[:i])
+                and all(least >= greatest for _, greatest in bounds[i + 1:])):
+            return i
+    return None
+
+
+def _skips_retrieval(bounds: Sequence[Tuple[float, float]], tau: float) -> Optional[bool]:
+    """Whether the best self-answer reward will reach ``tau``, given each self-answer's
+    reward bounds; with no self-answer it does not."""
+    if any(least >= tau for least, _ in bounds):
+        return True
+    if all(greatest < tau for _, greatest in bounds):
+        return False
+    return None
 
 
 class Boundary:
@@ -324,12 +417,13 @@ class Boundary:
         with ThreadPoolExecutor(min(workers, len(items)), "ragtree-question") as questions:
             return list(questions.map(fn, items))
 
-    def submit(self, build: _Build, fn: Callable[..., T], *args) -> Callable[[], T]:
+    def submit(self, build: _Build, fn: Callable[..., T], *args):
         """Start ``fn(*args)`` for ``build`` on the preparers, or run it now when
-        there are none; calling the result waits for the value."""
+        there are none. The handle's ``done()`` says whether the value is there and
+        ``result()`` waits for it."""
         if self._pool is None:
-            return _ready(self._unless_stopped(build, fn, *args))
-        return self._pool.submit(self._unless_stopped, build, fn, *args).result
+            return _Ready(self._unless_stopped(build, fn, *args))
+        return self._pool.submit(self._unless_stopped, build, fn, *args)
 
     def send(self, build: _Build, call: Callable[..., T], request) -> T:
         """``call(request)``, made by a sender when there are any; the caller waits."""
@@ -358,12 +452,16 @@ class Boundary:
 
 
 class _Build:
-    """One build: its question, ledger, retrieval memo and stop; it starts no thread.
+    """One build: its question, ledger, retrieval memo, stop and unfilled nodes; it
+    starts no thread.
 
     Every backend call goes through ``_call`` to the ``boundary`` (by default
     a serial one). The first error of its calls, or ``stop``, stops the build:
     the boundary refuses its queued and new calls and preparations with
     :class:`BuildStopped`, and ``error`` keeps that first error.
+
+    A step that settles before all its results are in ``defer``s the filling of
+    its node with them; ``fill`` runs those fills in order, on the build's thread.
 
     ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
     boundary, so a hit takes no slot; callers of one key wait for its first
@@ -379,6 +477,7 @@ class _Build:
         self.lock = threading.Lock()  # for the ledger, the memo's key locks and the stop
         self.stopped, self.error = False, None  # error: the first one, once stopped
         self._memo: Dict[Tuple[str, int], list] = {}  # key -> [its lock, its documents or None]
+        self._unfilled: List[Callable[[], None]] = []
 
     def complete(self, request: PolicyRequest) -> PolicyResponse:
         return self._call(self.policy.complete, request)
@@ -405,6 +504,91 @@ class _Build:
             setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
             per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
             per_layer[counter] += amount
+
+    def defer(self, fill: Callable[[], None]) -> None:
+        self._unfilled.append(fill)
+
+    def fill(self) -> None:
+        """Fill every deferred node, waiting for its results; the first error among
+        them, in the order the steps ran, is raised."""
+        while self._unfilled:
+            self._unfilled.pop(0)()
+
+
+class _Candidates:
+    """A started candidate set, read on the thread that started it.
+
+    Its samples are read in index order, and each new candidate's retrieval
+    (for a sub-query) and rollouts start as it is read. ``settle`` waits only
+    until the results read so far decide a rule; ``finish`` waits for them all.
+    """
+
+    def __init__(self, samples: list, begin: Callable[[str, int], object]):
+        self._samples = samples  # handles of the k sampled contents (None: malformed)
+        self._begin = begin  # (content, index) -> a handle of (candidate, its rollout handles)
+        self._read = 0
+        self._seen: set = set()
+        self._started: list = []  # per candidate, in index order
+
+    def poll(self) -> Tuple[Optional[List[Tuple[float, float]]], list]:
+        """Read what has come in. Returns each candidate's reward bounds, or None
+        while a sample is unread, and the handles still out."""
+        while self._read < len(self._samples) and self._samples[self._read].done():
+            content = self._samples[self._read].result()
+            self._read += 1
+            if content is not None and normalize_answer(content) not in self._seen:
+                self._seen.add(normalize_answer(content))
+                self._started.append(self._begin(content, len(self._started)))
+        waiting = self._samples[self._read:self._read + 1]
+        bounds = []
+        for started in self._started:
+            if not started.done():
+                waiting.append(started)
+                bounds.append((0.0, 1.0))
+                continue
+            rollouts, out = _read(started.result()[1])
+            waiting += out
+            bounds.append(_reward_bounds([rollout.score for rollout in rollouts], len(out)))
+        return (None if self._read < len(self._samples) else bounds), waiting
+
+    def settle(self, rule: Callable[[List[Tuple[float, float]]], Optional[T]]) -> T:
+        """``rule(bounds)`` once it decides, reading the set until then; the rule
+        sees the bounds once every sample is read."""
+
+        def poll():
+            bounds, waiting = self.poll()
+            return (None if bounds is None else rule(bounds)), waiting
+
+        return _settle(poll)
+
+    def count(self) -> int:
+        """The number of candidates, once every sample is read."""
+        return self.settle(len)
+
+    def best(self) -> Candidate:
+        """The candidate ``best_candidate`` will pick, as soon as the rollouts read
+        decide it; not for an empty set."""
+        return self._started[self.settle(_winner)].result()[0]
+
+    @staticmethod
+    def finish(*sets: "_Candidates") -> List[Tuple[Candidate, ...]]:
+        """Each set's candidates with their rollouts and rewards, the sets read
+        together until every result is in."""
+
+        def poll():
+            waiting = [handle for each in sets for handle in each.poll()[1]]
+            return (None if waiting else [each._scored() for each in sets]), waiting
+
+        return _settle(poll)
+
+    def _scored(self) -> Tuple[Candidate, ...]:
+        candidates = []
+        for started in self._started:
+            candidate, pending_rollouts = started.result()
+            rollouts = tuple(rollout.result() for rollout in pending_rollouts)
+            reward = TreeBuilder.mean_reward([r.score for r in rollouts])
+            candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
+        return tuple(candidates)
 
 
 class TreeBuilder:
@@ -533,12 +717,12 @@ class TreeBuilder:
         kind: str,
         state: Optional[State] = None,
         sub_question: Optional[str] = None,
-    ) -> Tuple[Candidate, ...]:
-        """Sample ``k`` candidates for ``question`` from the role's template, retrying
-        malformed output, and drop duplicates; a sub-query carries its documents.
-        Given a ``state``, each candidate is scored by ``n`` rollouts from ``state``
-        plus the candidate: a pending sub-question, or a step that resolves
-        ``sub_question``.
+    ) -> _Candidates:
+        """Start sampling ``k`` candidates for ``question`` from the role's template,
+        retrying malformed output; duplicates are dropped as they are read, and a
+        sub-query carries its documents. Given a ``state``, each candidate is
+        scored by ``n`` rollouts from ``state`` plus the candidate: a pending
+        sub-question, or a step that resolves ``sub_question``.
 
         All samples start at once. Each new candidate's retrieval and rollouts
         start as soon as it is read, while later samples are still in flight.
@@ -572,23 +756,12 @@ class TreeBuilder:
             build.bump(layer, "retrieval_calls")
             return start(Candidate("sub_query", query, documents=tuple(docs)), index)
 
-        started, seen = [], set()  # per candidate, in index order: (candidate, its rollouts)
-        for sample in samples:
-            content = sample()
-            if content is None or normalize_answer(content) in seen:
-                continue
-            seen.add(normalize_answer(content))
+        def begin(content: str, index: int):
             if role is PolicyRole.SUB_QUERY:
-                started.append(build.boundary.submit(build, retrieve, content, len(started)))
-            else:
-                started.append(_ready(start(Candidate(role.value, content), len(started))))
-        candidates = []
-        for result in started:
-            candidate, pending_rollouts = result()
-            rollouts = tuple(rollout() for rollout in pending_rollouts)
-            reward = self.mean_reward([r.score for r in rollouts])
-            candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
-        return tuple(candidates)
+                return build.boundary.submit(build, retrieve, content, index)
+            return _Ready(start(Candidate(role.value, content), index))
+
+        return _Candidates(samples, begin)
 
     def _termination_prompt(self, state: State) -> str:
         """The prompt of a layer's termination votes and of its chain's terminal answer."""
@@ -606,49 +779,74 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ decision expansion
 
+    def _directly(self, question: Question, expand: Callable[[_Build], T]) -> T:
+        """``expand`` on a serial build of its own, with its nodes filled."""
+        build = _Build(question, self.policy, self.retriever)
+        result = expand(build)
+        build.fill()
+        return result
+
     def expand_termination(
         self, state: State, layer: int, build: Optional[_Build] = None
     ) -> TreeNode:
         """The layer's node: vote on stopping, then on continue retain the best
-        sub-question by rollout reward; on stop, record the terminal answer."""
-        build = build or _Build(state.question, self.policy, self.retriever)
+        sub-question by rollout reward; on stop, record the terminal answer.
+
+        Each step starts once the results read decide the step before. Until
+        ``build`` is filled, the node's votes are unset and its sub-question
+        candidates are the retained one alone.
+        """
+        if build is None:
+            return self._directly(state.question,
+                                  lambda own: self.expand_termination(state, layer, own))
         build.bump(layer, "nodes_expanded")
         cfg = self.config
         prompt = self._termination_prompt(state)
-        pending_votes = [
+        votes = [
             build.boundary.submit(
                 build, self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
                 "policy_calls", ("vote", layer, v),
             )
             for v in range(cfg.majority_samples)
         ]
-        kinds = [vote() for vote in pending_votes]
-        votes = TerminationVotes(
-            terminate=kinds.count("terminate"), continue_=kinds.count("continue")
-        )
-        node = TreeNode(layer, state, votes)
+        node = TreeNode(layer, state, TerminationVotes())
 
-        def sub_question_candidates() -> Tuple[Candidate, ...]:
-            return self._candidates(
-                build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
-            )
+        def fill_votes() -> None:
+            kinds = [vote.result() for vote in votes]
+            node.votes = TerminationVotes(kinds.count("terminate"), kinds.count("continue"))
 
-        if votes.majority_terminate:
+        def outcome():
+            kinds, waiting = _read(votes)
+            terminate, continue_ = kinds.count("terminate"), kinds.count("continue")
+            return _vote_outcome(terminate, continue_, len(waiting)), waiting
+
+        build.defer(fill_votes)
+        terminate = _settle(outcome)
+        if terminate:
             node.terminal_answer = self._finalize_answer(build, state, layer)
             if node.terminal_answer is None:
                 raise NodeExpansionFailed(
                     build.question.id, layer, "terminate vote won but no answer was produced"
                 )
-            if cfg.score_terminate_branch:
-                node.sub_question_candidates = sub_question_candidates()
-            return node
+            if not cfg.score_terminate_branch:
+                return node
+        candidates = self._candidates(
+            build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
+        )
 
-        candidates = sub_question_candidates()
-        if not candidates:
+        def fill_candidates() -> None:
+            (scored,) = _Candidates.finish(candidates)
+            retained = None if terminate else best_candidate(scored)
+            node.sub_question_candidates = _retaining(scored, retained)
+
+        build.defer(fill_candidates)
+        if terminate:
+            return node
+        if not candidates.count():
             raise NodeExpansionFailed(
                 build.question.id, layer, "every sub-question candidate was malformed"
             )
-        node.sub_question_candidates = _retaining(candidates, best_candidate(candidates))
+        node.sub_question_candidates = (replace(candidates.best(), retained=True),)
         if cfg.score_terminate_branch:
             answer = self._finalize_answer(build, state, layer)
             if answer is not None:
@@ -662,38 +860,57 @@ class TreeBuilder:
         retrieval unless skipped.
 
         The skip gate compares the best self-answer reward with ``tau``; when
-        the gate fails the sub-query branch is taken. ``force_both`` (the
-        no-pruning strategy) always expands both branches and compares their
-        best rewards, preferring the cheaper self-answer branch on ties.
+        the gate fails the sub-query branch is taken. Each step starts once the
+        results read decide it, and until ``build`` is filled the taken branch's
+        candidates are its retained one alone. ``force_both`` (the no-pruning
+        strategy) expands both branches at once, fills them, and compares
+        their best rewards, preferring the cheaper self-answer branch on ties.
         """
+        if build is None:
+            return self._directly(node.state.question,
+                                  lambda own: self.expand_retrieval(node, force_both, own))
         state, layer = node.state, node.layer
-        build = build or _Build(state.question, self.policy, self.retriever)
         sub_question = node.retained("sub_question").content
-        node.self_answer_candidates = self._candidates(
-            build, PolicyRole.SELF_ANSWER, sub_question, layer, "self_answer", state, sub_question
-        )
-        best_sa = best_candidate(node.self_answer_candidates)
-        if not force_both and best_sa is not None and best_sa.reward >= self.config.tau:
-            node.resolve_by("self_answer")
+
+        def candidates(role: PolicyRole) -> _Candidates:
+            return self._candidates(build, role, sub_question, layer, role.value, state, sub_question)
+
+        def fail(reason: str) -> NodeExpansionFailed:
+            return NodeExpansionFailed(build.question.id, layer, reason)
+
+        answers = candidates(PolicyRole.SELF_ANSWER)
+        if force_both:
+            queries = candidates(PolicyRole.SUB_QUERY)
+            scored = _Candidates.finish(answers, queries)
+            node.self_answer_candidates, node.sub_query_candidates = scored
+            best_sa, best_sq = best_candidate(scored[0]), best_candidate(scored[1])
+            if best_sq is None and best_sa is None:
+                raise fail("both resolution branches produced no candidates")
+            # no_pruning keeps both branches; the trunk follows the better one (self-answer on ties).
+            self_answer_wins = best_sa is not None and (
+                best_sq is None or best_sa.reward >= best_sq.reward
+            )
+            node.resolve_by("self_answer" if self_answer_wins else "sub_query")
             return
 
-        node.sub_query_candidates = self._candidates(
-            build, PolicyRole.SUB_QUERY, sub_question, layer, "sub_query", state, sub_question
-        )
-        best_sq = best_candidate(node.sub_query_candidates)
-        if best_sq is None and best_sa is None:
-            raise NodeExpansionFailed(
-                build.question.id, layer, "both resolution branches produced no candidates"
-            )
-        if best_sq is None and not force_both:
-            raise NodeExpansionFailed(
-                build.question.id, layer, "every sub-query candidate was malformed"
-            )
-        # no_pruning keeps both branches; the trunk follows the better one (self-answer on ties).
-        self_answer_wins = force_both and best_sa is not None and (
-            best_sq is None or best_sa.reward >= best_sq.reward
-        )
-        node.resolve_by("self_answer" if self_answer_wins else "sub_query")
+        if answers.settle(lambda bounds: _skips_retrieval(bounds, self.config.tau)):
+            kind, taken, sets = "self_answer", answers, (answers,)
+        else:
+            queries = candidates(PolicyRole.SUB_QUERY)
+            kind, taken, sets = "sub_query", queries, (answers, queries)
+
+        def fill() -> None:
+            scored = _Candidates.finish(*sets)
+            node.self_answer_candidates = scored[0]
+            node.sub_query_candidates = scored[1] if len(scored) > 1 else ()
+            node.resolve_by(kind)
+
+        build.defer(fill)
+        if not taken.count():  # only a sub-query set can be empty here
+            raise fail("every sub-query candidate was malformed" if answers.count()
+                       else "both resolution branches produced no candidates")
+        node.chosen_kind = kind
+        setattr(node, f"{kind}_candidates", (replace(taken.best(), retained=True),))
 
     # ------------------------------------------------------------------ chain building
 
@@ -748,6 +965,7 @@ class TreeBuilder:
                     if has_alt and layer == chain.fork_layer:
                         node.resolve_by(alt_kind)
                     elif has_alt and chain.chain_id == 0 and layer == rnd:
+                        build.fill()  # the fork copies the nodes
                         fork = ChainRecord(
                             chain_id=len(chains), fork_layer=layer, fork_kind=alt_kind,
                             nodes=[replace(n) for n in chain.nodes],
@@ -768,6 +986,7 @@ class TreeBuilder:
                         build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
                     )
                 self._finish_chain(build, chain, chain.final_state, "cap", answer)
+        build.fill()
         return chains
 
     def _build_full_node(self, build: _Build) -> None:
@@ -787,16 +1006,17 @@ class TreeBuilder:
                 return
             layer = state.depth + 1
             build.bump(layer, "nodes_expanded")
-            sampled = self._candidates(
+            (sampled,) = _Candidates.finish(self._candidates(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
-            )
+            ))
             texts = [(question.text, "direct")] + [(c.content, "sampled") for c in sampled]
             for text, origin in texts:
                 tag = f"{origin}:{text[:40]}"
-                children = self._candidates(
-                    build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"
-                ) + self._candidates(build, PolicyRole.SUB_QUERY, text, layer, f"sub_query:{tag}")
-                for child in children:
+                answers, queries = _Candidates.finish(
+                    self._candidates(build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"),
+                    self._candidates(build, PolicyRole.SUB_QUERY, text, layer, f"sub_query:{tag}"),
+                )
+                for child in answers + queries:
                     expand(state.with_step(self._step_for(child, text)))
 
         expand(State(question))
@@ -817,10 +1037,14 @@ class TreeBuilder:
                        boundary or Boundary(self.config.concurrency))
         result = BuildResult(question, self.config, ledger=build.ledger)
         try:
-            if self.config.strategy == "full_node":
-                self._build_full_node(build)
-            else:
-                result.chains = self._build_chains(build)
+            try:
+                if self.config.strategy == "full_node":
+                    self._build_full_node(build)
+                else:
+                    result.chains = self._build_chains(build)
+            except NodeExpansionFailed:
+                build.fill()  # an error among an earlier step's results comes first, as serially
+                raise
         except BuildStopped:
             raise build.error from None  # the failure itself, not a call it stopped
         finally:

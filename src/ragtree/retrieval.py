@@ -86,12 +86,12 @@ class LexicalRetriever:
 
 def load_corpus_jsonl(path: str) -> List[Tuple[str, str]]:
     """Load a lexical corpus: one ``{"title", "text"}`` JSON object per line, with a
-    string title (default "") and a non-empty string text; any other line raises
-    :class:`DatasetError` naming it."""
+    string title (default "") and a string text of more than whitespace; any other line
+    raises :class:`DatasetError` naming it."""
     corpus: List[Tuple[str, str]] = []
     for line_no, record in json_objects(path, "corpus"):
         title, text = record.get("title", ""), record.get("text")
-        if not (isinstance(title, str) and isinstance(text, str) and text):
+        if not (isinstance(title, str) and isinstance(text, str) and text.strip()):
             raise DatasetError("a corpus record needs a string title and a non-empty string "
                                "text", line=line_no)
         corpus.append((title, text))

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import threading
 
 import pytest
 
-from ragtree.agent import evaluate_dataset, run_agent
+from ragtree.agent import AgentTranscript, evaluate_dataset, run_agent
 from ragtree.errors import BackendUnavailable, ConfigurationError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
@@ -220,6 +221,23 @@ class TestEvaluateDataset:
         assert parsed["question_id"] == "e1"
         assert parsed["events"][0]["kind"] == "think"
         assert parsed["searches_used"] == 1
+
+
+    def test_transcripts_are_kept_only_when_written(self, retriever):
+        # each completion counts the transcripts alive; a serial batch that keeps
+        # none for writing holds only the running question's
+        inner = search_then_answer(1, "right one")
+        alive = []
+
+        class Counting:
+            def complete(self, request):
+                alive.append(sum(isinstance(o, AgentTranscript) for o in gc.get_objects()))
+                return inner.complete(request)
+
+        questions = [Question(id=f"t{i}", text=f"probe {i}?", gold_answers=("x",)) for i in range(4)]
+        report = evaluate_dataset(questions, Counting(), retriever)
+        assert report.n == 4
+        assert max(alive) == 1
 
 
 class TestEvaluateConcurrency:

@@ -111,6 +111,7 @@ class TestLoadDataset:
             ({"question": None}, "question must be a non-empty string"),
             ({"question": {"a": 1}}, "question must be a non-empty string"),
             ({"question": ""}, "question must be a non-empty string"),
+            ({"question": " \t\n"}, "question must be a non-empty string"),
             ({"golden_answers": [None]}, "golden_answers must be a non-empty list"),
             ({"golden_answers": ["alpha", ["beta"]]}, "golden_answers must be a non-empty list"),
             ({"golden_answers": [3]}, "golden_answers must be a non-empty list"),
@@ -119,7 +120,7 @@ class TestLoadDataset:
             ({"id": 1.5}, "id must be a non-empty string or an integer"),
             ({"id": ""}, "id must be a non-empty string or an integer"),
         ],
-        ids=["null-question", "object-question", "empty-question", "null-gold", "list-gold",
+        ids=["null-question", "object-question", "empty-question", "blank-question", "null-gold", "list-gold",
              "number-gold", "null-id", "bool-id", "float-id", "empty-id"],
     )
     def test_a_value_that_is_not_a_string_is_refused(self, tmp_path, changes, needle):

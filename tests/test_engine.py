@@ -11,13 +11,16 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
 from ragtree.batch import expand_batch
 from ragtree import engine, scripted
 from ragtree.engine import (
     Boundary, Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build,
-    best_candidate, derive_seed, theoretical_counts,
+    _reward_bounds, _skips_retrieval, _vote_outcome, _winner, best_candidate, derive_seed,
+    theoretical_counts,
 )
 from ragtree.errors import BackendUnavailable, BuildStopped, NodeExpansionFailed
 from ragtree.policy import ScriptedPolicyBackend
@@ -217,6 +220,35 @@ class TestRetrievalGate:
         assert node.sub_query_candidates == ()
         assert counting.requests == []
 
+    @pytest.mark.parametrize("case", ["skip", "threshold-inclusive"])
+    def test_a_concurrent_skip_sends_no_sub_query(self, scenario, retriever, case):
+        if case == "skip":
+            scenario.set_candidates("self_answer", 1, ["sa strong", "sa weak", "sa zero"])
+            scenario.rollout_answers = {"sa strong": overlap_answer(3), "sa weak": overlap_answer(1)}
+        else:
+            scenario.config = ExpansionConfig(k=1, n=4, t_max=2, majority_samples=1, tau=0.75)
+            scenario.set_candidates("self_answer", 1, ["sa edge"])
+            scenario.rollout_answers = {"sa edge": overlap_answer(3)}  # exactly 0.75
+        inner, roles = scenario.policy(), []
+
+        class Recording:
+            def complete(self, request):
+                roles.append(request.role)
+                return inner.complete(request)
+
+        counting = CountingRetriever(retriever)
+        builder = TreeBuilder(Recording(), counting, scenario.config)
+        node = TreeNode(1, State(scenario.question), TerminationVotes(),
+                        sub_question_candidates=(Candidate("sub_question", "probe?", retained=True),))
+        with Boundary(4) as boundary:
+            build = _Build(scenario.question, builder.policy, counting, boundary)
+            builder.expand_retrieval(node, build=build)
+            build.fill()
+        assert node.chosen_kind == "self_answer"
+        assert node.sub_query_candidates == ()
+        assert PolicyRole.SUB_QUERY not in roles
+        assert counting.requests == []
+
     def test_all_sub_queries_malformed_fails_expansion(self, scenario, retriever):
         scenario.config = ExpansionConfig(
             k=2, n=1, t_max=2, majority_samples=1, malformed_retries=1
@@ -406,6 +438,29 @@ class TestBuildTree:
             2, "no terminal answer at the iteration cap"
         )
 
+    def test_an_earlier_steps_error_outranks_a_later_failure(self, scenario, retriever):
+        # "find a" wins layer 1 at once, so its resolution runs, comes back all
+        # malformed and fails the layer while the last rollout of "find c" is
+        # still out; that rollout then fails, as it would have first in a serial run
+        scenario.config = ExpansionConfig(k=3, n=2, t_max=2, majority_samples=1,
+                                          malformed_retries=0, concurrency=2)
+        scenario.set_candidates("sub_question", 1, ["find a", "find b", "find c"])
+        scenario.set_candidates("self_answer", 1, ["<malformed>"] * 3)
+        scenario.set_candidates("sub_query", 1, ["<malformed>"] * 3)
+        scenario.rollout_answers = {"find a": GOLD}
+        late = derive_seed(0, scenario.question.id, "rollout", 1, "sub_question", 2, 1)
+        inner = scenario.policy()
+
+        class FailingLate:
+            def complete(self, request):
+                if request.seed == late:
+                    time.sleep(0.3)
+                    raise BackendUnavailable("the last rollout failed")
+                return inner.complete(request)
+
+        with pytest.raises(BackendUnavailable, match="the last rollout failed"):
+            TreeBuilder(FailingLate(), retriever, scenario.config).build_tree(scenario.question)
+
 
 class TestNoPruningStrategy:
     def test_chains_and_deviations(self, scenario, retriever):
@@ -450,6 +505,56 @@ class TestEq1MeanProperty:
 
     def test_empty_scores_mean_zero(self):
         assert TreeBuilder.mean_reward([]) == 0.0
+
+
+# mostly a coarse grid, so that rewards tie and bounds meet
+SCORES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
+                   st.floats(0.0, 1.0))
+
+
+class TestSettleRules:
+    """A decision settled on part of the results is the one all of them make."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_an_early_winner_or_gate_is_the_final_one(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        scores = data.draw(st.lists(st.lists(SCORES, min_size=n, max_size=n), max_size=4), label="scores")
+        read = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                  min_size=len(scores), max_size=len(scores)), label="read")
+        tau = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="tau")
+        final = [Candidate("self_answer", str(i), reward=TreeBuilder.mean_reward(s))
+                 for i, s in enumerate(scores)]
+        best = best_candidate(final)
+        skips = best is not None and best.reward >= tau
+        partial = [
+            _reward_bounds([x for x, seen in zip(s, mask) if seen], mask.count(False))
+            for s, mask in zip(scores, read)
+        ]
+        complete = [_reward_bounds(s, 0) for s in scores]
+        for bounds in (partial, complete):
+            winner = _winner(bounds)
+            if winner is not None:
+                assert final[winner] is best
+            gate = _skips_retrieval(bounds, tau)
+            if gate is not None:
+                assert gate == skips
+        assert _skips_retrieval(complete, tau) is skips
+        if final:
+            assert final[_winner(complete)] is best
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_an_early_vote_outcome_is_the_majority(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(["terminate", "continue", None]), min_size=1,
+                                   max_size=7), label="kinds")
+        read = data.draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)), label="read")
+        seen = [kind for kind, r in zip(kinds, read) if r]
+        majority = TerminationVotes(kinds.count("terminate"), kinds.count("continue")).majority_terminate
+        outcome = _vote_outcome(seen.count("terminate"), seen.count("continue"), len(kinds) - len(seen))
+        if outcome is not None:
+            assert outcome == majority
+        assert _vote_outcome(kinds.count("terminate"), kinds.count("continue"), 0) == majority
 
 
 class TestDeterminism:
@@ -713,9 +818,11 @@ class InFlightProbe:
     ``hold`` makes a call wait for others without relying on timing: it maps
     (role, i), the i-th call of that role to start, to (role2, count), and that
     call waits (for at most ``HOLD_S``) until ``count`` calls of role2 have
-    started. A serial scheduler cannot meet the condition, so it runs late. The
-    first rollout completion raises ``BackendUnavailable`` when ``fail_rollout``;
-    ``failed_at`` is then the number of events logged up to its end.
+    started; a key may also be a request's seed. A serial scheduler cannot meet
+    the condition, so it runs late, and ``held`` records of each held call
+    whether its condition was met in time. The first rollout completion raises
+    ``BackendUnavailable`` when ``fail_rollout``; ``failed_at`` is then the
+    number of events logged up to its end.
     """
 
     HOLD_S = 0.5
@@ -733,9 +840,10 @@ class InFlightProbe:
         self.threads = set()  # the threads that called
         self.most_threads = 0  # the most threads alive at a call's start
         self.failed_at = None
+        self.held = {}  # (role, i) of a held call -> whether what it waited for came in time
         self._changed = threading.Condition()
 
-    def _call(self, role, call, request):
+    def _call(self, role, call, request, seed=None):
         with self._changed:
             nth = self.started.get(role, 0)
             self.started[role] = nth + 1
@@ -749,9 +857,12 @@ class InFlightProbe:
             if fail:
                 self.fail_rollout = False
             self._changed.notify_all()
-            if (role, nth) in self.hold:
-                awaited, count = self.hold[role, nth]
-                self._changed.wait_for(lambda: self.started.get(awaited, 0) >= count, self.HOLD_S)
+            key = (role, nth) if (role, nth) in self.hold else seed
+            if key in self.hold:
+                awaited, count = self.hold[key]
+                self.held[key] = self._changed.wait_for(
+                    lambda: self.started.get(awaited, 0) >= count, self.HOLD_S
+                )
         try:
             time.sleep(self.delay_s)
             if fail:
@@ -766,7 +877,7 @@ class InFlightProbe:
                     self.failed_at = len(self.events)
 
     def complete(self, request):
-        return self._call(request.role, self.policy.complete, request)
+        return self._call(request.role, self.policy.complete, request, request.seed)
 
     def retrieve(self, request):
         return self._call("retrieval", self.retriever.retrieve, request)
@@ -815,6 +926,21 @@ class TestBuildScheduler:
         sample_ends = [i for i, e in enumerate(events) if e == ("end", PolicyRole.SUB_QUESTION)]
         assert first_rollout < sample_ends[2]
 
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_the_next_step_leaves_before_the_last_rollout_returns(self, concurrency):
+        # Every rollout scores 1 and every self-answer 0, so candidate 0 wins each
+        # set and the layer searches. The last rollout step of layer 1's last
+        # sub-question waits for the first self-answer sample, and that of its
+        # last sub-query for layer 2's first vote; a build that waits for every
+        # rollout of a step before the next meets neither.
+        def last_step(kind: str) -> int:
+            return derive_seed(0, self.QUESTION.id, "rollout", 1, kind, 2, 1) + 1
+
+        hold = {last_step("sub_question"): (PolicyRole.SELF_ANSWER, 1),
+                last_step("sub_query"): (PolicyRole.TERMINATION, 4)}
+        probe = self.probe_build(concurrency, hold=hold)
+        assert probe.held == {key: True for key in hold}
+
     def test_failed_build_stops_spending(self, tmp_path):
         policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
 
@@ -848,10 +974,35 @@ class TestBuildScheduler:
         with Boundary(2) as boundary:
             build = _Build(self.QUESTION, None, None, boundary)
             build.stop()
-            result = boundary.submit(build, ran.append, "prepared")
+            handle = boundary.submit(build, ran.append, "prepared")
             with pytest.raises(BuildStopped):
-                result()
+                handle.result()
         assert ran == []
+
+
+class TestSettledDecisions:
+    @pytest.mark.parametrize("strategy", ["pruning", "no_pruning", "full_node"])
+    def test_every_concurrency_sends_the_serial_requests(self, strategy):
+        # settling a step early starts no call that a serial build would not make
+        question = Question(id="settle-q", text="what follows alpha?", gold_answers=("beta",))
+        inner = make_bench_policy({question.text: "beta"}, rollout_searches=1)
+
+        def requests(concurrency: int) -> list:
+            seen = []
+
+            class Recording:
+                def complete(self, request):
+                    seen.append((request.role.value, request.prompt, request.seed, request.temperature))
+                    return inner.complete(request)
+
+            cfg = ExpansionConfig(k=2, n=2, t_max=2, majority_samples=3, rollout_cap="fixed",
+                                  strategy=strategy, concurrency=concurrency)
+            TreeBuilder(Recording(), make_bench_retriever(), cfg).build_tree(question)
+            return sorted(seen)
+
+        serial = requests(1)
+        assert requests(2) == serial
+        assert requests(4) == serial
 
 
 class TestMaxTokens:

@@ -143,8 +143,9 @@ class TestCorpusLoader:
         "record, needle",
         [([1, 2], "not an object"), ("text", "not an object"),
          ({"title": 3, "text": "body"}, "title"), ({"title": "t", "text": 5}, "text"),
-         ({"title": "t", "text": None}, "text"), ({"title": "t", "text": ""}, "text")],
-        ids=["list", "string", "int-title", "int-text", "null-text", "empty-text"],
+         ({"title": "t", "text": None}, "text"), ({"title": "t", "text": ""}, "text"),
+         ({"title": "t", "text": "  \n "}, "text")],
+        ids=["list", "string", "int-title", "int-text", "null-text", "empty-text", "blank-text"],
     )
     def test_bad_record_is_refused_with_its_line(self, tmp_path, record, needle):
         path = tmp_path / "corpus.jsonl"

@@ -269,7 +269,7 @@ class TestGoldenSnapshots:
         "full_node": (2, "2486fdcd94bced04c8a0971877700f347ca6427d555ce2e84fe525d79cea35aa"),
     }
 
-    @pytest.mark.parametrize("concurrency", [1, 4])
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
     @pytest.mark.parametrize("strategy", sorted(GOLDEN))
     def test_snapshot_digest(self, strategy, concurrency):
         t_max, digest = self.GOLDEN[strategy]
@@ -356,11 +356,12 @@ class TestExportDigests:
     }
 
     @staticmethod
-    def build(strategy: str):
+    def build(strategy: str, concurrency: int = 1):
         t_max = TestExportDigests.DEPTHS[strategy]
         question = Question(id="golden-q", text="what follows alpha?", gold_answers=("beta",))
         cfg = ExpansionConfig(
-            k=2, n=2, t_max=t_max, strategy=strategy, majority_samples=2, rollout_cap="fixed"
+            k=2, n=2, t_max=t_max, strategy=strategy, majority_samples=2, rollout_cap="fixed",
+            concurrency=concurrency,
         )
         policy = make_bench_policy({question.text: "beta"}, rollout_searches=t_max - 1)
         return TreeBuilder(policy, make_bench_retriever(), cfg).build_tree(question)
@@ -383,6 +384,17 @@ class TestExportDigests:
             read = export_sft(decoded, strategy=sft_strategy)
             data = self.written(read, write_sft_jsonl, tmp_path / "sft.jsonl")
         assert read == live
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[(strategy, export)]
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    @pytest.mark.parametrize("strategy, export", sorted(DIGESTS))
+    def test_export_digest_at_concurrency(self, strategy, export, concurrency, tmp_path):
+        result = self.build(strategy, concurrency)
+        if export == "dpo":
+            data = self.written(export_dpo(result), write_dpo_jsonl, tmp_path / "dpo.jsonl")
+        else:
+            sft = export_sft(result, strategy=export.split("-", 1)[1])
+            data = self.written(sft, write_sft_jsonl, tmp_path / "sft.jsonl")
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[(strategy, export)]
 
     def test_full_node_has_no_sft_chain(self):
