@@ -4,7 +4,8 @@ The agent repeatedly asks the policy to continue the transcript; a completion
 ending in ``<search> query </search>`` triggers a retrieval whose documents
 are appended inside ``<information>`` tags, and ``<answer> ... </answer>``
 terminates the episode. The same loop drives rollout simulations during tree
-expansion and the evaluation of trained models.
+expansion and the evaluation of trained models. It is a generator of its backend
+calls, which a ``driver.Boundary`` makes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
+from .driver import Boundary, Build, Steps
 from .history import DEFAULT_TEMPLATE, HistoryTemplate, render_documents, render_history
 from .metrics import exact_match, f1_score
 from .parsing import find_first_action, think_blocks
@@ -62,8 +64,6 @@ class AgentTranscript:
 
 def run_agent(
     question: Question,
-    policy: PolicyBackend,
-    retriever: RetrieverBackend,
     templates: Optional[PromptTemplateSet] = None,
     history_template: HistoryTemplate = DEFAULT_TEMPLATE,
     initial_state: Optional[State] = None,
@@ -75,8 +75,10 @@ def run_agent(
     seed: Optional[int] = None,
     raise_backend_errors: bool = False,
     max_tokens: int = PolicyRequest.max_tokens,
-) -> AgentTranscript:
-    """Drive one episode until ``<answer>``, a cap, or a failure.
+) -> Steps[AgentTranscript]:
+    """One episode until ``<answer>``, a cap, or a failure, as a generator of its
+    calls: it yields each ``PolicyRequest`` and ``RetrievalRequest`` and is sent the
+    reply, or has the call's error thrown in.
 
     ``initial_state`` / ``pending_sub_question`` seed the transcript with prior
     iteration history, which is how rollouts resume from a partial solution.
@@ -102,7 +104,7 @@ def run_agent(
             stop=STOP_SEQUENCES,
         )
         try:
-            response = policy.complete(request)
+            response = yield request
         except RagTreeError as exc:
             if raise_backend_errors:
                 raise
@@ -132,7 +134,7 @@ def run_agent(
             transcript.failure = "search budget exhausted"
             break
         try:
-            docs = retriever.retrieve(RetrievalRequest(query=content, top_k=top_k))
+            docs = yield RetrievalRequest(query=content, top_k=top_k)
         except RagTreeError as exc:
             if raise_backend_errors:
                 raise
@@ -184,29 +186,23 @@ def evaluate_dataset(
     """Run the agent on every question and aggregate EM/F1.
 
     Unanswered episodes (caps, failures) score 0 and count in the means. Each
-    question is one engine build, with its own retrieval memo, and one
-    ``Boundary`` at ``concurrency`` c runs them all: above 1, up to c questions at
-    once, whose calls its c senders make; at 1, one question at a time on the
-    caller's thread. Each question's seed comes from its index, so items and
-    transcripts keep the input order, and backends that answer a request the
-    same way each time give the same contents at any concurrency. A question's
-    transcript is kept only when ``transcripts_path`` will write it. Limits out
-    of range raise :class:`ConfigurationError` before any backend call.
+    question is one ``Build``, with its own retrieval memo, and one ``Boundary``
+    at ``concurrency`` c runs up to c of them at once (one at c = 1). Each
+    question's seed comes from its index, so items and transcripts keep the
+    input order, and backends that answer a request the same way each time give
+    the same contents at any concurrency. A question's transcript is kept only
+    when ``transcripts_path`` will write it. Limits out of range raise
+    :class:`ConfigurationError` before any backend call.
     """
-    from .engine import Boundary, _Build  # the engine imports this module
-    from .export import write_jsonl  # and the exporters import the engine
+    from .export import write_jsonl  # the exporters import the engine, which imports this module
 
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
 
-    def run_one(job: Tuple[int, Question]) -> Tuple[Optional[AgentTranscript], dict]:
-        index, question = job
-        build = _Build(question, policy, retriever, boundary)
-        transcript = run_agent(
+    def run_one(index: int, question: Question) -> Steps[Tuple[Optional[AgentTranscript], dict]]:
+        transcript = yield from Build(policy, retriever, boundary).run(run_agent(
             question,
-            build,
-            build,
             templates=templates,
             history_template=history_template,
             max_steps=max_steps,
@@ -214,7 +210,7 @@ def evaluate_dataset(
             top_k=top_k,
             temperature=temperature,
             seed=None if seed is None else seed * 100003 + index,
-        )
+        ))
         answered = transcript.final_answer is not None
         em = exact_match(transcript.final_answer, question.gold_answers) if answered else 0.0
         f1 = f1_score(transcript.final_answer, question.gold_answers) if answered else 0.0
@@ -230,7 +226,7 @@ def evaluate_dataset(
         return (transcript if transcripts_path else None), item
 
     with Boundary(concurrency) as boundary:
-        done = boundary.map(run_one, list(enumerate(questions)), concurrency)
+        done = boundary.run((run_one(index, q) for index, q in enumerate(questions)), concurrency)
     items = [item for _, item in done]
 
     denom = max(1, len(items))

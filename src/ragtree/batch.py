@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .engine import LAYER_COUNTERS, Boundary, BuildResult, ExpansionConfig, TreeBuilder
+from .driver import Boundary, Steps
+from .engine import LAYER_COUNTERS, BuildResult, ExpansionConfig, TreeBuilder
 from .errors import DatasetError, ExportError, NodeExpansionFailed, RagTreeError, check_at_least
 from .snapshot import build_result_to_dict, encode, load_snapshot, save_snapshot
 from .types import Question
@@ -98,14 +99,14 @@ def expand_batch(
     ``ExpansionConfig`` (the concurrency aside) does not validate, so its
     question is expanded again.
     A skipped question's manifest item takes its ledger from its snapshot.
-    ``on_progress`` hears of each question as it is skipped or finishes, from
-    the worker thread that built it.
+    ``on_progress`` hears of each question as it is skipped or finishes, on the
+    caller's thread.
     ``builder_factory`` is called once per question; since a builder keeps no
     per-build state, it may return one shared builder, and concurrent builds
     on it still get their own ledgers and retrieval memos. One ``Boundary`` at
-    the builders' own ``config.concurrency`` c runs every build and makes its
-    calls, so the batch has at most c requests in flight: up to
-    ``concurrency`` builds run at once above c = 1, and one at a time at 1.
+    the builders' own ``config.concurrency`` c runs every build on the caller's
+    thread and makes its calls, so the batch has at most c requests in flight and
+    c threads: up to ``concurrency`` builds run at once, one at a time at c = 1.
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
     before anything is built or written, as does a ``concurrency`` below 1
@@ -139,30 +140,28 @@ def expand_batch(
         else:
             pending.append(question)
 
-    def expand_one(question: Question) -> ManifestItem:
-        item = build_one(question)
-        if on_progress:
-            on_progress(item.question_id, item.status)
-        return item
-
-    def build_one(question: Question) -> ManifestItem:
+    def expand_one(question: Question) -> Steps[ManifestItem]:
         path = snapshot_path(out_dir, question.id)
         builder = builder_factory()
         try:
-            result = builder.build_tree(question, boundary)
+            result = yield from builder.build_tree(question, boundary)
         except NodeExpansionFailed as exc:
             failure = {"layer": exc.layer, "reason": exc.reason}
             failed = BuildResult(question, builder.config, ledger=None, failure=failure)
             save_snapshot(build_result_to_dict(failed), str(path))
-            return ManifestItem(question.id, "failed", str(path), error=str(exc))
+            item = ManifestItem(question.id, "failed", str(path), error=str(exc))
         except RagTreeError as exc:
             path.unlink(missing_ok=True)  # an older build must not pass for this run's
-            return ManifestItem(question.id, "failed", str(path), error=str(exc))
-        save_snapshot(build_result_to_dict(result), str(path))
-        return ManifestItem.built("ok", path, result)
+            item = ManifestItem(question.id, "failed", str(path), error=str(exc))
+        else:
+            save_snapshot(build_result_to_dict(result), str(path))
+            item = ManifestItem.built("ok", path, result)
+        if on_progress:
+            on_progress(item.question_id, item.status)
+        return item
 
     with Boundary(config.concurrency) as boundary:
-        manifest.items.extend(boundary.map(expand_one, pending, concurrency))
+        manifest.items.extend(boundary.run(map(expand_one, pending), concurrency))
     # Manifest order follows the input dataset order exactly.
     order = {q.id: i for i, q in enumerate(questions)}
     manifest.items.sort(key=lambda item: order[item.question_id])

@@ -1,0 +1,261 @@
+"""One driver for every backend call of a run.
+
+A step is a generator of backend calls (sans-I/O, PEP 342): it yields a
+``PolicyRequest`` or a ``RetrievalRequest`` and is sent the reply, or has the
+call's error thrown in; or it yields a list of tasks, and is resumed once one
+of them has ended. Each step runs as a ``Task`` of a ``Build``, and a run's
+``Boundary`` advances every task of every build on the caller's thread.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import deque
+from typing import Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+
+from .errors import BuildStopped
+from .retrieval import RetrievalRequest
+
+T = TypeVar("T")
+Steps = Generator[object, object, T]  # a step; its value is its return value
+
+
+class Task:
+    """One generator of a run, advanced by its boundary's driver alone."""
+
+    __slots__ = ("gen", "build", "done", "value", "waiters", "waiting")
+
+    def __init__(self, gen: Steps, build: Optional[Build]):
+        self.gen, self.build, self.done, self.value = gen, build, False, None
+        self.waiters: list = []  # (task, the list it waited on)
+        self.waiting: Optional[list] = None  # the list this task waits on
+
+
+def gather(tasks: Sequence[Task]) -> Steps[None]:
+    """Wait until every one of ``tasks`` has ended."""
+    for task in tasks:
+        while not task.done:
+            yield [task]
+
+
+class Build:
+    """Tasks that stop as one, the backends they call, and their retrieval memo.
+
+    ``run(main)`` runs ``main`` as the main line until every task has ended, and
+    gives its value or the ``failure``, the error a task raised. Another task's
+    error stops the build at once: its generators are closed and its queued calls
+    refused (:class:`BuildStopped`). The main line's error waits for the tasks
+    still out, whose error replaces it, as in a serial build.
+
+    Retrievals are memoized by ``(query, top_k)``: a hit takes no slot, a request
+    for a key in flight waits for its reply, and the requests waiting on a
+    failure get its error. Retrieval must be a pure function of the request.
+    """
+
+    def __init__(self, policy, retriever, boundary: Boundary):
+        self.policy, self.retriever, self.boundary = policy, retriever, boundary
+        self.memo: Dict[Tuple[str, int], object] = {}  # key -> documents, or the tasks awaiting them
+        self.live: Set[Task] = set()
+        self.main: Optional[Task] = None
+        self.stopped = False
+        self.failure: Optional[Exception] = None
+
+    def spawn(self, gen: Steps) -> Task:
+        """Start ``gen`` as a task of the build."""
+        task = Task(gen, self)
+        self.live.add(task)
+        self.boundary._ready.append((task, None, None))
+        return task
+
+    def run(self, main: Steps[T]) -> Steps[T]:
+        self.main = self.spawn(main)
+        yield from gather([self.main])
+        yield from self.quiet()
+        main, self.main = self.main, None  # a task refers to its build
+        if self.failure is not None:
+            raise self.failure
+        return main.value
+
+    def quiet(self, but: Optional[Task] = None) -> Steps[None]:
+        """Wait until every task of the build, ``but`` aside, has ended."""
+        while any(task is not but for task in self.live):
+            yield [next(task for task in self.live if task is not but)]
+
+
+class Boundary:
+    """The driver of a run's builds, and the owner of its threads.
+
+    At ``concurrency`` c = 1 ``run`` makes each call a task yields at once, and
+    no thread starts. Above 1 it queues each call at once for c sender threads,
+    which put every reply on one queue that it reads: c calls of any builds are
+    in flight whenever that many are ready, and only the driver runs the steps'
+    Python. The first error a sender meets stops that build; an interrupt (an
+    error that is not an ``Exception``) stops the run, and no queued call starts
+    after it. ``with Boundary(c) as boundary:`` joins every thread it started.
+    """
+
+    def __init__(self, concurrency: int = 1):
+        self._ready: Deque[Tuple[Task, object, Optional[BaseException]]] = deque()
+        self._out = 0  # calls queued for the senders and not yet answered
+        self._halted = False
+        self._senders: List[threading.Thread] = []
+        if concurrency > 1:
+            from queue import SimpleQueue  # serial runs never load it
+            self._calls, self._replies = SimpleQueue(), SimpleQueue()
+            self._senders = [threading.Thread(target=self._send, name=f"ragtree-send-{i}")
+                             for i in range(concurrency)]
+            for sender in self._senders:
+                sender.start()
+
+    def __enter__(self) -> "Boundary":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, jobs: Iterable[Steps[T]], admit: int = 1) -> List[T]:
+        """Each job's value, in order. A job is a generator that waits on builds
+        (``Build.run``). With senders, up to ``admit`` jobs are live at once and the
+        next starts as one ends; a serial boundary runs them one at a time. An
+        error a job raises, or an interrupt, stops the run and is raised."""
+        results: List[T] = []
+        waiting, live = iter(jobs), 0
+        admit = admit if self._senders else 1
+
+        def job(index: int, steps: Steps[T]) -> Steps[None]:
+            nonlocal live
+            results[index] = yield from steps
+            live -= 1
+
+        try:
+            while True:
+                steps = next(waiting, None) if live < admit else None
+                if steps is not None:
+                    live += 1
+                    results.append(None)
+                    self._ready.append((Task(job(len(results) - 1, steps), None), None, None))
+                elif not live:
+                    return results
+                elif self._ready:
+                    self._resume(*self._ready.popleft())
+                elif self._out:
+                    self._out -= 1
+                    self._answer(*self._replies.get())
+                else:
+                    raise RuntimeError("every task of the run waits, and no call is out")
+        except BaseException:
+            self._halted = True
+            self._ready.clear()
+            raise
+
+    def _resume(self, task: Task, reply: object, error: Optional[BaseException]) -> None:
+        if task.done:  # closed with its build
+            return
+        try:
+            item = task.gen.send(reply) if error is None else task.gen.throw(error)
+        except StopIteration as stop:
+            task.value = stop.value
+            self._ended(task)
+        except Exception as exc:
+            if task.build is None:
+                raise
+            self._raised(task, exc)
+        else:
+            if type(item) is not list:
+                self._call(task, item)
+            elif any(other.done for other in item):
+                self._ready.append((task, None, None))
+            else:
+                task.waiting = item
+                for other in item:
+                    other.waiters.append((task, item))
+
+    def _ended(self, task: Task) -> None:
+        task.done, task.waiting = True, None
+        for waiter, items in task.waiters:
+            if waiter.waiting is items:
+                waiter.waiting = None
+                self._ready.append((waiter, None, None))
+        task.waiters.clear()  # each entry holds a list that holds this task
+        if task.build is not None:
+            task.build.live.discard(task)
+
+    def _raised(self, task: Task, error: Exception) -> None:
+        build = task.build
+        if build.failure is None or not isinstance(error, BuildStopped):
+            build.failure = error  # a refusal follows the error that stopped the build
+        self._ended(task)
+        if task is not build.main:
+            build.stopped = True
+            for other in list(build.live):
+                other.gen.close()
+                self._ended(other)
+
+    def _call(self, task: Task, request) -> None:
+        """Make or queue the call ``task`` yielded; a retrieval its build has made is
+        answered from the memo, and one in flight parks the task on it."""
+        build = task.build
+        if isinstance(request, RetrievalRequest):
+            key = (request.query, request.top_k)
+            entry = build.memo.get(key)
+            if isinstance(entry, tuple):
+                self._ready.append((task, list(entry), None))
+                return
+            if entry is not None:
+                entry.append(task)
+                return
+            build.memo[key] = []
+            call = build.retriever.retrieve
+        else:
+            call = build.policy.complete
+        if self._senders:
+            self._out += 1
+            self._calls.put((task, call, request))
+            return
+        try:
+            reply = call(request)
+        except Exception as exc:  # the task gets it
+            self._answer(task, request, None, exc)
+        else:
+            self._answer(task, request, reply, None)
+
+    def _answer(self, task: Task, request, reply, error: Optional[BaseException]) -> None:
+        if error is not None and not isinstance(error, Exception):
+            raise error  # an interrupt ends the run
+        if isinstance(request, RetrievalRequest):
+            memo, key = task.build.memo, (request.query, request.top_k)
+            parked = memo.pop(key)
+            if error is None:
+                memo[key] = tuple(reply)
+            for other in [task, *parked]:
+                self._ready.append((other, None if error else list(reply), error))
+        else:
+            self._ready.append((task, reply, error))
+
+    def _send(self) -> None:
+        """A sender: make each queued call unless its build or the run has stopped,
+        and queue the reply or error. An error stops the build (an interrupt, the
+        run) only once queued, so the driver reads it before the refusals it causes."""
+        for task, call, request in iter(self._calls.get, None):
+            reply = error = None
+            refused = self._halted or task.build.stopped
+            if refused:
+                error = BuildStopped("the build has stopped")
+            else:
+                try:
+                    reply = call(request)
+                except BaseException as exc:  # the driver raises it
+                    error = exc
+            self._replies.put((task, request, reply, error))
+            if error is not None and not refused:
+                if isinstance(error, Exception):
+                    task.build.stopped = True
+                else:
+                    self._halted = True
+
+    def close(self) -> None:
+        """End the senders once they have made or refused every call queued."""
+        for _ in self._senders:
+            self._calls.put(None)
+        for sender in self._senders:
+            sender.join()

@@ -14,27 +14,22 @@ full-node strategy expands every execution branch, skips rollouts entirely,
 and keeps only its ledger, since it exists to price the full-expansion
 baseline.
 
-A run's ``Boundary`` owns every thread of the run: it runs the questions
-(``map``), and each build is one ``_Build``, whose ``_call`` sends every backend
-call of the build, the rollouts' too, through it. With ``concurrency`` c above
-1, its c sender threads keep c calls of any builds in flight whenever that many
-are ready, and a pool of 2c threads that run only Python prepares them; at 1 no
-thread starts, and questions run one at a time. A layer sends all its
-termination votes at once, then all ``k`` samples of a candidate set; each new
-candidate's retrieval and rollouts start as soon as that candidate is read,
-while the later samples are still in flight. Each decision (terminate or
-continue, which sub-question, whether to retrieve, which execution) settles
-as soon as the results read so far decide it, and the next one starts while
-the rest come in: a rollout scores between 0 and 1, so bounds on each
-candidate's mean reward can name the winner, or settle the skip gate, before
-the last rollouts return, and the votes settle once the unread ones cannot
-turn the majority. A chain's terminal answer likewise goes out beside the
-last layer's remaining rollouts. The build fills its nodes with every result
-before ``build_tree`` returns, and makes no call that a serial build would
-not make. Seeds are keyed by (kind, layer, index, attempt) and results are
-read in index order, so the tree, the counts and the snapshot are the same at
-any concurrency. The first backend error stops the build: none of its queued
-or later calls or preparations starts.
+Each step of a build is a generator of its backend calls, run as a task of the
+build by the run's ``driver.Boundary`` on one thread, so no step waits on a
+thread. A layer sends all its termination votes at once, then all ``k`` samples
+of a candidate set; each new candidate's retrieval and rollouts start as soon as
+that candidate is read, while the later samples are still in flight. Each
+decision (terminate or continue, which sub-question, whether to retrieve, which
+execution) settles as soon as the results read so far decide it, and the next
+one starts while the rest come in: a rollout scores between 0 and 1, so bounds
+on each candidate's mean reward can name the winner, or settle the skip gate,
+before the last rollouts return, and the votes settle once the unread ones
+cannot turn the majority. A chain's terminal answer likewise goes out beside
+the last layer's remaining rollouts. The results still out fill their node
+before ``build_tree`` returns, and the build makes no call that a serial build
+would not make. Seeds are keyed by (kind, layer, index, attempt) and results
+are read in index order, so the tree, the counts and the snapshot are the same
+at any concurrency. The first backend error stops the build.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -50,16 +45,16 @@ published closed forms (see ``theoretical_counts``).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
 from .agent import run_agent
-from .errors import BuildStopped, NodeExpansionFailed
+from .driver import Boundary, Build, Steps, Task, gather
+from .errors import NodeExpansionFailed
 from .history import HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
-from .policy import PolicyBackend, PolicyRequest, PolicyResponse
+from .policy import PolicyBackend, PolicyRequest
 from .retrieval import RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
@@ -72,13 +67,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
-
 Strategy = Literal["pruning", "no_pruning", "full_node"]
 CandidateKind = Literal["sub_question", "self_answer", "sub_query"]
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -293,48 +284,6 @@ _CANDIDATE_PARSERS: Dict[PolicyRole, Callable[[str], Optional[str]]] = {
 }
 
 
-class _Ready:
-    """A result made on the caller's thread: the handle ``Boundary.submit`` returns
-    when it has no threads, like a finished future's."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-    @staticmethod
-    def done() -> bool:
-        return True
-
-
-def _settle(poll: Callable[[], Tuple[Optional[T], list]]) -> T:
-    """``poll()``'s decision, once it makes one. ``poll`` returns its decision, or
-    None and the handles whose results could make it; the caller waits for the
-    first of those, and polls again."""
-    decision, waiting = poll()
-    while decision is None:
-        # only a boundary with threads leaves a handle undone
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        wait(waiting, return_when=FIRST_COMPLETED)
-        decision, waiting = poll()
-    return decision
-
-
-def _read(handles: Sequence) -> Tuple[list, list]:
-    """The results of the handles that are done, and the handles that are not."""
-    results, waiting = [], []
-    for handle in handles:
-        if handle.done():
-            results.append(handle.result())
-        else:
-            waiting.append(handle)
-    return results, waiting
-
-
 # Rules that settle a decision from the results read so far. Each returns the
 # decision that every result yet to come leaves standing, or None while one
 # could still change it; on complete results each decides.
@@ -378,227 +327,93 @@ def _skips_retrieval(bounds: Sequence[Tuple[float, float]], tau: float) -> Optio
     return None
 
 
-class Boundary:
-    """The one owner of a run's threads: every backend call of its builds leaves
-    here, and ``map`` runs its questions. At ``concurrency`` c = 1 the caller
-    makes each call, ``map`` runs one item at a time, and no thread starts. Above
-    1, a pool of c sender threads reads one FIFO queue of calls and each caller
-    blocks for its reply, so c calls of any builds are in flight whenever that
-    many are queued, and the thread that frees a slot runs no engine Python
-    first; a pool of 2c threads prepares calls. The senders refuse a stopped
-    build's requests and the preparers its queued work, and the first error a
-    sender meets stops only the build that sent it. Use it as
-    ``with Boundary(c) as boundary:``, which joins every thread it started.
-    """
-
-    def __init__(self, concurrency: int = 1):
-        self._senders: Optional["Executor"] = None
-        self._pool: Optional["Executor"] = None
-        if concurrency > 1:
-            from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
-
-            self._senders = ThreadPoolExecutor(concurrency, "ragtree-send-")
-            self._pool = ThreadPoolExecutor(2 * concurrency, "ragtree-build")
-
-    def __enter__(self) -> "Boundary":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T], workers: int) -> List[R]:
-        """``[fn(item) for item in items]``, in order, on up to ``workers`` threads of
-        their own when the boundary has senders. Not on the preparers: a build
-        waits on its own preparations, so builds there could take every preparer and deadlock."""
-        if self._senders is None or workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(workers, len(items)), "ragtree-question") as questions:
-            return list(questions.map(fn, items))
-
-    def submit(self, build: _Build, fn: Callable[..., T], *args):
-        """Start ``fn(*args)`` for ``build`` on the preparers, or run it now when
-        there are none. The handle's ``done()`` says whether the value is there and
-        ``result()`` waits for it."""
-        if self._pool is None:
-            return _Ready(self._unless_stopped(build, fn, *args))
-        return self._pool.submit(self._unless_stopped, build, fn, *args)
-
-    def send(self, build: _Build, call: Callable[..., T], request) -> T:
-        """``call(request)``, made by a sender when there are any; the caller waits."""
-        if self._senders is None:
-            return self._unless_stopped(build, call, request)
-        return self._senders.submit(self._send, build, call, request).result()
-
-    @staticmethod
-    def _unless_stopped(build: _Build, fn: Callable[..., T], *args) -> T:
-        if build.stopped:
-            raise BuildStopped("the build has stopped")
-        return fn(*args)
-
-    def _send(self, build: _Build, call: Callable[..., T], request) -> T:
-        try:
-            return self._unless_stopped(build, call, request)
-        except BaseException as error:  # the caller raises it
-            build.stop(error)
-            raise
-
-    def close(self) -> None:
-        """After its builds: cancel queued preparations, then end the senders."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._senders.shutdown()  # after the pool, so that no caller is left to queue
-
-
-class _Build:
-    """One build: its question, ledger, retrieval memo, stop and unfilled nodes; it
-    starts no thread.
-
-    Every backend call goes through ``_call`` to the ``boundary`` (by default
-    a serial one). The first error of its calls, or ``stop``, stops the build:
-    the boundary refuses its queued and new calls and preparations with
-    :class:`BuildStopped`, and ``error`` keeps that first error.
-
-    A step that settles before all its results are in ``defer``s the filling of
-    its node with them; ``fill`` runs those fills in order, on the build's thread.
-
-    ``retrieve`` memoizes successes by ``(query, top_k)`` in front of the
-    boundary, so a hit takes no slot; callers of one key wait for its first
-    caller, or call again if it failed. Retrieval must be a pure function of
-    the request over one build.
-    """
+class _Build(Build):
+    """One tree build: a driver ``Build`` with its question and ledger."""
 
     def __init__(self, question: Question, policy: PolicyBackend, retriever: RetrieverBackend,
-                 boundary: Optional[Boundary] = None):
-        self.question, self.policy, self.retriever = question, policy, retriever
-        self.boundary = boundary or Boundary()
-        self.ledger = ExpansionLedger()
-        self.lock = threading.Lock()  # for the ledger, the memo's key locks and the stop
-        self.stopped, self.error = False, None  # error: the first one, once stopped
-        self._memo: Dict[Tuple[str, int], list] = {}  # key -> [its lock, its documents or None]
-        self._unfilled: List[Callable[[], None]] = []
-
-    def complete(self, request: PolicyRequest) -> PolicyResponse:
-        return self._call(self.policy.complete, request)
-
-    def retrieve(self, request: RetrievalRequest) -> List[Document]:
-        key = (request.query, request.top_k)
-        with self.lock:
-            entry = self._memo.setdefault(key, [threading.Lock(), None])
-        with entry[0]:
-            if entry[1] is None:
-                entry[1] = tuple(self._call(self.retriever.retrieve, request))
-            return list(entry[1])
-
-    def _call(self, call: Callable[..., T], request) -> T:
-        return self.boundary.send(self, call, request)
-
-    def stop(self, error: Optional[BaseException] = None) -> None:
-        with self.lock:
-            if not self.stopped:
-                self.stopped, self.error = True, error
+                 boundary: Boundary):
+        super().__init__(policy, retriever, boundary)
+        self.question, self.ledger = question, ExpansionLedger()
 
     def bump(self, layer: int, counter: str, amount: int = 1) -> None:
-        with self.lock:
-            setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
-            per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
-            per_layer[counter] += amount
-
-    def defer(self, fill: Callable[[], None]) -> None:
-        self._unfilled.append(fill)
-
-    def fill(self) -> None:
-        """Fill every deferred node, waiting for its results; the first error among
-        them, in the order the steps ran, is raised."""
-        while self._unfilled:
-            self._unfilled.pop(0)()
+        setattr(self.ledger, counter, getattr(self.ledger, counter) + amount)
+        per_layer = self.ledger.per_layer.setdefault(layer, dict.fromkeys(LAYER_COUNTERS, 0))
+        per_layer[counter] += amount
 
 
 class _Candidates:
-    """A started candidate set, read on the thread that started it.
+    """A candidate set that tasks of one build sample and score.
 
-    Its samples are read in index order, and each new candidate's retrieval
-    (for a sub-query) and rollouts start as it is read. ``settle`` waits only
-    until the results read so far decide a rule; ``finish`` waits for them all.
+    A reader task reads the ``k`` samples in index order, drops duplicates, and
+    starts a task per new candidate that retrieves its documents (a sub-query's)
+    and starts its rollouts, while the later samples are still out. ``settle``
+    waits until the results decide a rule, and ``finish`` until all are in.
     """
 
-    def __init__(self, samples: list, begin: Callable[[str, int], object]):
-        self._samples = samples  # handles of the k sampled contents (None: malformed)
-        self._begin = begin  # (content, index) -> a handle of (candidate, its rollout handles)
-        self._read = 0
-        self._seen: set = set()
-        self._started: list = []  # per candidate, in index order
+    def __init__(self, build: _Build, samples: List[Task], begin: Callable[[str, int], Steps]):
+        self.started: List[Task] = []  # per candidate: valued (candidate, its rollout tasks)
+        self.reader = build.spawn(self._read(build, samples, begin))
 
-    def poll(self) -> Tuple[Optional[List[Tuple[float, float]]], list]:
-        """Read what has come in. Returns each candidate's reward bounds, or None
-        while a sample is unread, and the handles still out."""
-        while self._read < len(self._samples) and self._samples[self._read].done():
-            content = self._samples[self._read].result()
-            self._read += 1
-            if content is not None and normalize_answer(content) not in self._seen:
-                self._seen.add(normalize_answer(content))
-                self._started.append(self._begin(content, len(self._started)))
-        waiting = self._samples[self._read:self._read + 1]
-        bounds = []
-        for started in self._started:
-            if not started.done():
-                waiting.append(started)
-                bounds.append((0.0, 1.0))
-                continue
-            rollouts, out = _read(started.result()[1])
-            waiting += out
-            bounds.append(_reward_bounds([rollout.score for rollout in rollouts], len(out)))
-        return (None if self._read < len(self._samples) else bounds), waiting
+    def _read(self, build: _Build, samples: List[Task], begin) -> Steps[None]:
+        seen = set()
+        for sample in samples:
+            yield from gather([sample])
+            if sample.value is not None and normalize_answer(sample.value) not in seen:
+                seen.add(normalize_answer(sample.value))
+                self.started.append(build.spawn(begin(sample.value, len(self.started))))
 
-    def settle(self, rule: Callable[[List[Tuple[float, float]]], Optional[T]]) -> T:
-        """``rule(bounds)`` once it decides, reading the set until then; the rule
-        sees the bounds once every sample is read."""
+    def settle(self, rule: Callable[[List[Tuple[float, float]]], Optional[T]]) -> Steps[T]:
+        """``rule(bounds)`` once it decides (``len`` counts the candidates): the rule
+        sees each candidate's reward bounds once every sample is read, and again
+        only when a result it reads comes in."""
+        yield from gather([self.reader])
+        while True:
+            bounds, out = [], []
+            for begun in self.started:
+                if not begun.done:
+                    out.append(begun)
+                    bounds.append((0.0, 1.0))
+                    continue
+                rollouts = begun.value[1]
+                left = [rollout for rollout in rollouts if not rollout.done]
+                out += left
+                bounds.append(_reward_bounds([r.value.score for r in rollouts if r.done], len(left)))
+            decision = rule(bounds)
+            if decision is not None:
+                return decision
+            yield out
 
-        def poll():
-            bounds, waiting = self.poll()
-            return (None if bounds is None else rule(bounds)), waiting
-
-        return _settle(poll)
-
-    def count(self) -> int:
-        """The number of candidates, once every sample is read."""
-        return self.settle(len)
-
-    def best(self) -> Candidate:
+    def best(self) -> Steps[Candidate]:
         """The candidate ``best_candidate`` will pick, as soon as the rollouts read
         decide it; not for an empty set."""
-        return self._started[self.settle(_winner)].result()[0]
+        return self.started[(yield from self.settle(_winner))].value[0]
 
     @staticmethod
-    def finish(*sets: "_Candidates") -> List[Tuple[Candidate, ...]]:
-        """Each set's candidates with their rollouts and rewards, the sets read
-        together until every result is in."""
-
-        def poll():
-            waiting = [handle for each in sets for handle in each.poll()[1]]
-            return (None if waiting else [each._scored() for each in sets]), waiting
-
-        return _settle(poll)
+    def finish(*sets: "_Candidates") -> Steps[List[Tuple[Candidate, ...]]]:
+        """Each set's candidates with their rollouts and rewards, once every result is in."""
+        for each in sets:
+            yield from gather([each.reader])
+            yield from gather(each.started)
+            yield from gather([rollout for begun in each.started for rollout in begun.value[1]])
+        return [each._scored() for each in sets]
 
     def _scored(self) -> Tuple[Candidate, ...]:
         candidates = []
-        for started in self._started:
-            candidate, pending_rollouts = started.result()
-            rollouts = tuple(rollout.result() for rollout in pending_rollouts)
-            reward = TreeBuilder.mean_reward([r.score for r in rollouts])
-            candidates.append(replace(candidate, rollouts=rollouts, reward=reward))
+        for begun in self.started:
+            candidate, rollouts = begun.value
+            results = tuple(rollout.value for rollout in rollouts)
+            reward = TreeBuilder.mean_reward([r.score for r in results])
+            candidates.append(replace(candidate, rollouts=results, reward=reward))
         return tuple(candidates)
 
 
 class TreeBuilder:
     """Expands questions against the configured backends.
 
-    The builder holds no per-build state: ``build_tree`` passes a fresh
-    ``_Build`` down, so one builder can serve concurrent builds. Direct calls
-    to ``expand_termination``, ``expand_retrieval`` or ``run_rollout`` without
-    one get their own serial ``_Build``: a ledger and a retrieval memo of the
-    call's own, and no threads.
+    The builder holds no per-build state: ``build_tree`` makes a fresh ``_Build``
+    and passes it down, so one builder can serve concurrent builds. Its steps
+    (``expand_termination``, ``expand_retrieval``, ``run_rollout``) are generators
+    that run as tasks of that build.
     A history template given must cut documents at the config's ``doc_char_budget``.
     """
 
@@ -620,30 +435,18 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ plumbing
 
-    def _sample(
-        self,
-        build: _Build,
-        role: PolicyRole,
-        prompt: str,
-        parse: Callable[[str], Optional[T]],
-        layer: int,
-        counter: str,
-        seed_parts: Tuple,
-        temperature: Optional[float] = None,
-    ) -> Optional[T]:
+    def _sample(self, build: _Build, role: PolicyRole, prompt: str,
+                parse: Callable[[str], Optional[T]], layer: int, counter: str, seed_parts: Tuple,
+                temperature: Optional[float] = None) -> Steps[Optional[T]]:
         """Complete until ``parse`` accepts the output (returns non-None), retrying
         malformed output up to ``malformed_retries`` times; seeds end in the attempt."""
         if temperature is None:
             temperature = self.config.sampling_temperature
         for attempt in range(self.config.malformed_retries + 1):
-            request = PolicyRequest(
-                role=role,
-                prompt=prompt,
-                temperature=temperature,
-                max_tokens=self.config.max_tokens,
+            response = yield PolicyRequest(
+                role=role, prompt=prompt, temperature=temperature, max_tokens=self.config.max_tokens,
                 seed=derive_seed(self.config.seed, build.question.id, *seed_parts, attempt),
             )
-            response = build.complete(request)
             build.bump(layer, counter)
             parsed = parse(response.text)
             if parsed is not None:
@@ -662,23 +465,14 @@ class TreeBuilder:
             return self.config.t_max
         return max(1, self.config.t_max - effective_depth + 1)
 
-    def run_rollout(
-        self,
-        state: State,
-        pending_sub_question: Optional[str],
-        layer: int,
-        seed_parts: Tuple,
-        build: Optional[_Build] = None,
-    ) -> RolloutResult:
+    def run_rollout(self, state: State, pending_sub_question: Optional[str], layer: int,
+                    seed_parts: Tuple, build: _Build) -> Steps[RolloutResult]:
         """Simulate one completion from the given state and score its final answer.
         Malformed or capped output scores 0; a backend error propagates, as from a vote."""
-        build = build or _Build(state.question, self.policy, self.retriever)
         effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
         horizon = self._rollout_horizon(effective_depth)
-        transcript = run_agent(
+        transcript = yield from run_agent(
             build.question,
-            build,
-            build,
             templates=self.templates,
             history_template=self.history_template,
             initial_state=state,
@@ -722,46 +516,37 @@ class TreeBuilder:
         retrying malformed output; duplicates are dropped as they are read, and a
         sub-query carries its documents. Given a ``state``, each candidate is
         scored by ``n`` rollouts from ``state`` plus the candidate: a pending
-        sub-question, or a step that resolves ``sub_question``.
-
-        All samples start at once. Each new candidate's retrieval and rollouts
-        start as soon as it is read, while later samples are still in flight.
+        sub-question, or a step that resolves ``sub_question``. All samples
+        start at once, and each new candidate's retrieval and rollouts as it is read.
         """
         cfg = self.config
         prompt = self.templates.render(role, question=question)
         samples = [
-            build.boundary.submit(
-                build, self._sample, build, role, prompt, _CANDIDATE_PARSERS[role], layer,
-                "policy_calls", ("cand", kind, layer, index),
-            )
+            build.spawn(self._sample(build, role, prompt, _CANDIDATE_PARSERS[role], layer,
+                                     "policy_calls", ("cand", kind, layer, index)))
             for index in range(cfg.k)
         ]
 
-        def start(candidate: Candidate, index: int):
-            """The candidate with its rollouts started."""
+        def begin(content: str, index: int) -> Steps[Tuple[Candidate, List[Task]]]:
+            """The candidate, with its documents, and its rollouts started."""
+            if role is PolicyRole.SUB_QUERY:
+                documents = yield RetrievalRequest(query=content, top_k=cfg.top_k)
+                build.bump(layer, "retrieval_calls")
+                candidate = Candidate("sub_query", content, documents=tuple(documents))
+            else:
+                candidate = Candidate(role.value, content)
             if state is None:
                 return candidate, []
-            if candidate.kind == "sub_question":
-                base, pending = state, candidate.content
+            if role is PolicyRole.SUB_QUESTION:
+                base, pending = state, content
             else:
                 base, pending = state.with_step(self._step_for(candidate, sub_question)), None
             return candidate, [
-                build.boundary.submit(build, self.run_rollout, base, pending, layer,
-                                      (layer, kind, index, r), build)
+                build.spawn(self.run_rollout(base, pending, layer, (layer, kind, index, r), build))
                 for r in range(cfg.n)
             ]
 
-        def retrieve(query: str, index: int):
-            docs = build.retrieve(RetrievalRequest(query=query, top_k=cfg.top_k))
-            build.bump(layer, "retrieval_calls")
-            return start(Candidate("sub_query", query, documents=tuple(docs)), index)
-
-        def begin(content: str, index: int):
-            if role is PolicyRole.SUB_QUERY:
-                return build.boundary.submit(build, retrieve, content, index)
-            return _Ready(start(Candidate(role.value, content), index))
-
-        return _Candidates(samples, begin)
+        return _Candidates(build, samples, begin)
 
     def _termination_prompt(self, state: State) -> str:
         """The prompt of a layer's termination votes and of its chain's terminal answer."""
@@ -769,61 +554,49 @@ class TreeBuilder:
         return self.templates.render(PolicyRole.TERMINATION, question=state.question.text,
                                      iter_history=history)
 
-    def _finalize_answer(self, build: _Build, state: State, layer: int) -> Optional[str]:
+    def _finalize_answer(self, build: _Build, state: State, layer: int) -> Steps[Optional[str]]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
         prompt = self._termination_prompt(state)
-        return self._sample(
+        return (yield from self._sample(
             build, PolicyRole.TERMINATION, prompt, lambda raw: parse_termination(raw).answer,
             layer, "finalize_calls", ("finalize", layer), self.config.answer_temperature,
-        )
+        ))
 
     # ------------------------------------------------------------------ decision expansion
 
-    def _directly(self, question: Question, expand: Callable[[_Build], T]) -> T:
-        """``expand`` on a serial build of its own, with its nodes filled."""
-        build = _Build(question, self.policy, self.retriever)
-        result = expand(build)
-        build.fill()
-        return result
-
-    def expand_termination(
-        self, state: State, layer: int, build: Optional[_Build] = None
-    ) -> TreeNode:
+    def expand_termination(self, state: State, layer: int, build: _Build) -> Steps[TreeNode]:
         """The layer's node: vote on stopping, then on continue retain the best
         sub-question by rollout reward; on stop, record the terminal answer.
 
-        Each step starts once the results read decide the step before. Until
-        ``build`` is filled, the node's votes are unset and its sub-question
-        candidates are the retained one alone.
+        Each step starts once the results read decide the step before; until
+        tasks of ``build`` fill the node with the rest, its votes are unset and
+        its sub-question candidates are the retained one alone.
         """
-        if build is None:
-            return self._directly(state.question,
-                                  lambda own: self.expand_termination(state, layer, own))
         build.bump(layer, "nodes_expanded")
         cfg = self.config
         prompt = self._termination_prompt(state)
         votes = [
-            build.boundary.submit(
-                build, self._sample, build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
-                "policy_calls", ("vote", layer, v),
-            )
+            build.spawn(self._sample(build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
+                                     "policy_calls", ("vote", layer, v)))
             for v in range(cfg.majority_samples)
         ]
         node = TreeNode(layer, state, TerminationVotes())
 
-        def fill_votes() -> None:
-            kinds = [vote.result() for vote in votes]
+        def fill_votes() -> Steps[None]:
+            yield from gather(votes)
+            kinds = [vote.value for vote in votes]
             node.votes = TerminationVotes(kinds.count("terminate"), kinds.count("continue"))
 
-        def outcome():
-            kinds, waiting = _read(votes)
-            terminate, continue_ = kinds.count("terminate"), kinds.count("continue")
-            return _vote_outcome(terminate, continue_, len(waiting)), waiting
-
-        build.defer(fill_votes)
-        terminate = _settle(outcome)
+        build.spawn(fill_votes())
+        while True:
+            kinds = [vote.value for vote in votes if vote.done]
+            terminate = _vote_outcome(kinds.count("terminate"), kinds.count("continue"),
+                                      len(votes) - len(kinds))
+            if terminate is not None:
+                break
+            yield [vote for vote in votes if not vote.done]
         if terminate:
-            node.terminal_answer = self._finalize_answer(build, state, layer)
+            node.terminal_answer = yield from self._finalize_answer(build, state, layer)
             if node.terminal_answer is None:
                 raise NodeExpansionFailed(
                     build.question.id, layer, "terminate vote won but no answer was produced"
@@ -834,41 +607,38 @@ class TreeBuilder:
             build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
         )
 
-        def fill_candidates() -> None:
-            (scored,) = _Candidates.finish(candidates)
+        def fill_candidates() -> Steps[None]:
+            (scored,) = yield from _Candidates.finish(candidates)
             retained = None if terminate else best_candidate(scored)
             node.sub_question_candidates = _retaining(scored, retained)
 
-        build.defer(fill_candidates)
+        build.spawn(fill_candidates())
         if terminate:
             return node
-        if not candidates.count():
+        if not (yield from candidates.settle(len)):
             raise NodeExpansionFailed(
                 build.question.id, layer, "every sub-question candidate was malformed"
             )
-        node.sub_question_candidates = (replace(candidates.best(), retained=True),)
+        best = yield from candidates.best()
+        if not node.sub_question_candidates:  # unless the fill came first
+            node.sub_question_candidates = (replace(best, retained=True),)
         if cfg.score_terminate_branch:
-            answer = self._finalize_answer(build, state, layer)
+            answer = yield from self._finalize_answer(build, state, layer)
             if answer is not None:
                 node.terminate_probe = (answer, self._score(build, answer))
         return node
 
-    def expand_retrieval(
-        self, node: TreeNode, force_both: bool = False, build: Optional[_Build] = None
-    ) -> None:
+    def expand_retrieval(self, node: TreeNode, force_both: bool, build: _Build) -> Steps[None]:
         """Resolve the node's retained sub-question in place: self-knowledge first,
         retrieval unless skipped.
 
         The skip gate compares the best self-answer reward with ``tau``; when
         the gate fails the sub-query branch is taken. Each step starts once the
-        results read decide it, and until ``build`` is filled the taken branch's
+        results read decide it, and until the rest are in, the taken branch's
         candidates are its retained one alone. ``force_both`` (the no-pruning
-        strategy) expands both branches at once, fills them, and compares
-        their best rewards, preferring the cheaper self-answer branch on ties.
+        strategy) expands both branches at once and, with all their results,
+        takes the better, the cheaper self-answer branch on ties.
         """
-        if build is None:
-            return self._directly(node.state.question,
-                                  lambda own: self.expand_retrieval(node, force_both, own))
         state, layer = node.state, node.layer
         sub_question = node.retained("sub_question").content
 
@@ -881,7 +651,7 @@ class TreeBuilder:
         answers = candidates(PolicyRole.SELF_ANSWER)
         if force_both:
             queries = candidates(PolicyRole.SUB_QUERY)
-            scored = _Candidates.finish(answers, queries)
+            scored = yield from _Candidates.finish(answers, queries)
             node.self_answer_candidates, node.sub_query_candidates = scored
             best_sa, best_sq = best_candidate(scored[0]), best_candidate(scored[1])
             if best_sq is None and best_sa is None:
@@ -893,24 +663,26 @@ class TreeBuilder:
             node.resolve_by("self_answer" if self_answer_wins else "sub_query")
             return
 
-        if answers.settle(lambda bounds: _skips_retrieval(bounds, self.config.tau)):
+        if (yield from answers.settle(lambda bounds: _skips_retrieval(bounds, self.config.tau))):
             kind, taken, sets = "self_answer", answers, (answers,)
         else:
             queries = candidates(PolicyRole.SUB_QUERY)
             kind, taken, sets = "sub_query", queries, (answers, queries)
 
-        def fill() -> None:
-            scored = _Candidates.finish(*sets)
+        def fill() -> Steps[None]:
+            scored = yield from _Candidates.finish(*sets)
             node.self_answer_candidates = scored[0]
             node.sub_query_candidates = scored[1] if len(scored) > 1 else ()
             node.resolve_by(kind)
 
-        build.defer(fill)
-        if not taken.count():  # only a sub-query set can be empty here
-            raise fail("every sub-query candidate was malformed" if answers.count()
+        build.spawn(fill())
+        if not (yield from taken.settle(len)):  # only a sub-query set can be empty here
+            raise fail("every sub-query candidate was malformed" if answers.started
                        else "both resolution branches produced no candidates")
-        node.chosen_kind = kind
-        setattr(node, f"{kind}_candidates", (replace(taken.best(), retained=True),))
+        best = yield from taken.best()
+        if not node.candidates_of(kind):  # unless the fill came first
+            node.chosen_kind = kind
+            setattr(node, f"{kind}_candidates", (replace(best, retained=True),))
 
     # ------------------------------------------------------------------ chain building
 
@@ -929,7 +701,7 @@ class TreeBuilder:
         chain.final_score = self._score(build, answer)
         chain.final_state = state if answer is None else state.with_answer(answer)
 
-    def _build_chains(self, build: _Build) -> List[ChainRecord]:
+    def _build_chains(self, build: _Build) -> Steps[List[ChainRecord]]:
         """Grow the trunk, plus for no_pruning one deviation chain per round.
 
         Pruning is one round to ``t_max`` that keeps only the best branch, so
@@ -953,19 +725,19 @@ class TreeBuilder:
                 chain.nodes = []
                 state = State(build.question)
                 for layer in range(1, rnd + 1):
-                    node = self.expand_termination(state, layer, build)
+                    node = yield from self.expand_termination(state, layer, build)
                     chain.nodes.append(node)
                     if node.terminal_answer is not None:
                         self._finish_chain(build, chain, state, "vote", node.terminal_answer)
                         break
-                    self.expand_retrieval(node, not pruning, build)
+                    yield from self.expand_retrieval(node, not pruning, build)
                     sub_question = node.retained("sub_question").content
                     alt_kind = "sub_query" if node.chosen_kind == "self_answer" else "self_answer"
                     has_alt = not pruning and node.candidates_of(alt_kind)
                     if has_alt and layer == chain.fork_layer:
                         node.resolve_by(alt_kind)
                     elif has_alt and chain.chain_id == 0 and layer == rnd:
-                        build.fill()  # the fork copies the nodes
+                        yield from build.quiet(build.main)  # the fork copies the nodes, once filled
                         fork = ChainRecord(
                             chain_id=len(chains), fork_layer=layer, fork_kind=alt_kind,
                             nodes=[replace(n) for n in chain.nodes],
@@ -980,16 +752,15 @@ class TreeBuilder:
 
         for chain in chains:
             if chain.terminated_by is None:
-                answer = self._finalize_answer(build, chain.final_state, cfg.t_max)
+                answer = yield from self._finalize_answer(build, chain.final_state, cfg.t_max)
                 if answer is None and pruning:
                     raise NodeExpansionFailed(
                         build.question.id, cfg.t_max, "no terminal answer at the iteration cap"
                     )
                 self._finish_chain(build, chain, chain.final_state, "cap", answer)
-        build.fill()
         return chains
 
-    def _build_full_node(self, build: _Build) -> None:
+    def _build_full_node(self, build: _Build) -> Steps[None]:
         """Make and count every call of full expansion and the leaf-layer nodes; keep no node.
 
         Each state expands k sampled sub-questions plus the direct-resolution
@@ -999,56 +770,50 @@ class TreeBuilder:
         """
         question = build.question
 
-        def expand(state: State) -> None:
+        def expand(state: State) -> Steps[None]:
             if state.depth >= self.config.t_max:
-                with build.lock:
-                    build.ledger.leaf_nodes += 1
+                build.ledger.leaf_nodes += 1
                 return
             layer = state.depth + 1
             build.bump(layer, "nodes_expanded")
-            (sampled,) = _Candidates.finish(self._candidates(
+            (sampled,) = yield from _Candidates.finish(self._candidates(
                 build, PolicyRole.SUB_QUESTION, question.text, layer, "sub_question"
             ))
             texts = [(question.text, "direct")] + [(c.content, "sampled") for c in sampled]
             for text, origin in texts:
                 tag = f"{origin}:{text[:40]}"
-                answers, queries = _Candidates.finish(
+                answers, queries = yield from _Candidates.finish(
                     self._candidates(build, PolicyRole.SELF_ANSWER, text, layer, f"self_answer:{tag}"),
                     self._candidates(build, PolicyRole.SUB_QUERY, text, layer, f"sub_query:{tag}"),
                 )
                 for child in answers + queries:
-                    expand(state.with_step(self._step_for(child, text)))
+                    yield from expand(state.with_step(self._step_for(child, text)))
 
-        expand(State(question))
+        yield from expand(State(question))
 
     # ------------------------------------------------------------------ entry point
 
-    def build_tree(self, question: Question, boundary: Optional[Boundary] = None) -> BuildResult:
+    def build_tree(self, question: Question, boundary: Optional[Boundary] = None):
         """Expand one question under the configured strategy.
 
-        One ``_Build`` holds the build's ledger and retrieval memo and sends
-        its calls through ``boundary``, or else through a ``Boundary`` of its
-        own at the config's ``concurrency``, closed however the build ends.
+        Without a ``boundary`` the build runs on a ``Boundary`` of its own at the
+        config's ``concurrency``, closed however it ends, and its ``BuildResult``
+        is returned. Given the ``boundary`` of a run, the build is returned as a
+        generator for that boundary's ``run``, whose value is the ``BuildResult``.
         Raises :class:`NodeExpansionFailed` when a layer cannot produce any
         usable candidate, and the first backend error (a rollout's too); batch
         drivers record either.
         """
-        build = _Build(question, self.policy, self.retriever,
-                       boundary or Boundary(self.config.concurrency))
+        if boundary is None:
+            with Boundary(self.config.concurrency) as own:
+                return own.run([self._build(question, own)])[0]
+        return self._build(question, boundary)
+
+    def _build(self, question: Question, boundary: Boundary) -> Steps[BuildResult]:
+        build = _Build(question, self.policy, self.retriever, boundary)
         result = BuildResult(question, self.config, ledger=build.ledger)
-        try:
-            try:
-                if self.config.strategy == "full_node":
-                    self._build_full_node(build)
-                else:
-                    result.chains = self._build_chains(build)
-            except NodeExpansionFailed:
-                build.fill()  # an error among an earlier step's results comes first, as serially
-                raise
-        except BuildStopped:
-            raise build.error from None  # the failure itself, not a call it stopped
-        finally:
-            build.stop()  # a rollout still running ends at its next call
-            if boundary is None:
-                build.boundary.close()
+        if self.config.strategy == "full_node":
+            yield from build.run(self._build_full_node(build))
+        else:
+            result.chains = yield from build.run(self._build_chains(build))
         return result

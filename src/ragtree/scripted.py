@@ -135,8 +135,8 @@ def strategy_costs(
     the fixed horizon ``t_max``, so each measured count should equal
     ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
     because its cost is exponential in depth. One ``Boundary`` at the config's
-    ``concurrency`` makes the calls of every build, one question at a time.
-    Every input is checked before the first build.
+    ``concurrency`` runs every build on the caller's thread, one question at a
+    time, and makes its calls. Every input is checked before the first build.
     """
     if not questions:
         raise DatasetError("no questions to bench")
@@ -165,7 +165,7 @@ def strategy_costs(
             measured, seconds = 0, 0.0
             for question in questions:
                 started = time.monotonic()
-                result = builder.build_tree(question, boundary)
+                result = boundary.run([builder.build_tree(question, boundary)])[0]
                 seconds += time.monotonic() - started
                 measured += result.ledger.expansion_count(strategy)
             theoretical = theoretical_counts(expansion, depth, strategy)

@@ -12,6 +12,8 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
+from ragtree.agent import AgentTranscript, run_agent
+from ragtree.driver import Boundary, Build
 from ragtree.engine import ExpansionConfig, derive_seed
 from ragtree.errors import BackendUnavailable
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
@@ -45,6 +47,13 @@ def infer_role(prompt: str) -> PolicyRole:
     if "please answer this question" in prompt:
         return PolicyRole.SELF_ANSWER
     raise ValueError("prompt does not match any known template")
+
+
+def episode(question: Question, policy, retriever, **options) -> AgentTranscript:
+    """``run_agent(question, **options)`` driven to its end on a serial boundary."""
+    with Boundary() as boundary:
+        build = Build(policy, retriever, boundary)
+        return boundary.run([build.run(run_agent(question, **options))])[0]
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLD, Scenario, StubPolicyServer, StubRetrieverServer, overlap_answer
+from conftest import GOLD, Scenario, StubPolicyServer, StubRetrieverServer, episode, overlap_answer
 from ragtree.cli import main
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.export import export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
@@ -23,7 +23,6 @@ from ragtree.parsing import find_first_action, parse_self_answer, parse_terminat
 from ragtree.retrieval import LexicalRetriever
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import build_result_to_dict, dumps_snapshot, snapshot_from_dict
-from ragtree.agent import run_agent
 from ragtree.types import Question
 
 COUNT_QUESTION = Question(id="acc-count", text="what follows alpha?", gold_answers=("beta",))
@@ -299,7 +298,7 @@ def test_protocol_conformance():
     # information, and a terminated episode ends in answer
     question = Question(id="proto", text="what follows alpha?", gold_answers=("beta",))
     policy = make_bench_policy({question.text: "beta"}, rollout_searches=2)
-    transcript = run_agent(question, policy, make_bench_retriever(), max_steps=6, max_searches=4)
+    transcript = episode(question, policy, make_bench_retriever(), max_steps=6, max_searches=4)
     assert transcript.terminated
     events = transcript.events
     assert events[-1].kind == "answer"

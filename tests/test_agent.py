@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from ragtree.agent import AgentTranscript, evaluate_dataset, run_agent
+from ragtree.agent import AgentTranscript, evaluate_dataset
 from ragtree.errors import BackendUnavailable, ConfigurationError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
@@ -17,7 +17,7 @@ from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
-from conftest import TEST_CORPUS
+from conftest import TEST_CORPUS, episode
 
 Q = Question(id="agent-q", text="what follows alpha?", gold_answers=("beta",))
 
@@ -43,7 +43,7 @@ def retriever():
 
 class TestRunAgent:
     def test_search_then_answer_event_shape(self, retriever):
-        transcript = run_agent(Q, search_then_answer(1, "beta"), retriever)
+        transcript = episode(Q, search_then_answer(1, "beta"), retriever)
         kinds = [e.kind for e in transcript.events]
         assert kinds == ["think", "search", "information", "think", "answer"]
         assert transcript.terminated
@@ -52,12 +52,12 @@ class TestRunAgent:
         assert transcript.steps_taken == 2
 
     def test_immediate_answer_no_search(self, retriever):
-        transcript = run_agent(Q, search_then_answer(0, "beta"), retriever)
+        transcript = episode(Q, search_then_answer(0, "beta"), retriever)
         assert [e.kind for e in transcript.events] == ["think", "answer"]
         assert transcript.searches_used == 0
 
     def test_search_budget_truncates(self, retriever):
-        transcript = run_agent(
+        transcript = episode(
             Q, search_then_answer(10, "beta"), retriever, max_searches=4, max_steps=20
         )
         assert transcript.searches_used == 4
@@ -66,7 +66,7 @@ class TestRunAgent:
         assert transcript.failure == "search budget exhausted"
 
     def test_step_budget_truncates(self, retriever):
-        transcript = run_agent(
+        transcript = episode(
             Q, search_then_answer(10, "beta"), retriever, max_searches=10, max_steps=3
         )
         assert transcript.steps_taken == 3
@@ -75,12 +75,12 @@ class TestRunAgent:
 
     def test_malformed_completion_fails_episode(self, retriever):
         policy = rollout_policy(lambda req: "rambling with no action tags")
-        transcript = run_agent(Q, policy, retriever)
+        transcript = episode(Q, policy, retriever)
         assert not transcript.terminated
         assert "no <search> or <answer>" in transcript.failure
 
     def test_every_search_is_followed_by_information(self, retriever):
-        transcript = run_agent(Q, search_then_answer(3, "beta"), retriever)
+        transcript = episode(Q, search_then_answer(3, "beta"), retriever)
         events = transcript.events
         for index, event in enumerate(events):
             if event.kind == "search":
@@ -88,7 +88,7 @@ class TestRunAgent:
                 assert len(events[index + 1].documents) == 3
 
     def test_information_carries_top_k_documents(self, retriever):
-        transcript = run_agent(Q, search_then_answer(1, "beta"), retriever, top_k=2)
+        transcript = episode(Q, search_then_answer(1, "beta"), retriever, top_k=2)
         info = next(e for e in transcript.events if e.kind == "information")
         assert len(info.documents) == 2
 
@@ -102,7 +102,7 @@ class TestRunAgent:
             seen["prompt"] = request.prompt
             return "<answer> beta </answer>"
 
-        run_agent(Q, rollout_policy(handler), retriever, initial_state=state)
+        episode(Q, rollout_policy(handler), retriever, initial_state=state)
         assert "Sub-question 1: first hop?" in seen["prompt"]
         assert "Answer: established fact" in seen["prompt"]
 
@@ -112,7 +112,7 @@ class TestRunAgent:
                 return "<think> hmm </think> <search> beta follows"  # closer stripped
             return "<answer> beta </answer>"
 
-        transcript = run_agent(Q, rollout_policy(handler), retriever)
+        transcript = episode(Q, rollout_policy(handler), retriever)
         assert transcript.terminated
         assert transcript.searches_used == 1
 

@@ -15,15 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
+from ragtree.agent import evaluate_dataset
 from ragtree.batch import expand_batch
 from ragtree import engine, scripted
+from ragtree.driver import Build, gather
 from ragtree.engine import (
     Boundary, Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build,
     _reward_bounds, _skips_retrieval, _vote_outcome, _winner, best_candidate, derive_seed,
     theoretical_counts,
 )
-from ragtree.errors import BackendUnavailable, BuildStopped, NodeExpansionFailed
-from ragtree.policy import ScriptedPolicyBackend
+from ragtree.errors import BackendUnavailable, NodeExpansionFailed
+from ragtree.policy import PolicyRequest, PolicyResponse, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever, RetrievalRequest
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole
@@ -34,12 +36,28 @@ def make_builder(scenario: Scenario, retriever) -> TreeBuilder:
     return TreeBuilder(scenario.policy(), retriever, scenario.config)
 
 
-def resolve(builder: TreeBuilder, scenario: Scenario, force_both: bool = False) -> TreeNode:
+@pytest.fixture
+def drive():
+    """Run a builder's step to its end on a build of its own, once every task of the
+    build has ended (so its nodes are filled): ``drive(builder.run_rollout, question,
+    *args)`` is ``builder.run_rollout(*args, build)``'s value."""
+
+    def run(step, question: Question, *args, concurrency: int = 1):
+        builder = step.__self__
+        with Boundary(concurrency) as boundary:
+            build = _Build(question, builder.policy, builder.retriever, boundary)
+            return boundary.run([build.run(step(*args, build))])[0]
+
+    return run
+
+
+def resolve(drive, builder: TreeBuilder, scenario: Scenario, force_both: bool = False,
+            concurrency: int = 1) -> TreeNode:
     """A layer-1 node whose retained sub-question is ``probe?``, resolved by ``builder``."""
     probe = Candidate("sub_question", "probe?", retained=True)
     node = TreeNode(1, State(scenario.question), TerminationVotes(),
                     sub_question_candidates=(probe,))
-    builder.expand_retrieval(node, force_both=force_both)
+    drive(builder.expand_retrieval, scenario.question, node, force_both, concurrency=concurrency)
     return node
 
 
@@ -86,40 +104,40 @@ class TestConfigValidation:
 
 
 class TestMajorityVote:
-    def test_three_of_five_terminates(self, scenario, retriever):
+    def test_three_of_five_terminates(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=3, n=1, t_max=2, majority_samples=5)
         scenario.set_votes(1, ["terminate", "terminate", "terminate", "continue", "continue"])
         scenario.finalize_answer = GOLD
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         assert node.votes.terminate == 3
         assert node.votes.continue_ == 2
         assert node.terminal_answer == GOLD
 
-    def test_two_of_four_continues(self, scenario, retriever):
+    def test_two_of_four_continues(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=4)
         scenario.set_votes(1, ["terminate", "terminate", "continue", "continue"])
         scenario.set_candidates("sub_question", 1, ["find a", "find b"])
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         assert node.terminal_answer is None
         assert node.votes.terminate == 2
 
-    def test_malformed_votes_dropped_from_tally(self, scenario, retriever):
+    def test_malformed_votes_dropped_from_tally(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(
             k=2, n=1, t_max=2, majority_samples=3, malformed_retries=1
         )
         scenario.set_votes(1, ["terminate", "malformed", "malformed"], attempts=2)
         scenario.set_candidates("sub_question", 1, ["find a", "find b"])
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         # 1 terminate of 1 valid vote: strict majority
         assert node.terminal_answer is not None
         assert node.votes.total == 1
 
 
 class TestRetention:
-    def test_argmax_candidate_retained(self, scenario, retriever):
+    def test_argmax_candidate_retained(self, scenario, retriever, drive):
         scenario.set_candidates("sub_question", 1, ["find m0", "find m1", "find m2"])
         scenario.rollout_answers = {
             "find m0": overlap_answer(1),  # F1 0.25
@@ -127,13 +145,13 @@ class TestRetention:
             "find m2": overlap_answer(2),  # F1 0.50
         }
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         rewards = [c.reward for c in node.sub_question_candidates]
         assert rewards == pytest.approx([0.25, 0.75, 0.5])
         assert node.retained("sub_question").content == "find m1"
         assert [c.retained for c in node.sub_question_candidates] == [False, True, False]
 
-    def test_reward_ties_break_to_lowest_index(self, scenario, retriever):
+    def test_reward_ties_break_to_lowest_index(self, scenario, retriever, drive):
         scenario.set_candidates("sub_question", 1, ["find t0", "find t1", "find t2"])
         scenario.rollout_answers = {
             "find t0": overlap_answer(2),
@@ -141,35 +159,35 @@ class TestRetention:
             "find t2": overlap_answer(1),
         }
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         assert node.retained("sub_question").content == "find t0"
 
-    def test_reward_is_mean_of_rollouts(self, scenario, retriever):
+    def test_reward_is_mean_of_rollouts(self, scenario, retriever, drive):
         scenario.set_candidates("sub_question", 1, ["find m0"])
         scenario.rollout_answers = {"find m0": overlap_answer(3)}
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         candidate = node.sub_question_candidates[0]
         assert len(candidate.rollouts) == scenario.config.n
         mean = sum(r.score for r in candidate.rollouts) / len(candidate.rollouts)
         assert candidate.reward == pytest.approx(mean, abs=1e-12)
 
-    def test_duplicate_candidates_merged(self, scenario, retriever):
+    def test_duplicate_candidates_merged(self, scenario, retriever, drive):
         scenario.set_candidates("sub_question", 1, ["Same Thing", "same thing!", "other probe"])
         builder = make_builder(scenario, retriever)
-        node = builder.expand_termination(State(scenario.question), 1)
+        node = drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
         assert [c.content for c in node.sub_question_candidates] == ["Same Thing", "other probe"]
 
-    def test_all_candidates_malformed_fails_expansion(self, scenario, retriever):
+    def test_all_candidates_malformed_fails_expansion(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=2, n=1, t_max=2, majority_samples=1, malformed_retries=1)
         scenario.set_candidates("sub_question", 1, ["<malformed>", "<malformed>"], attempts=2)
         builder = make_builder(scenario, retriever)
         with pytest.raises(NodeExpansionFailed):
-            builder.expand_termination(State(scenario.question), 1)
+            drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
 
 
 class TestRetrievalGate:
-    def test_high_self_answer_skips_retrieval(self, scenario, retriever):
+    def test_high_self_answer_skips_retrieval(self, scenario, retriever, drive):
         scenario.set_candidates("self_answer", 1, ["sa strong", "sa weak", "sa zero"])
         scenario.rollout_answers = {
             "sa strong": overlap_answer(3),  # 0.75 >= tau 0.7
@@ -178,19 +196,19 @@ class TestRetrievalGate:
         }
         counting = CountingRetriever(retriever)
         builder = make_builder(scenario, counting)
-        node = resolve(builder, scenario)
+        node = resolve(drive, builder, scenario)
         assert node.chosen_kind == "self_answer"
         assert node.retained("self_answer").content == "sa strong"
         assert node.sub_query_candidates == ()
         assert counting.requests == []
 
-    def test_low_self_answers_expand_sub_queries(self, scenario, retriever):
+    def test_low_self_answers_expand_sub_queries(self, scenario, retriever, drive):
         scenario.set_candidates("self_answer", 1, ["sa a", "sa b", "sa c"])
         scenario.set_candidates("sub_query", 1, ["mq a", "mq b", "mq c"])
         scenario.rollout_answers = {"mq a": overlap_answer(2)}
         counting = CountingRetriever(retriever)
         builder = make_builder(scenario, counting)
-        node = resolve(builder, scenario)
+        node = resolve(drive, builder, scenario)
         assert node.chosen_kind == "sub_query"
         assert len(node.sub_query_candidates) == 3
         # one retrieval per deduplicated sub-query
@@ -198,7 +216,7 @@ class TestRetrievalGate:
         # retrieved documents attach to the candidate and its chain step
         assert len(node.retained("sub_query").documents) == scenario.config.top_k
 
-    def test_sub_query_ties_break_to_lowest_index(self, scenario, retriever):
+    def test_sub_query_ties_break_to_lowest_index(self, scenario, retriever, drive):
         scenario.set_candidates("self_answer", 1, ["sa a", "sa b", "sa c"])
         scenario.set_candidates("sub_query", 1, ["mq t0", "mq t1", "mq t2"])
         scenario.rollout_answers = {
@@ -207,21 +225,21 @@ class TestRetrievalGate:
             "mq t2": overlap_answer(2),  # 0.50
         }
         builder = make_builder(scenario, retriever)
-        node = resolve(builder, scenario)
+        node = resolve(drive, builder, scenario)
         assert node.retained("sub_query").content == "mq t1"
 
-    def test_gate_is_threshold_inclusive(self, scenario, retriever):
+    def test_gate_is_threshold_inclusive(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=1, n=4, t_max=2, majority_samples=1, tau=0.75)
         scenario.set_candidates("self_answer", 1, ["sa edge"])
         scenario.rollout_answers = {"sa edge": overlap_answer(3)}  # exactly 0.75
         counting = CountingRetriever(retriever)
-        node = resolve(make_builder(scenario, counting), scenario)
+        node = resolve(drive, make_builder(scenario, counting), scenario)
         assert node.chosen_kind == "self_answer"
         assert node.sub_query_candidates == ()
         assert counting.requests == []
 
     @pytest.mark.parametrize("case", ["skip", "threshold-inclusive"])
-    def test_a_concurrent_skip_sends_no_sub_query(self, scenario, retriever, case):
+    def test_a_concurrent_skip_sends_no_sub_query(self, scenario, retriever, case, drive):
         if case == "skip":
             scenario.set_candidates("self_answer", 1, ["sa strong", "sa weak", "sa zero"])
             scenario.rollout_answers = {"sa strong": overlap_answer(3), "sa weak": overlap_answer(1)}
@@ -238,18 +256,13 @@ class TestRetrievalGate:
 
         counting = CountingRetriever(retriever)
         builder = TreeBuilder(Recording(), counting, scenario.config)
-        node = TreeNode(1, State(scenario.question), TerminationVotes(),
-                        sub_question_candidates=(Candidate("sub_question", "probe?", retained=True),))
-        with Boundary(4) as boundary:
-            build = _Build(scenario.question, builder.policy, counting, boundary)
-            builder.expand_retrieval(node, build=build)
-            build.fill()
+        node = resolve(drive, builder, scenario, concurrency=4)
         assert node.chosen_kind == "self_answer"
         assert node.sub_query_candidates == ()
         assert PolicyRole.SUB_QUERY not in roles
         assert counting.requests == []
 
-    def test_all_sub_queries_malformed_fails_expansion(self, scenario, retriever):
+    def test_all_sub_queries_malformed_fails_expansion(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(
             k=2, n=1, t_max=2, majority_samples=1, malformed_retries=1
         )
@@ -257,9 +270,9 @@ class TestRetrievalGate:
         scenario.set_candidates("sub_query", 1, ["<malformed>", "<malformed>"], attempts=2)
         builder = make_builder(scenario, retriever)
         with pytest.raises(NodeExpansionFailed):
-            resolve(builder, scenario)
+            resolve(drive, builder, scenario)
 
-    def test_force_both_prefers_self_answer_on_tie(self, scenario, retriever):
+    def test_force_both_prefers_self_answer_on_tie(self, scenario, retriever, drive):
         scenario.set_candidates("self_answer", 1, ["sa even"])
         scenario.set_candidates("sub_query", 1, ["mq even"])
         scenario.config = ExpansionConfig(k=1, n=2, t_max=2, majority_samples=1)
@@ -268,7 +281,7 @@ class TestRetrievalGate:
             "mq even": overlap_answer(2),
         }
         builder = make_builder(scenario, retriever)
-        node = resolve(builder, scenario, force_both=True)
+        node = resolve(drive, builder, scenario, force_both=True)
         assert node.chosen_kind == "self_answer"
         assert node.retained("self_answer").content == "sa even"
         # the sub-query branch was expanded too, and stays the unretained alternative
@@ -277,38 +290,38 @@ class TestRetrievalGate:
 
 
 class TestRollout:
-    def test_immediate_correct_answer(self, scenario, retriever):
+    def test_immediate_correct_answer(self, scenario, retriever, drive):
         scenario.default_rollout_answer = GOLD
         builder = make_builder(scenario, retriever)
-        result = builder.run_rollout(State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
         assert result.score == 1.0
         assert result.final_answer == GOLD
         assert result.steps_taken == 1
 
-    def test_cap_without_answer_scores_zero(self, scenario, retriever):
+    def test_cap_without_answer_scores_zero(self, scenario, retriever, drive):
         handlers = {
             role: (lambda req: "<think> still digging </think> <search> alpha </search>")
             for role in PolicyRole
         }
         builder = TreeBuilder(ScriptedPolicyBackend(handlers), retriever, scenario.config)
-        result = builder.run_rollout(State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
         assert result.score == 0.0
         assert result.final_answer is None
 
-    def test_partial_answer_scores_f1(self, scenario, retriever):
+    def test_partial_answer_scores_f1(self, scenario, retriever, drive):
         scenario.default_rollout_answer = "g1 g2"
         builder = make_builder(scenario, retriever)
-        result = builder.run_rollout(State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
         assert result.score == pytest.approx(2 * (1.0 * 0.5) / 1.5, abs=1e-6)
 
-    def test_em_metric_configurable(self, scenario, retriever):
+    def test_em_metric_configurable(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=1, n=1, t_max=2, majority_samples=1, score_metric="em")
         scenario.default_rollout_answer = "g1 g2"
         builder = make_builder(scenario, retriever)
-        result = builder.run_rollout(State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
         assert result.score == 0.0  # partial overlap is not an exact match
 
-    def test_residual_horizon_shrinks_with_depth(self, scenario, retriever):
+    def test_residual_horizon_shrinks_with_depth(self, scenario, retriever, drive):
         handlers = {
             role: (lambda req: "<think> still digging </think> <search> alpha </search>")
             for role in PolicyRole
@@ -319,11 +332,11 @@ class TestRollout:
             scenario.question,
             tuple(SelfStep(i) for i in range(3)),
         )
-        result = builder.run_rollout(deep_state, "pending?", 4, ("t",))
+        result = drive(builder.run_rollout, scenario.question, deep_state, "pending?", 4, ("t",))
         # effective depth 4 of t_max 4: horizon 1
         assert result.steps_taken == 1
 
-    def test_fixed_horizon_ignores_depth(self, scenario, retriever):
+    def test_fixed_horizon_ignores_depth(self, scenario, retriever, drive):
         handlers = {
             role: (lambda req: "<think> still digging </think> <search> alpha </search>")
             for role in PolicyRole
@@ -331,7 +344,7 @@ class TestRollout:
         cfg = ExpansionConfig(k=1, n=1, t_max=4, majority_samples=1, rollout_cap="fixed")
         builder = TreeBuilder(ScriptedPolicyBackend(handlers), retriever, cfg)
         deep_state = State(scenario.question, tuple(SelfStep(i) for i in range(3)))
-        result = builder.run_rollout(deep_state, "pending?", 4, ("t",))
+        result = drive(builder.run_rollout, scenario.question, deep_state, "pending?", 4, ("t",))
         assert result.steps_taken == 4
 
 
@@ -627,7 +640,7 @@ class TestRetrievalMemo:
         distinct = {(r.query, r.top_k) for r in retriever.requests}
         assert len(retriever.requests) == len(distinct) == 15
 
-    def test_a_direct_call_sends_each_distinct_retrieval_once(self):
+    def test_a_direct_call_sends_each_distinct_retrieval_once(self, drive):
         question = Question(id="memo-one-call", text="what follows alpha?", gold_answers=("beta",))
         cfg = ExpansionConfig(k=3, n=4, t_max=4, rollout_cap="fixed", tau=1.0)
         retriever = CountingRetriever(make_bench_retriever())
@@ -635,13 +648,13 @@ class TestRetrievalMemo:
         builder = TreeBuilder(policy, retriever, cfg)
         probe = Candidate("sub_question", "probe?", retained=True)
         node = TreeNode(1, State(question), TerminationVotes(), sub_question_candidates=(probe,))
-        builder.expand_retrieval(node)
+        drive(builder.expand_retrieval, question, node, False)
         assert node.chosen_kind is not None and node.sub_query_candidates
         # 3 sub-queries plus 3 searches in each of 24 rollouts, logically
         distinct = {(r.query, r.top_k) for r in retriever.requests}
         assert len(retriever.requests) == len(distinct) == 6
 
-    def test_calls_outside_build_tree_are_not_memoized(self):
+    def test_calls_outside_build_tree_are_not_memoized(self, drive):
         question = Question(id="memo-direct", text="what follows alpha?", gold_answers=("beta",))
         cfg = ExpansionConfig(k=2, n=2, t_max=3, rollout_cap="fixed")
         retriever = CountingRetriever(make_bench_retriever())
@@ -650,101 +663,79 @@ class TestRetrievalMemo:
         builder.build_tree(question)
         sent = len(retriever.requests)
         for index in range(2):
-            builder.run_rollout(State(question), None, layer=0, seed_parts=("direct", index))
+            drive(builder.run_rollout, question, State(question), None, 0, ("direct", index))
         # each rollout searches twice, for two queries; neither the last build's
         # memo nor a builder-wide one serves them, only each call's own
         assert len(retriever.requests) - sent == 4
 
 
-def serial_build(retriever) -> _Build:
-    """A build at concurrency 1 around ``retriever``, with no policy."""
-    question = Question(id="memo-build", text="what follows alpha?", gold_answers=("beta",))
-    return _Build(question, None, retriever)
+def retrievals(retriever, *tasks, concurrency: int = 1) -> list:
+    """Each task's value, the tasks run at once on one build that calls ``retriever``."""
+
+    def main(build: Build):
+        started = [build.spawn(task) for task in tasks]
+        yield from gather(started)
+        return [task.value for task in started]
+
+    with Boundary(concurrency) as boundary:
+        build = Build(None, retriever, boundary)
+        return boundary.run([build.run(main(build))])[0]
+
+
+def retrieve(*requests: RetrievalRequest):
+    """A task that sends ``requests`` one after another; each reply, or the error."""
+    replies = []
+    for request in requests:
+        try:
+            replies.append((yield request))
+        except BackendUnavailable as exc:
+            replies.append(exc)
+    return replies
 
 
 class TestBuildRetrieve:
-    """A serial build's single-flight retrieval memo."""
+    """A build's single-flight retrieval memo."""
+
+    GAMMA = RetrievalRequest(query="gamma", top_k=2)
 
     def test_concurrent_callers_share_one_call(self):
         inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.05)
-        memo = serial_build(inner)
-        workers = 8
-        barrier = threading.Barrier(workers)
-        results = [None] * workers
-
-        def call(slot):
-            barrier.wait(timeout=10)
-            results[slot] = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
-
-        threads = [threading.Thread(target=call, args=(slot,)) for slot in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        results = retrievals(inner, *[retrieve(self.GAMMA) for _ in range(8)], concurrency=2)
         assert len(inner.requests) == 1
-        expected = LexicalRetriever(TEST_CORPUS).retrieve(RetrievalRequest(query="gamma", top_k=2))
-        assert all(docs == expected for docs in results)
+        expected = LexicalRetriever(TEST_CORPUS).retrieve(self.GAMMA)
+        assert all(docs == [expected] for docs in results)
 
     def test_failure_raises_and_is_not_cached(self):
         inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), fail_first=1)
-        memo = serial_build(inner)
-        request = RetrievalRequest(query="gamma", top_k=2)
-        with pytest.raises(BackendUnavailable):
-            memo.retrieve(request)
-        assert [d.title for d in memo.retrieve(request)] == ["gamma", "alpha"]
+        ((failed, docs),) = retrievals(inner, retrieve(self.GAMMA, self.GAMMA))
+        assert isinstance(failed, BackendUnavailable)
+        assert [d.title for d in docs] == ["gamma", "alpha"]
         assert len(inner.requests) == 2
 
-    def test_waiter_calls_backend_when_leader_fails(self):
+    def test_waiters_of_a_failed_call_get_its_error(self):
+        # the failure stops the build, so nothing waiting on it calls again
         inner = CountingRetriever(LexicalRetriever(TEST_CORPUS), delay_s=0.1, fail_first=1)
-        memo = serial_build(inner)
-        request = RetrievalRequest(query="gamma", top_k=2)
-        outcome = {}
-
-        def leader():
-            try:
-                memo.retrieve(request)
-            except BackendUnavailable as exc:
-                outcome["leader"] = exc
-
-        def waiter():
-            outcome["waiter"] = memo.retrieve(request)
-
-        first = threading.Thread(target=leader)
-        first.start()
-        deadline = time.monotonic() + 10
-        while not inner.requests and time.monotonic() < deadline:
-            time.sleep(0.001)
-        second = threading.Thread(target=waiter)
-        second.start()
-        first.join(timeout=10)
-        second.join(timeout=10)
-        assert not first.is_alive() and not second.is_alive()
-        assert isinstance(outcome["leader"], BackendUnavailable)
-        assert [d.title for d in outcome["waiter"]] == ["gamma", "alpha"]
-        assert len(inner.requests) == 2
+        results = retrievals(inner, retrieve(self.GAMMA), retrieve(self.GAMMA), concurrency=2)
+        assert [type(reply) for (reply,) in results] == [BackendUnavailable] * 2
+        assert len(inner.requests) == 1
 
     def test_top_k_is_part_of_the_key(self):
         inner = CountingRetriever(LexicalRetriever(TEST_CORPUS))
-        memo = serial_build(inner)
-        one = memo.retrieve(RetrievalRequest(query="gamma", top_k=1))
-        two = memo.retrieve(RetrievalRequest(query="gamma", top_k=2))
-        assert (len(one), len(two)) == (1, 2)
+        one = RetrievalRequest(query="gamma", top_k=1)
+        ((first, second),) = retrievals(inner, retrieve(one, self.GAMMA))
+        assert (len(first), len(second)) == (1, 2)
         assert [r.top_k for r in inner.requests] == [1, 2]
 
     def test_callers_get_distinct_lists(self):
-        memo = serial_build(LexicalRetriever(TEST_CORPUS))
-        request = RetrievalRequest(query="gamma", top_k=2)
-        first = memo.retrieve(request)
-        second = memo.retrieve(request)
-        assert first == second and first is not second
-        first.clear()
-        assert memo.retrieve(request) == second
+
+        def mutate():
+            first = yield self.GAMMA
+            second = yield self.GAMMA
+            first.clear()
+            return first, second, (yield self.GAMMA)
+
+        ((first, second, third),) = retrievals(LexicalRetriever(TEST_CORPUS), mutate())
+        assert first == [] and len(second) == 2 and third == second and third is not second
 
 
 class SlowPolicy:
@@ -760,15 +751,15 @@ class SlowPolicy:
 
 
 class TestBuilderHoldsNoBuildState:
-    def test_direct_calls_leave_a_finished_ledger_alone(self):
+    def test_direct_calls_leave_a_finished_ledger_alone(self, drive):
         question = Question(id="ledger-q", text="what follows alpha?", gold_answers=("beta",))
         cfg = ExpansionConfig(k=2, n=2, t_max=3, majority_samples=2, rollout_cap="fixed")
         policy = make_bench_policy({question.text: "beta"}, rollout_searches=cfg.t_max - 1)
         builder = TreeBuilder(policy, make_bench_retriever(), cfg)
         result = builder.build_tree(question)
         before = asdict(result.ledger)
-        builder.run_rollout(State(question), None, layer=1, seed_parts=("direct", 0))
-        builder.expand_termination(State(question), 1)
+        drive(builder.run_rollout, question, State(question), None, 1, ("direct", 0))
+        drive(builder.expand_termination, question, State(question), 1)
         assert asdict(result.ledger) == before
 
     @pytest.mark.parametrize("concurrency", [1, 2])
@@ -969,15 +960,60 @@ class TestBuildScheduler:
             assert manifest.items[0].status == "failed"
             assert "rollout backend down" in manifest.items[0].error
 
-    def test_a_stopped_build_prepares_nothing(self):
-        ran = []
+    def test_a_closed_build_runs_nothing_more(self):
+        # one call fails while another is out and four are queued: the build's
+        # generators are closed, and none of the queued calls starts
+        started, resumed, closed = [], [], []
+
+        class Policy:
+            def complete(self, request):
+                started.append(request.seed)
+                time.sleep(0.05 if request.seed else 0.01)
+                if request.seed == 0:
+                    raise BackendUnavailable("the first call failed")
+                return PolicyResponse(text="<answer> ok </answer>")
+
+        def call(seed: int):
+            try:
+                yield PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=seed)
+                resumed.append(seed)
+            finally:
+                closed.append(seed)
+
+        def main(build: Build):
+            yield from gather([build.spawn(call(seed)) for seed in range(6)])
+
         with Boundary(2) as boundary:
-            build = _Build(self.QUESTION, None, None, boundary)
-            build.stop()
-            handle = boundary.submit(build, ran.append, "prepared")
-            with pytest.raises(BuildStopped):
-                handle.result()
-        assert ran == []
+            build = Build(Policy(), None, boundary)
+            with pytest.raises(BackendUnavailable, match="the first call failed"):
+                boundary.run([build.run(main(build))])
+        assert sorted(started) == [0, 1]
+        assert resumed == []
+        assert sorted(closed) == list(range(6))
+
+
+    def test_a_main_line_error_is_the_one_raised(self):
+        # the main line's call fails while three calls of another task are queued:
+        # they are refused, and the build raises the main line's error, not a refusal
+        class Policy:
+            def complete(self, request):
+                time.sleep(0.01 if request.seed == 0 else 0.05)
+                if request.seed == 0:
+                    raise BackendUnavailable("the main line's call failed")
+                return PolicyResponse(text="<answer> ok </answer>")
+
+        def call(seed: int):
+            yield PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=seed)
+
+        def main(build: Build):
+            for seed in range(1, 5):
+                build.spawn(call(seed))
+            yield PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=0)
+
+        with Boundary(2) as boundary:
+            build = Build(Policy(), None, boundary)
+            with pytest.raises(BackendUnavailable, match="the main line's call failed"):
+                boundary.run([build.run(main(build))])
 
 
 class TestSettledDecisions:
@@ -1052,8 +1088,26 @@ class TestRunBoundary:
         assert manifest.counts["ok"] == len(self.QUESTIONS)
         assert 1 < probe.peak["all"] <= concurrency
         assert 1 < len(probe.threads) <= concurrency
-        # c batch workers, c senders and a pool of 2c that prepares their calls
-        assert probe.most_threads - threads <= 4 * concurrency
+        # the c senders are the only threads the run starts
+        assert probe.most_threads - threads <= concurrency
+
+    def test_an_evaluation_stays_within_one_bound(self):
+        concurrency, probe = 4, self.shared_probe()
+        threads = threading.active_count()
+        report = evaluate_dataset(self.QUESTIONS, probe, probe, concurrency=concurrency)
+        assert report.failures == 0 and report.em == 1.0
+        assert 1 < probe.peak["all"] <= concurrency
+        assert 1 < len(probe.threads) <= concurrency
+        assert probe.most_threads - threads <= concurrency
+
+    def test_a_lone_build_stays_within_one_bound(self):
+        concurrency, probe = 4, self.shared_probe()
+        threads = threading.active_count()
+        result = TreeBuilder(probe, probe, self.config(concurrency)).build_tree(self.QUESTIONS[0])
+        assert result.trunk.final_score == 1.0
+        assert 1 < probe.peak["all"] <= concurrency
+        assert 1 < len(probe.threads) <= concurrency
+        assert probe.most_threads - threads <= concurrency
 
     def test_a_failed_question_stops_only_its_own_build(self, tmp_path):
         concurrency, questions = 4, self.QUESTIONS[:4]
@@ -1113,3 +1167,32 @@ class TestRunBoundary:
         costs = scripted.strategy_costs(self.QUESTIONS[:3], cfg, ("pruning", "full_node"), 1)
         assert [cost.measured for cost in costs] == [cost.theoretical for cost in costs]
         assert made == [2]
+
+    def test_an_interrupt_stops_the_whole_batch(self, tmp_path):
+        # the second question's 10th call raises KeyboardInterrupt while the first
+        # question's build is still running beside it
+        concurrency, questions = 2, self.QUESTIONS[:4]
+        gold = {q.text: q.gold_answers[0] for q in questions}
+        inner = make_bench_policy(gold, rollout_searches=1)
+        lock, starts, interrupted_at = threading.Lock(), [], []
+
+        class Interrupting:
+            def complete(self, request):
+                with lock:
+                    starts.append(request.prompt)
+                    nth = sum(questions[1].text in prompt for prompt in starts)
+                    if questions[1].text in request.prompt and nth == 10:
+                        interrupted_at.append(len(starts))
+                        raise KeyboardInterrupt
+                time.sleep(0.001)
+                return inner.complete(request)
+
+        cfg = self.config(concurrency)
+        with pytest.raises(KeyboardInterrupt):
+            expand_batch(questions, lambda: TreeBuilder(Interrupting(), make_bench_retriever(), cfg),
+                         str(tmp_path), concurrency=concurrency)
+        calls = len(starts)
+        time.sleep(0.05)
+        assert len(starts) == calls
+        # only calls already past the boundary may start once the interrupt is raised
+        assert len(starts) - interrupted_at[0] <= concurrency - 1
