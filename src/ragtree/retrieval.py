@@ -1,6 +1,6 @@
 """Retriever backends: an HTTP client for a dense-retrieval service and an
 in-memory lexical index used as an auditable test oracle. Each engine build
-memoizes its own retrievals in front of either (``engine._Build.retrieve``)."""
+memoizes its own retrievals in front of either (``driver.Build``)."""
 
 from __future__ import annotations
 

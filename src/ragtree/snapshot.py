@@ -53,7 +53,7 @@ def _written(cls: Any) -> Optional[Tuple[Mapping[str, Any], Mapping[str, None]]]
 
 def encode(value: Any) -> Any:
     """A JSON-ready copy of ``value``. Dict keys are sorted, so a ledger's per-layer
-    counters keep one order whichever thread counted first."""
+    counters keep one order whichever layer's call returned first."""
     plan = _written(type(value))
     if plan is not None:
         return {name: encode(getattr(value, name)) for name in plan[0]}
