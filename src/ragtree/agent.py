@@ -199,6 +199,7 @@ def evaluate_dataset(
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
+    templates = templates or load_default_templates()
 
     def run_one(index: int, question: Question) -> Steps[Tuple[Optional[AgentTranscript], dict]]:
         transcript = yield from Build(policy, retriever, boundary).run(run_agent(

@@ -101,12 +101,12 @@ def expand_batch(
     A skipped question's manifest item takes its ledger from its snapshot.
     ``on_progress`` hears of each question as it is skipped or finishes, on the
     caller's thread.
-    ``builder_factory`` is called once per question; since a builder keeps no
-    per-build state, it may return one shared builder, and concurrent builds
-    on it still get their own ledgers and retrieval memos. One ``Boundary`` at
-    the builders' own ``config.concurrency`` c runs every build on the caller's
-    thread and makes its calls, so the batch has at most c requests in flight and
-    c threads: up to ``concurrency`` builds run at once, one at a time at c = 1.
+    ``builder_factory`` is called once, and its builder builds every question: a
+    builder keeps no per-build state, so concurrent builds on it still get their
+    own ledgers and retrieval memos. One ``Boundary`` at the builder's own
+    ``config.concurrency`` c runs every build on the caller's thread and makes its
+    calls, so the batch has at most c requests in flight and c threads: up to
+    ``concurrency`` builds run at once, one at a time at c = 1.
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
     before anything is built or written, as does a ``concurrency`` below 1
@@ -128,7 +128,8 @@ def expand_batch(
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     manifest = Manifest()
 
-    config = builder_factory().config
+    builder = builder_factory()
+    config = builder.config
     pending: List[Question] = []
     for question in questions:
         path = snapshot_path(out_dir, question.id)
@@ -142,7 +143,6 @@ def expand_batch(
 
     def expand_one(question: Question) -> Steps[ManifestItem]:
         path = snapshot_path(out_dir, question.id)
-        builder = builder_factory()
         try:
             result = yield from builder.build_tree(question, boundary)
         except NodeExpansionFailed as exc:

@@ -89,14 +89,18 @@ class Boundary:
     no thread starts. Above 1 it queues each call at once for c sender threads,
     which put every reply on one queue that it reads: c calls of any builds are
     in flight whenever that many are ready, and only the driver runs the steps'
-    Python. The first error a sender meets stops that build; an interrupt (an
-    error that is not an ``Exception``) stops the run, and no queued call starts
-    after it. ``with Boundary(c) as boundary:`` joins every thread it started.
+    Python. Either way ``_make`` makes the call, or refuses it once its build or
+    the run has stopped. The first error a sender meets stops that build; an
+    interrupt (an error that is not an ``Exception``) stops the run, and no queued
+    call starts after it. A run that raised halts the boundary, which then refuses
+    every call at any c. ``with Boundary(c) as boundary:`` joins every thread it
+    started.
     """
 
     def __init__(self, concurrency: int = 1):
         self._ready: Deque[Tuple[Task, object, Optional[BaseException]]] = deque()
         self._out = 0  # calls queued for the senders and not yet answered
+        self._jobs = 0  # jobs of the run started and not yet ended
         self._halted = False
         self._senders: List[threading.Thread] = []
         if concurrency > 1:
@@ -115,27 +119,22 @@ class Boundary:
 
     def run(self, jobs: Iterable[Steps[T]], admit: int = 1) -> List[T]:
         """Each job's value, in order. A job is a generator that waits on builds
-        (``Build.run``). With senders, up to ``admit`` jobs are live at once and the
-        next starts as one ends; a serial boundary runs them one at a time. An
-        error a job raises, or an interrupt, stops the run and is raised."""
-        results: List[T] = []
-        waiting, live = iter(jobs), 0
+        (``Build.run``), run as a task of no build. With senders, up to ``admit`` jobs
+        are live at once and the next starts as one ends; a serial boundary runs them
+        one at a time. An error a job raises, or an interrupt, stops the run and is
+        raised."""
+        waiting, tasks = iter(jobs), []
         admit = admit if self._senders else 1
-
-        def job(index: int, steps: Steps[T]) -> Steps[None]:
-            nonlocal live
-            results[index] = yield from steps
-            live -= 1
-
+        self._jobs = 0
         try:
             while True:
-                steps = next(waiting, None) if live < admit else None
+                steps = next(waiting, None) if self._jobs < admit else None
                 if steps is not None:
-                    live += 1
-                    results.append(None)
-                    self._ready.append((Task(job(len(results) - 1, steps), None), None, None))
-                elif not live:
-                    return results
+                    self._jobs += 1
+                    tasks.append(Task(steps, None))
+                    self._ready.append((tasks[-1], None, None))
+                elif not self._jobs:
+                    return [task.value for task in tasks]
                 elif self._ready:
                     self._resume(*self._ready.popleft())
                 elif self._out:
@@ -177,7 +176,9 @@ class Boundary:
                 waiter.waiting = None
                 self._ready.append((waiter, None, None))
         task.waiters.clear()  # each entry holds a list that holds this task
-        if task.build is not None:
+        if task.build is None:
+            self._jobs -= 1
+        else:
             task.build.live.discard(task)
 
     def _raised(self, task: Task, error: Exception) -> None:
@@ -211,13 +212,18 @@ class Boundary:
         if self._senders:
             self._out += 1
             self._calls.put((task, call, request))
-            return
-        try:
-            reply = call(request)
-        except Exception as exc:  # the task gets it
-            self._answer(task, request, None, exc)
         else:
-            self._answer(task, request, reply, None)
+            self._answer(task, request, *self._make(task, call, request))
+
+    def _make(self, task: Task, call, request) -> Tuple[object, Optional[BaseException]]:
+        """``call(request)``'s reply and None, or None and the error it raised; the
+        call of a stopped build or run is not made but refused (:class:`BuildStopped`)."""
+        if self._halted or task.build.stopped:
+            return None, BuildStopped("the build has stopped")
+        try:
+            return call(request), None
+        except BaseException as exc:  # the driver gives it to the task, or raises it
+            return None, exc
 
     def _answer(self, task: Task, request, reply, error: Optional[BaseException]) -> None:
         if error is not None and not isinstance(error, Exception):
@@ -233,25 +239,18 @@ class Boundary:
             self._ready.append((task, reply, error))
 
     def _send(self) -> None:
-        """A sender: make each queued call unless its build or the run has stopped,
-        and queue the reply or error. An error stops the build (an interrupt, the
-        run) only once queued, so the driver reads it before the refusals it causes."""
+        """A sender: make each queued call and queue its reply or error. An error
+        stops the build (an interrupt, the run) only once queued, so the driver reads
+        it before the refusals it causes."""
         for task, call, request in iter(self._calls.get, None):
-            reply = error = None
-            refused = self._halted or task.build.stopped
-            if refused:
-                error = BuildStopped("the build has stopped")
-            else:
-                try:
-                    reply = call(request)
-                except BaseException as exc:  # the driver raises it
-                    error = exc
+            reply, error = self._make(task, call, request)
             self._replies.put((task, request, reply, error))
-            if error is not None and not refused:
-                if isinstance(error, Exception):
-                    task.build.stopped = True
-                else:
-                    self._halted = True
+            if error is None or isinstance(error, BuildStopped):
+                continue  # answered, or refused
+            if isinstance(error, Exception):
+                task.build.stopped = True
+            else:
+                self._halted = True
 
     def close(self) -> None:
         """End the senders once they have made or refused every call queued."""

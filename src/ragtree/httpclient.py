@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import Callable, Optional, TypeVar
 
 from .errors import BackendUnavailable, ConfigurationError
 
-if TYPE_CHECKING:
-    import requests
+T = TypeVar("T")
 
 
 class HttpJsonClient:
@@ -21,7 +20,8 @@ class HttpJsonClient:
 
     Transport errors and 5xx responses are retried with exponential backoff
     (``backoff_s * 2**attempt``); 4xx responses are configuration errors and
-    are not retried. ``endpoint`` names the service in error messages.
+    are not retried, nor is a body of the wrong shape. ``endpoint`` names the
+    service in error messages.
     """
 
     endpoint = "endpoint"
@@ -35,7 +35,11 @@ class HttpJsonClient:
         self.backoff_s = backoff_s
         self._local = threading.local()
 
-    def _post(self, path: str, payload: dict, headers: Optional[dict] = None) -> requests.Response:
+    def _post(self, path: str, payload: dict, parse: Callable[[object], T],
+              headers: Optional[dict] = None) -> T:
+        """``parse`` of the JSON body the endpoint answers ``payload`` with. A body
+        ``parse`` cannot read (it raises ``ValueError``, ``LookupError``, ``TypeError``
+        or ``AttributeError``) raises :class:`BackendUnavailable`, unretried."""
         import requests
 
         if not hasattr(self._local, "session"):
@@ -50,7 +54,7 @@ class HttpJsonClient:
                 last_error = exc
             else:
                 if resp.status_code < 300:
-                    return resp
+                    break
                 if 400 <= resp.status_code < 500:
                     raise ConfigurationError(
                         f"{self.endpoint} rejected request ({resp.status_code}): {resp.text[:500]}"
@@ -58,6 +62,11 @@ class HttpJsonClient:
                 last_error = BackendUnavailable(f"{self.endpoint} returned {resp.status_code}")
             if attempt < self.max_retries:
                 time.sleep(self.backoff_s * (2**attempt))
-        raise BackendUnavailable(
-            f"{self.endpoint} unreachable after {self.max_retries + 1} attempts: {last_error}"
-        )
+        else:
+            raise BackendUnavailable(
+                f"{self.endpoint} unreachable after {self.max_retries + 1} attempts: {last_error}"
+            )
+        try:
+            return parse(resp.json())
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise BackendUnavailable(f"malformed {self.endpoint} response body: {exc}")

@@ -10,14 +10,11 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, Tuple
+from typing import Callable, Mapping, Optional, Protocol, Tuple
 
-from .errors import BackendUnavailable, ConfigurationError
+from .errors import ConfigurationError
 from .httpclient import HttpJsonClient
 from .templates import PolicyRole
-
-if TYPE_CHECKING:
-    import requests
 
 
 @dataclass(frozen=True)
@@ -91,21 +88,16 @@ class HttpPolicyBackend(HttpJsonClient):
             payload["seed"] = request.seed
         if request.stop:
             payload["stop"] = list(request.stop)
-        return self._parse_body(self._post("/chat/completions", payload, self._headers()))
+        return self._post("/chat/completions", payload, self._parse_body, self._headers())
 
     @staticmethod
-    def _parse_body(resp: requests.Response) -> PolicyResponse:
-        try:
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed policy response body: {exc}")
-        usage = body.get("usage") or {}
-        return PolicyResponse(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
+    def _parse_body(body) -> PolicyResponse:
+        text = body["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError(f"content must be str, not {type(text).__name__}")
+        usage = body.get("usage") or {}  # a missing or null count reads as 0
+        return PolicyResponse(text, int(usage.get("prompt_tokens") or 0),
+                              int(usage.get("completion_tokens") or 0))
 
 
 Handler = Callable[[PolicyRequest], str]

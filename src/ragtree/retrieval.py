@@ -5,15 +5,12 @@ memoizes its own retrievals in front of either (``driver.Build``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Protocol, Sequence, Tuple
+from typing import List, Protocol, Sequence, Tuple
 
-from .errors import BackendUnavailable, DatasetError, json_objects
+from .errors import DatasetError, json_objects
 from .httpclient import HttpJsonClient
 from .metrics import normalize_answer
 from .types import Document
-
-if TYPE_CHECKING:
-    import requests
 
 
 @dataclass(frozen=True)
@@ -36,26 +33,25 @@ class HttpRetrieverBackend(HttpJsonClient):
     """POSTs ``{base_url}/retrieve`` with ``{"query", "top_k"}``.
 
     Expects ``{"docs": [{"title", "text", "score"}, ...]}`` ordered by
-    descending score. Retries as :class:`HttpJsonClient` does.
+    descending score, with a string title (default "") and text. Retries as
+    :class:`HttpJsonClient` does.
     """
 
     endpoint = "retriever"
 
     def retrieve(self, request: RetrievalRequest) -> List[Document]:
-        resp = self._post("/retrieve", {"query": request.query, "top_k": request.top_k})
-        return self._parse_body(resp, request.top_k)
+        payload = {"query": request.query, "top_k": request.top_k}
+        return self._post("/retrieve", payload, self._parse_body)[: request.top_k]
 
     @staticmethod
-    def _parse_body(resp: requests.Response, top_k: int) -> List[Document]:
-        try:
-            docs = resp.json()["docs"]
-            parsed = [
-                Document(title=d.get("title", ""), text=d["text"], score=float(d.get("score", 0.0)))
-                for d in docs
-            ]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed retriever response body: {exc}")
-        return parsed[:top_k]
+    def _parse_body(body) -> List[Document]:
+        docs = []
+        for doc in body["docs"]:
+            title, text = doc.get("title", ""), doc["text"]
+            if not (isinstance(title, str) and isinstance(text, str)):
+                raise TypeError("a document's title and text must be str")
+            docs.append(Document(title, text, float(doc.get("score", 0.0))))
+        return docs
 
 
 class LexicalRetriever:

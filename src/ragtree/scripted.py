@@ -135,8 +135,9 @@ def strategy_costs(
     the fixed horizon ``t_max``, so each measured count should equal
     ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
     because its cost is exponential in depth. One ``Boundary`` at the config's
-    ``concurrency`` runs every build on the caller's thread, one question at a
-    time, and makes its calls. Every input is checked before the first build.
+    ``concurrency`` runs every build on the caller's thread and makes its calls,
+    each strategy's questions in one ``run``, one at a time. Every input is
+    checked before the first build.
     """
     if not questions:
         raise DatasetError("no questions to bench")
@@ -162,12 +163,10 @@ def strategy_costs(
             strategy, depth = expansion.strategy, expansion.t_max
             policy = make_bench_policy(gold, rollout_searches=depth - 1)
             builder = TreeBuilder(policy, retriever, expansion)
-            measured, seconds = 0, 0.0
-            for question in questions:
-                started = time.monotonic()
-                result = boundary.run([builder.build_tree(question, boundary)])[0]
-                seconds += time.monotonic() - started
-                measured += result.ledger.expansion_count(strategy)
+            started = time.monotonic()
+            results = boundary.run(builder.build_tree(question, boundary) for question in questions)
+            seconds = time.monotonic() - started
+            measured = sum(result.ledger.expansion_count(strategy) for result in results)
             theoretical = theoretical_counts(expansion, depth, strategy)
             count = len(questions)
             costs.append(StrategyCost(strategy, depth, measured // count, theoretical,

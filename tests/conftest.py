@@ -289,6 +289,38 @@ class StubPolicyServer:
         self.server.server_close()
 
 
+@pytest.fixture
+def reply_server():
+    """``serve(body)`` starts an endpoint that answers every POST with ``body`` as JSON
+    and returns its base URL; every endpoint started closes after the test."""
+    servers = []
+
+    def serve(body) -> str:
+        reply = json.dumps(body).encode("utf-8")
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_port}"
+
+    yield serve
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
 class StubRetrieverServer:
     """Retrieval endpoint backed by an in-memory retriever.
 

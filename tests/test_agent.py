@@ -9,12 +9,13 @@ import threading
 
 import pytest
 
+from ragtree import agent
 from ragtree.agent import AgentTranscript, evaluate_dataset
 from ragtree.errors import BackendUnavailable, ConfigurationError
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever
 from ragtree.scripted import make_bench_policy, make_bench_retriever
-from ragtree.templates import PolicyRole
+from ragtree.templates import PolicyRole, load_default_templates
 from ragtree.types import Question
 
 from conftest import TEST_CORPUS, episode
@@ -168,6 +169,20 @@ class TestEvaluateDataset:
         assert report.em == 0.0 and report.failures == 2
         failures = [item["failure"] for item in report.per_item]
         assert failures == ["policy backend failed: policy endpoint down"] * 2
+
+    def test_the_default_templates_load_once_per_run(self, retriever, monkeypatch):
+        loads = []
+
+        def counted():
+            loads.append(1)
+            return load_default_templates()
+
+        monkeypatch.setattr(agent, "load_default_templates", counted)
+        questions = [Question(id=f"t{i}", text=f"question {i} text", gold_answers=("beta",))
+                     for i in range(5)]
+        report = evaluate_dataset(questions, search_then_answer(1, "beta"), retriever)
+        assert (report.n, report.em) == (5, 1.0)
+        assert len(loads) == 1
 
     def test_truncated_item_scores_zero(self, retriever):
         def handler(request: PolicyRequest) -> str:

@@ -1143,6 +1143,43 @@ class TestRunBoundary:
         started_after = [e for e in failed.events[failed.failed_at:] if e[0] == "start"]
         assert len(started_after) <= concurrency - 1
 
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_a_batch_makes_one_builder(self, concurrency, tmp_path):
+        probe, cfg = self.shared_probe(), self.config(concurrency)
+        made = []
+
+        def factory() -> TreeBuilder:
+            made.append(TreeBuilder(probe, probe, cfg))
+            return made[-1]
+
+        manifest = expand_batch(self.QUESTIONS[:3], factory, str(tmp_path), concurrency=concurrency)
+        assert manifest.counts["ok"] == 3
+        assert len(made) == 1
+
+    def test_successive_runs_return_their_own_values_in_order(self):
+        # the first job of each run asks for two documents, which come 50 ms late,
+        # so it ends after the jobs behind it
+        lexical = LexicalRetriever(TEST_CORPUS)
+
+        class Retriever:
+            def retrieve(self, request):
+                time.sleep(0.05 if request.top_k == 2 else 0)
+                return lexical.retrieve(request)
+
+        def job(boundary: Boundary, query: str, top_k: int):
+            def step():
+                docs = yield RetrievalRequest(query=query, top_k=top_k)
+                return docs[0].title
+
+            return Build(None, Retriever(), boundary).run(step())
+
+        with Boundary(2) as boundary:
+            first = boundary.run([job(boundary, "gamma", 2), job(boundary, "beta", 1),
+                                  job(boundary, "alpha", 1)], admit=2)
+            second = boundary.run([job(boundary, "beta", 2), job(boundary, "gamma", 1)], admit=2)
+        assert first == ["gamma", "beta", "alpha"]
+        assert second == ["beta", "gamma"]
+
     def test_a_serial_boundary_runs_one_question_at_a_time(self, tmp_path):
         probe, cfg = self.shared_probe(), self.config(1)
         threads = threading.active_count()

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import Scenario, StubPolicyServer
-from ragtree.engine import ExpansionConfig
+from conftest import TEST_CORPUS, Scenario, StubPolicyServer
+from ragtree.agent import evaluate_dataset
+from ragtree.batch import expand_batch
+from ragtree.engine import ExpansionConfig, TreeBuilder
 from ragtree.errors import BackendUnavailable, ConfigurationError
 from ragtree.policy import (
     HttpPolicyBackend,
@@ -13,7 +15,9 @@ from ragtree.policy import (
     RoutedPolicyBackend,
     ScriptedPolicyBackend,
 )
+from ragtree.retrieval import LexicalRetriever
 from ragtree.templates import PolicyRole, load_default_templates
+from ragtree.types import Question
 
 
 def _echo_backend() -> ScriptedPolicyBackend:
@@ -136,6 +140,63 @@ class TestHttpBackend:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _reply(message: dict, usage=None) -> dict:
+    body = {"choices": [{"message": {"role": "assistant", **message}}]}
+    if usage is not None:
+        body["usage"] = usage
+    return body
+
+
+class TestReplyShape:
+    """A reply of the wrong shape fails its call, never the run that made it."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            _reply({"content": None}),
+            _reply({"content": 7}),
+            _reply({"content": ["<answer> a </answer>"]}),
+            _reply({"content": "fine"}, usage=[3, 4]),
+            _reply({"content": "fine"}, usage={"prompt_tokens": "many"}),
+        ],
+        ids=["null-content", "number-content", "list-content", "list-usage", "text-count"],
+    )
+    def test_a_body_of_the_wrong_shape_fails_the_call(self, reply_server, body):
+        backend = HttpPolicyBackend(reply_server(body), model="m", max_retries=0)
+        with pytest.raises(BackendUnavailable, match="malformed policy endpoint response body"):
+            backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p"))
+
+    @pytest.mark.parametrize(
+        "usage, tokens",
+        [
+            ({"prompt_tokens": None, "completion_tokens": 4}, (0, 4)),
+            ({"prompt_tokens": 3, "completion_tokens": None}, (3, 0)),
+            ({"prompt_tokens": None}, (0, 0)),
+        ],
+    )
+    def test_a_null_token_count_reads_as_zero(self, reply_server, usage, tokens):
+        backend = HttpPolicyBackend(reply_server(_reply({"content": "fine"}, usage)), model="m")
+        response = backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p"))
+        assert (response.text, response.prompt_tokens, response.completion_tokens) == ("fine", *tokens)
+
+    def test_a_batch_and_an_evaluation_record_the_failed_calls(self, reply_server, tmp_path):
+        policy = HttpPolicyBackend(reply_server(_reply({"content": None})), model="m")
+        retriever = LexicalRetriever(TEST_CORPUS)
+        questions = [Question(id=f"q{i}", text=f"question {i}", gold_answers=("a",))
+                     for i in range(2)]
+        cfg = ExpansionConfig(k=2, n=1, t_max=1, majority_samples=1)
+        manifest = expand_batch(questions, lambda: TreeBuilder(policy, retriever, cfg),
+                                str(tmp_path))
+        assert manifest.counts == {"ok": 0, "failed": 2, "skipped": 0}
+        assert all("malformed policy endpoint response body" in item.error
+                   for item in manifest.items)
+        assert (tmp_path / "manifest.json").is_file()
+        report = evaluate_dataset(questions, policy, retriever)
+        assert report.failures == 2
+        failure = "policy backend failed: malformed policy endpoint response body"
+        assert all(item["failure"].startswith(failure) for item in report.per_item)
 
 
 class TestRoutedBackend:

@@ -119,6 +119,23 @@ class TestHttpRetriever:
             server.close()
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"title": None, "text": "alpha"},
+            {"title": 3, "text": "alpha"},
+            {"title": "alpha", "text": 7},
+            {"title": "alpha", "text": ["alpha"]},
+            "alpha",
+        ],
+        ids=["null-title", "number-title", "number-text", "list-text", "text-record"],
+    )
+    def test_a_document_that_is_not_text_fails_the_call(self, reply_server, doc):
+        backend = HttpRetrieverBackend(reply_server({"docs": [doc]}), max_retries=0)
+        with pytest.raises(BackendUnavailable, match="malformed retriever response body"):
+            backend.retrieve(RetrievalRequest(query="alpha"))
+
+
 class TestCorpusLoader:
     def test_load_and_skip_blank_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
