@@ -41,6 +41,9 @@ class AgentTranscript:
     terminated: bool = False
     final_answer: Optional[str] = None
     failure: Optional[str] = None
+    # the backend error behind ``failure``, not written, without the traceback that
+    # would hold the episode's frame and so this transcript
+    error: Optional[RagTreeError] = None
 
     def to_dict(self) -> dict:
         events = []
@@ -73,7 +76,6 @@ def run_agent(
     top_k: int = 3,
     temperature: float = 0.7,
     seed: Optional[int] = None,
-    raise_backend_errors: bool = False,
     max_tokens: int = PolicyRequest.max_tokens,
 ) -> Steps[AgentTranscript]:
     """One episode until ``<answer>``, a cap, or a failure, as a generator of its
@@ -82,7 +84,7 @@ def run_agent(
 
     ``initial_state`` / ``pending_sub_question`` seed the transcript with prior
     iteration history, which is how rollouts resume from a partial solution.
-    A backend error fails the episode; ``raise_backend_errors`` propagates it.
+    A backend error fails the episode, and the transcript keeps it as ``error``.
     """
     templates = templates or load_default_templates()
     state = initial_state or State(question)
@@ -106,9 +108,8 @@ def run_agent(
         try:
             response = yield request
         except RagTreeError as exc:
-            if raise_backend_errors:
-                raise
             transcript.failure = f"policy backend failed: {exc}"
+            transcript.error = exc.with_traceback(None)
             break
         transcript.steps_taken += 1
 
@@ -136,9 +137,8 @@ def run_agent(
         try:
             docs = yield RetrievalRequest(query=content, top_k=top_k)
         except RagTreeError as exc:
-            if raise_backend_errors:
-                raise
             transcript.failure = f"retriever failed: {exc}"
+            transcript.error = exc.with_traceback(None)
             break
         transcript.searches_used += 1
         transcript.events.append(AgentEvent("search", content))

@@ -42,8 +42,9 @@ class Build:
     """Tasks that stop as one, the backends they call, and their retrieval memo.
 
     ``run(main)`` runs ``main`` as the main line until every task has ended, and
-    gives its value or the ``failure``, the error a task raised. Another task's
-    error stops the build at once: its generators are closed and its queued calls
+    gives its value or the ``failure``, the error a task raised. Only ``run`` waits
+    for every task; a task waits for the tasks it names. Another task's error
+    stops the build at once: its generators are closed and its queued calls
     refused (:class:`BuildStopped`). The main line's error waits for the tasks
     still out, whose error replaces it, as in a serial build.
 
@@ -69,17 +70,12 @@ class Build:
 
     def run(self, main: Steps[T]) -> Steps[T]:
         self.main = self.spawn(main)
-        yield from gather([self.main])
-        yield from self.quiet()
+        while self.live:
+            yield [next(iter(self.live))]
         main, self.main = self.main, None  # a task refers to its build
         if self.failure is not None:
             raise self.failure
         return main.value
-
-    def quiet(self, but: Optional[Task] = None) -> Steps[None]:
-        """Wait until every task of the build, ``but`` aside, has ended."""
-        while any(task is not but for task in self.live):
-            yield [next(task for task in self.live if task is not but)]
 
 
 class Boundary:

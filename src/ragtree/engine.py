@@ -25,11 +25,13 @@ one starts while the rest come in: a rollout scores between 0 and 1, so bounds
 on each candidate's mean reward can name the winner, or settle the skip gate,
 before the last rollouts return, and the votes settle once the unread ones
 cannot turn the majority. A chain's terminal answer likewise goes out beside
-the last layer's remaining rollouts. The results still out fill their node
-before ``build_tree`` returns, and the build makes no call that a serial build
-would not make. Seeds are keyed by (kind, layer, index, attempt) and results
-are read in index order, so the tree, the counts and the snapshot are the same
-at any concurrency. The first backend error stops the build.
+the last layer's remaining rollouts. A step writes the decisions it settled
+into its node, then spawns one task that fills the node with the step's other
+results, before ``build_tree`` returns, which is also when a no_pruning fork
+copies the trunk's nodes. The build makes no call that a serial build would
+not make. Seeds are keyed by (kind, layer, index, attempt) and results are read
+in index order, so the tree, the counts and the snapshot are the same at any
+concurrency. The first backend error stops the build.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -182,9 +184,10 @@ class TerminationVotes:
 
 @dataclass
 class TreeNode:
-    """One layer of a chain. Inside a build, a node whose decisions settled before
-    all their results came in holds no votes and only its retained candidates
-    until the build fills it; ``build_tree`` returns whole nodes."""
+    """One layer of a chain. Inside a build, a node holds its decisions alone (its
+    terminal answer or retained candidates, and ``chosen_kind``) and no votes
+    until each step's fill task writes it whole; ``build_tree`` returns whole
+    nodes."""
 
     layer: int  # 1-based
     state: State = field(metadata=UNWRITTEN)  # the question plus the chain's first layer - 1 steps
@@ -385,8 +388,10 @@ class _Candidates:
 
     def best(self) -> Steps[Candidate]:
         """The candidate ``best_candidate`` will pick, as soon as the rollouts read
-        decide it; not for an empty set."""
-        return self.started[(yield from self.settle(_winner))].value[0]
+        decide it and it has its documents; not for an empty set."""
+        winner = self.started[(yield from self.settle(_winner))]
+        yield from gather([winner])  # a lone candidate wins before its retrieval returns
+        return winner.value[0]
 
     @staticmethod
     def finish(*sets: "_Candidates") -> Steps[List[Tuple[Candidate, ...]]]:
@@ -483,8 +488,9 @@ class TreeBuilder:
             temperature=self.config.sampling_temperature,
             max_tokens=self.config.max_tokens,
             seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
-            raise_backend_errors=True,
         )
+        if transcript.error is not None:
+            raise transcript.error
         build.bump(layer, "rollout_calls", transcript.steps_taken)
         build.bump(layer, "retrieval_calls", transcript.searches_used)
         return RolloutResult(
@@ -568,9 +574,10 @@ class TreeBuilder:
         """The layer's node: vote on stopping, then on continue retain the best
         sub-question by rollout reward; on stop, record the terminal answer.
 
-        Each step starts once the results read decide the step before; until
-        tasks of ``build`` fill the node with the rest, its votes are unset and
-        its sub-question candidates are the retained one alone.
+        Each step starts once the results read decide the step before. The node
+        returned holds the decision alone (its terminal answer, or its retained
+        sub-question), and no votes; one task of ``build`` then fills the votes
+        and the scored sub-question candidates once they are all in.
         """
         build.bump(layer, "nodes_expanded")
         cfg = self.config
@@ -581,13 +588,6 @@ class TreeBuilder:
             for v in range(cfg.majority_samples)
         ]
         node = TreeNode(layer, state, TerminationVotes())
-
-        def fill_votes() -> Steps[None]:
-            yield from gather(votes)
-            kinds = [vote.value for vote in votes]
-            node.votes = TerminationVotes(kinds.count("terminate"), kinds.count("continue"))
-
-        build.spawn(fill_votes())
         while True:
             kinds = [vote.value for vote in votes if vote.done]
             terminate = _vote_outcome(kinds.count("terminate"), kinds.count("continue"),
@@ -601,28 +601,29 @@ class TreeBuilder:
                 raise NodeExpansionFailed(
                     build.question.id, layer, "terminate vote won but no answer was produced"
                 )
-            if not cfg.score_terminate_branch:
-                return node
-        candidates = self._candidates(
-            build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
-        )
-
-        def fill_candidates() -> Steps[None]:
-            (scored,) = yield from _Candidates.finish(candidates)
-            retained = None if terminate else best_candidate(scored)
-            node.sub_question_candidates = _retaining(scored, retained)
-
-        build.spawn(fill_candidates())
-        if terminate:
-            return node
-        if not (yield from candidates.settle(len)):
-            raise NodeExpansionFailed(
-                build.question.id, layer, "every sub-question candidate was malformed"
-            )
-        best = yield from candidates.best()
-        if not node.sub_question_candidates:  # unless the fill came first
+        sets = []  # the sub-question set; a terminated layer scores one only as a probe
+        if not terminate or cfg.score_terminate_branch:
+            sets.append(self._candidates(
+                build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
+            ))
+        if not terminate:
+            if not (yield from sets[0].settle(len)):
+                raise NodeExpansionFailed(
+                    build.question.id, layer, "every sub-question candidate was malformed"
+                )
+            best = yield from sets[0].best()
             node.sub_question_candidates = (replace(best, retained=True),)
-        if cfg.score_terminate_branch:
+
+        def fill() -> Steps[None]:
+            yield from gather(votes)
+            kinds = [vote.value for vote in votes]
+            node.votes = TerminationVotes(kinds.count("terminate"), kinds.count("continue"))
+            for scored in (yield from _Candidates.finish(*sets)):
+                retained = None if terminate else best_candidate(scored)
+                node.sub_question_candidates = _retaining(scored, retained)
+
+        build.spawn(fill())
+        if not terminate and cfg.score_terminate_branch:
             answer = yield from self._finalize_answer(build, state, layer)
             if answer is not None:
                 node.terminate_probe = (answer, self._score(build, answer))
@@ -634,10 +635,11 @@ class TreeBuilder:
 
         The skip gate compares the best self-answer reward with ``tau``; when
         the gate fails the sub-query branch is taken. Each step starts once the
-        results read decide it, and until the rest are in, the taken branch's
-        candidates are its retained one alone. ``force_both`` (the no-pruning
-        strategy) expands both branches at once and, with all their results,
-        takes the better, the cheaper self-answer branch on ties.
+        results read decide it; the node holds the taken branch's retained
+        candidate alone until one task of ``build`` fills in the rest.
+        ``force_both`` (the no-pruning strategy) expands both branches at once
+        and, with all their results, takes the better, the cheaper self-answer
+        branch on ties.
         """
         state, layer = node.state, node.layer
         sub_question = node.retained("sub_question").content
@@ -668,6 +670,12 @@ class TreeBuilder:
         else:
             queries = candidates(PolicyRole.SUB_QUERY)
             kind, taken, sets = "sub_query", queries, (answers, queries)
+        if not (yield from taken.settle(len)):  # only a sub-query set can be empty here
+            raise fail("every sub-query candidate was malformed" if answers.started
+                       else "both resolution branches produced no candidates")
+        best = yield from taken.best()
+        node.chosen_kind = kind
+        setattr(node, f"{kind}_candidates", (replace(best, retained=True),))
 
         def fill() -> Steps[None]:
             scored = yield from _Candidates.finish(*sets)
@@ -676,13 +684,6 @@ class TreeBuilder:
             node.resolve_by(kind)
 
         build.spawn(fill())
-        if not (yield from taken.settle(len)):  # only a sub-query set can be empty here
-            raise fail("every sub-query candidate was malformed" if answers.started
-                       else "both resolution branches produced no candidates")
-        best = yield from taken.best()
-        if not node.candidates_of(kind):  # unless the fill came first
-            node.chosen_kind = kind
-            setattr(node, f"{kind}_candidates", (replace(best, retained=True),))
 
     # ------------------------------------------------------------------ chain building
 
@@ -737,14 +738,11 @@ class TreeBuilder:
                     if has_alt and layer == chain.fork_layer:
                         node.resolve_by(alt_kind)
                     elif has_alt and chain.chain_id == 0 and layer == rnd:
-                        yield from build.quiet(build.main)  # the fork copies the nodes, once filled
-                        fork = ChainRecord(
-                            chain_id=len(chains), fork_layer=layer, fork_kind=alt_kind,
-                            nodes=[replace(n) for n in chain.nodes],
-                        )
-                        alt = fork.nodes[-1].resolve_by(alt_kind)
-                        fork.final_state = state.with_step(self._step_for(alt, sub_question))
-                        chains.append(fork)
+                        alt = best_candidate(node.candidates_of(alt_kind))
+                        chains.append(ChainRecord(
+                            chain_id=len(chains), fork_layer=layer, fork_kind=alt_kind, nodes=[],
+                            final_state=state.with_step(self._step_for(alt, sub_question)),
+                        ))
                     taken = node.retained(node.chosen_kind)
                     state = state.with_step(self._step_for(taken, sub_question))
                 if chain.terminated_by is None:
@@ -816,4 +814,8 @@ class TreeBuilder:
             yield from build.run(self._build_full_node(build))
         else:
             result.chains = yield from build.run(self._build_chains(build))
+        for fork in result.chains[1:]:
+            if not fork.nodes:  # no later round rebuilt it: the trunk's nodes, now filled
+                fork.nodes = [replace(node) for node in result.trunk.nodes[:fork.fork_layer]]
+                fork.nodes[-1].resolve_by(fork.fork_kind)
         return result

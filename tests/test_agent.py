@@ -118,6 +118,26 @@ class TestRunAgent:
         assert transcript.searches_used == 1
 
 
+    @pytest.mark.parametrize("side", ["policy", "retriever"])
+    def test_a_backend_error_ends_the_episode_and_stays_on_it(self, retriever, side):
+        down = BackendUnavailable(f"{side} down")
+
+        class Down:
+            def complete(self, request):
+                raise down
+
+            retrieve = complete
+
+        if side == "policy":
+            transcript = episode(Q, Down(), retriever)
+            assert transcript.failure == "policy backend failed: policy down"
+        else:
+            transcript = episode(Q, search_then_answer(1, "beta"), Down())
+            assert transcript.failure == "retriever failed: retriever down"
+        assert transcript.error is down
+        assert "error" not in transcript.to_dict()
+
+
 class TestEvaluateDataset:
     def _questions(self):
         return [

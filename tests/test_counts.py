@@ -9,10 +9,17 @@ completions during expansion: votes + candidate generations + rollout steps.
 
 from __future__ import annotations
 
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ragtree.batch import expand_batch
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.scripted import make_bench_policy, make_bench_retriever
+from ragtree.snapshot import load_snapshot
 from ragtree.templates import PolicyRole
 from ragtree.types import Question
 
@@ -129,3 +136,40 @@ def test_full_node_makes_every_request_of_a_layer():
     ]
     assert len(direct) == k
     assert result.ledger.leaf_nodes == 2 * k * (k + 1)
+
+
+@st.composite
+def build_shapes(draw) -> ExpansionConfig:
+    strategy = draw(st.sampled_from(["pruning", "no_pruning", "full_node"]))
+    k = draw(st.integers(1, 2))
+    return ExpansionConfig(
+        k=k, n=draw(st.integers(1, 2)), strategy=strategy, majority_samples=k,
+        rollout_cap="fixed", t_max=draw(st.integers(1, 2 if strategy == "full_node" else 3)),
+        concurrency=draw(st.sampled_from([2, 4])),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=build_shapes())
+def test_every_build_shape_writes_the_serial_snapshots_at_the_closed_form(cfg):
+    # a batch at c = 2 or 4 writes the c = 1 batch's bytes, and each question spends
+    # exactly the closed-form count
+    questions = [Question(id=f"shape-{a}", text=f"what follows {a}?", gold_answers=(b,))
+                 for a, b in [("alpha", "beta"), ("beta", "gamma")]]
+    gold = {q.text: q.gold_answers[0] for q in questions}
+
+    def snapshots(concurrency: int, out: Path) -> list:
+        run = ExpansionConfig(**{**cfg.__dict__, "concurrency": concurrency})
+        policy = make_bench_policy(gold, rollout_searches=cfg.t_max - 1)
+        manifest = expand_batch(questions, lambda: TreeBuilder(policy, make_bench_retriever(), run),
+                                str(out), concurrency=concurrency)
+        assert manifest.counts["ok"] == len(questions)
+        return [Path(item.snapshot) for item in manifest.items]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        serial = snapshots(1, Path(tmp, "c1"))
+        concurrent = snapshots(cfg.concurrency, Path(tmp, "c"))
+        assert [p.read_bytes() for p in concurrent] == [p.read_bytes() for p in serial]
+        for path in concurrent:
+            ledger = load_snapshot(str(path)).ledger
+            assert ledger.expansion_count(cfg.strategy) == theoretical_counts(cfg, cfg.t_max)

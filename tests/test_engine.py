@@ -432,6 +432,37 @@ class TestBuildTree:
         assert trunk.terminated_by == "cap"
         assert trunk.final_answer == "forced"
 
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_a_lone_sub_query_wins_with_its_documents(self, concurrency):
+        # with k = 1 the one sub-query is the winner before its retrieval returns
+        question = Question(id="lone-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=1, n=1, t_max=1, majority_samples=1, rollout_cap="fixed",
+                              concurrency=concurrency)
+        policy = make_bench_policy({question.text: "beta"}, rollout_searches=0)
+        retriever = make_bench_retriever()
+        node = TreeBuilder(policy, retriever, cfg).build_tree(question).trunk.nodes[0]
+        query = node.retained("sub_query")
+        assert node.chosen_kind == "sub_query"
+        assert query.documents == tuple(retriever.retrieve(RetrievalRequest(query.content, 3)))
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    def test_a_rollout_backend_error_is_the_one_raised(self, concurrency):
+        question = Question(id="down-q", text="what follows alpha?", gold_answers=("beta",))
+        cfg = ExpansionConfig(k=2, n=2, t_max=2, majority_samples=2, concurrency=concurrency)
+        inner = make_bench_policy({question.text: "beta"}, rollout_searches=1)
+        raised = []
+
+        class RolloutsDown:
+            def complete(self, request):
+                if request.role is PolicyRole.ROLLOUT:
+                    raised.append(BackendUnavailable("rollout backend down"))
+                    raise raised[-1]
+                return inner.complete(request)
+
+        with pytest.raises(BackendUnavailable) as excinfo:
+            TreeBuilder(RolloutsDown(), make_bench_retriever(), cfg).build_tree(question)
+        assert any(error is excinfo.value for error in raised)
+
     def test_node_expansion_failure_propagates(self, scenario, retriever):
         scenario.config = ExpansionConfig(k=1, n=1, t_max=1, majority_samples=1, malformed_retries=0)
         scenario.set_candidates("sub_question", 1, ["<malformed>"], attempts=1)
@@ -809,8 +840,9 @@ class InFlightProbe:
     ``hold`` makes a call wait for others without relying on timing: it maps
     (role, i), the i-th call of that role to start, to (role2, count), and that
     call waits (for at most ``HOLD_S``) until ``count`` calls of role2 have
-    started; a key may also be a request's seed. A serial scheduler cannot meet
-    the condition, so it runs late, and ``held`` records of each held call
+    started; a key may also be a request's seed, which holds only the first call
+    with that seed (a no_pruning rebuild repeats seeds). A serial scheduler cannot
+    meet the condition, so it runs late, and ``held`` records of each held call
     whether its condition was met in time. The first rollout completion raises
     ``BackendUnavailable`` when ``fail_rollout``; ``failed_at`` is then the
     number of events logged up to its end.
@@ -849,7 +881,7 @@ class InFlightProbe:
                 self.fail_rollout = False
             self._changed.notify_all()
             key = (role, nth) if (role, nth) in self.hold else seed
-            if key in self.hold:
+            if key in self.hold and key not in self.held:
                 awaited, count = self.hold[key]
                 self.held[key] = self._changed.wait_for(
                     lambda: self.started.get(awaited, 0) >= count, self.HOLD_S
@@ -877,10 +909,10 @@ class InFlightProbe:
 class TestBuildScheduler:
     QUESTION = Question(id="sched-q", text="what follows alpha?", gold_answers=("beta",))
 
-    def probe_build(self, concurrency: int, **probe_options) -> InFlightProbe:
-        cfg = ExpansionConfig(
-            k=3, n=2, t_max=2, majority_samples=3, rollout_cap="fixed", concurrency=concurrency
-        )
+    def probe_build(self, concurrency: int, strategy: str = "pruning",
+                    **probe_options) -> InFlightProbe:
+        cfg = ExpansionConfig(k=3, n=2, t_max=2, majority_samples=3, rollout_cap="fixed",
+                              strategy=strategy, concurrency=concurrency)
         policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
         probe = InFlightProbe(policy, make_bench_retriever(), **probe_options)
         TreeBuilder(probe, probe, cfg).build_tree(self.QUESTION)
@@ -931,6 +963,18 @@ class TestBuildScheduler:
                 last_step("sub_query"): (PolicyRole.TERMINATION, 4)}
         probe = self.probe_build(concurrency, hold=hold)
         assert probe.held == {key: True for key in hold}
+
+    def test_a_fork_waits_for_no_other_task(self):
+        # Every rollout scores 1, so layer 2's first sub-question wins once its own
+        # rollouts are in. The first step of a rollout of the trunk's last layer-2
+        # sub-question waits for the 10th vote: round 1 sends 3, the trunk's round-2
+        # rebuild 6, and the 10th is the first of the round-1 deviation's rebuild,
+        # which runs after the trunk forks at layer 2. A fork that waits for every
+        # task of the build meets it only once the hold has timed out.
+        held = derive_seed(0, self.QUESTION.id, "rollout", 2, "sub_question", 2, 0)
+        hold = {held: (PolicyRole.TERMINATION, 10)}
+        probe = self.probe_build(4, strategy="no_pruning", hold=hold)
+        assert probe.held == {held: True}
 
     def test_failed_build_stops_spending(self, tmp_path):
         policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
