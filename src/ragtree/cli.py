@@ -23,7 +23,7 @@ from .engine import BuildResult, Strategy, TreeBuilder
 from .errors import ExportError, RagTreeError, check_at_least
 from .export import SFT_STRATEGIES, export_dpo, export_sft, write_dpo_jsonl, write_sft_jsonl
 from .scripted import strategy_costs
-from .snapshot import load_snapshot, save_snapshot
+from .snapshot import load_snapshot, save_snapshot, write_atomic
 from .types import type_hints
 
 
@@ -171,12 +171,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for cost in strategy_costs(questions, expansion, strategies, args.full_node_tmax)
     ]
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_atomic(args.out, lambda handle: csv.writer(handle).writerows(
+        [list(rows[0]), *(row.values() for row in rows)]
+    ))
     for row in rows:
         print(
             f"{row['strategy']:12s} l={row['l']} measured={row['measured_count']} "

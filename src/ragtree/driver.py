@@ -25,7 +25,7 @@ class Task:
 
     __slots__ = ("gen", "build", "done", "value", "waiters", "waiting")
 
-    def __init__(self, gen: Steps, build: Optional[Build]):
+    def __init__(self, gen: Steps, build: Build):
         self.gen, self.build, self.done, self.value = gen, build, False, None
         self.waiters: list = []  # (task, the list it waited on)
         self.waiting: Optional[list] = None  # the list this task waits on
@@ -48,14 +48,14 @@ class Build:
     refused (:class:`BuildStopped`). The main line's error waits for the tasks
     still out, whose error replaces it, as in a serial build.
 
-    Retrievals are memoized by ``(query, top_k)``: a hit takes no slot, a request
-    for a key in flight waits for its reply, and the requests waiting on a
-    failure get its error. Retrieval must be a pure function of the request.
+    Retrievals are memoized by their ``RetrievalRequest``: a hit takes no slot, a
+    request in flight waits for its reply, and the requests waiting on a failure
+    get its error. Retrieval must be a pure function of the request.
     """
 
     def __init__(self, policy, retriever, boundary: Boundary):
         self.policy, self.retriever, self.boundary = policy, retriever, boundary
-        self.memo: Dict[Tuple[str, int], object] = {}  # key -> documents, or the tasks awaiting them
+        self.memo: Dict[RetrievalRequest, object] = {}  # documents, or the tasks awaiting them
         self.live: Set[Task] = set()
         self.main: Optional[Task] = None
         self.stopped = False
@@ -96,7 +96,6 @@ class Boundary:
     def __init__(self, concurrency: int = 1):
         self._ready: Deque[Tuple[Task, object, Optional[BaseException]]] = deque()
         self._out = 0  # calls queued for the senders and not yet answered
-        self._jobs = 0  # jobs of the run started and not yet ended
         self._halted = False
         self._senders: List[threading.Thread] = []
         if concurrency > 1:
@@ -115,21 +114,19 @@ class Boundary:
 
     def run(self, jobs: Iterable[Steps[T]], admit: int = 1) -> List[T]:
         """Each job's value, in order. A job is a generator that waits on builds
-        (``Build.run``), run as a task of no build. With senders, up to ``admit`` jobs
-        are live at once and the next starts as one ends; a serial boundary runs them
-        one at a time. An error a job raises, or an interrupt, stops the run and is
-        raised."""
-        waiting, tasks = iter(jobs), []
+        (``Build.run``), run as a task of the run's job build, which makes no call.
+        With senders, up to ``admit`` jobs are live at once and the next starts as one
+        ends; a serial boundary runs them one at a time. An error a job raises stops
+        the job build, which closes the other jobs, and is raised; an interrupt stops
+        the run and is raised."""
+        waiting, tasks, build = iter(jobs), [], Build(None, None, self)
         admit = admit if self._senders else 1
-        self._jobs = 0
         try:
-            while True:
-                steps = next(waiting, None) if self._jobs < admit else None
+            while build.failure is None:
+                steps = next(waiting, None) if len(build.live) < admit else None
                 if steps is not None:
-                    self._jobs += 1
-                    tasks.append(Task(steps, None))
-                    self._ready.append((tasks[-1], None, None))
-                elif not self._jobs:
+                    tasks.append(build.spawn(steps))
+                elif not build.live:
                     return [task.value for task in tasks]
                 elif self._ready:
                     self._resume(*self._ready.popleft())
@@ -138,6 +135,7 @@ class Boundary:
                     self._answer(*self._replies.get())
                 else:
                     raise RuntimeError("every task of the run waits, and no call is out")
+            raise build.failure
         except BaseException:
             self._halted = True
             self._ready.clear()
@@ -152,8 +150,6 @@ class Boundary:
             task.value = stop.value
             self._ended(task)
         except Exception as exc:
-            if task.build is None:
-                raise
             self._raised(task, exc)
         else:
             if type(item) is not list:
@@ -172,10 +168,7 @@ class Boundary:
                 waiter.waiting = None
                 self._ready.append((waiter, None, None))
         task.waiters.clear()  # each entry holds a list that holds this task
-        if task.build is None:
-            self._jobs -= 1
-        else:
-            task.build.live.discard(task)
+        task.build.live.discard(task)
 
     def _raised(self, task: Task, error: Exception) -> None:
         build = task.build
@@ -193,15 +186,14 @@ class Boundary:
         answered from the memo, and one in flight parks the task on it."""
         build = task.build
         if isinstance(request, RetrievalRequest):
-            key = (request.query, request.top_k)
-            entry = build.memo.get(key)
+            entry = build.memo.get(request)
             if isinstance(entry, tuple):
                 self._ready.append((task, list(entry), None))
                 return
             if entry is not None:
                 entry.append(task)
                 return
-            build.memo[key] = []
+            build.memo[request] = []
             call = build.retriever.retrieve
         else:
             call = build.policy.complete
@@ -225,10 +217,9 @@ class Boundary:
         if error is not None and not isinstance(error, Exception):
             raise error  # an interrupt ends the run
         if isinstance(request, RetrievalRequest):
-            memo, key = task.build.memo, (request.query, request.top_k)
-            parked = memo.pop(key)
+            parked = task.build.memo.pop(request)
             if error is None:
-                memo[key] = tuple(reply)
+                task.build.memo[request] = tuple(reply)
             for other in [task, *parked]:
                 self._ready.append((other, None if error else list(reply), error))
         else:

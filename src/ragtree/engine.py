@@ -366,9 +366,9 @@ class _Candidates:
                 self.started.append(build.spawn(begin(sample.value, len(self.started))))
 
     def settle(self, rule: Callable[[List[Tuple[float, float]]], Optional[T]]) -> Steps[T]:
-        """``rule(bounds)`` once it decides (``len`` counts the candidates): the rule
-        sees each candidate's reward bounds once every sample is read, and again
-        only when a result it reads comes in."""
+        """``rule(bounds)`` once it decides: the rule sees each candidate's reward
+        bounds once every sample is read, and again only when a result it reads
+        comes in."""
         yield from gather([self.reader])
         while True:
             bounds, out = [], []
@@ -386,9 +386,13 @@ class _Candidates:
                 return decision
             yield out
 
-    def best(self) -> Steps[Candidate]:
+    def best(self, empty: Callable[[], Exception]) -> Steps[Candidate]:
         """The candidate ``best_candidate`` will pick, as soon as the rollouts read
-        decide it and it has its documents; not for an empty set."""
+        decide it and it has its documents. Raises ``empty()`` once every sample is
+        read if none gave a candidate."""
+        yield from gather([self.reader])
+        if not self.started:
+            raise empty()
         winner = self.started[(yield from self.settle(_winner))]
         yield from gather([winner])  # a lone candidate wins before its retrieval returns
         return winner.value[0]
@@ -501,10 +505,8 @@ class TreeBuilder:
 
     @staticmethod
     def mean_reward(scores: Sequence[float]) -> float:
-        """Branch reward: arithmetic mean of rollout correctness scores."""
-        if not scores:
-            return 0.0
-        return math.fsum(scores) / len(scores)
+        """Branch reward: arithmetic mean of rollout correctness scores, 0 for none."""
+        return _reward_bounds(scores, 0)[0]
 
     # ------------------------------------------------------------------ candidates
 
@@ -607,11 +609,9 @@ class TreeBuilder:
                 build, PolicyRole.SUB_QUESTION, build.question.text, layer, "sub_question", state
             ))
         if not terminate:
-            if not (yield from sets[0].settle(len)):
-                raise NodeExpansionFailed(
-                    build.question.id, layer, "every sub-question candidate was malformed"
-                )
-            best = yield from sets[0].best()
+            best = yield from sets[0].best(lambda: NodeExpansionFailed(
+                build.question.id, layer, "every sub-question candidate was malformed"
+            ))
             node.sub_question_candidates = (replace(best, retained=True),)
 
         def fill() -> Steps[None]:
@@ -670,10 +670,10 @@ class TreeBuilder:
         else:
             queries = candidates(PolicyRole.SUB_QUERY)
             kind, taken, sets = "sub_query", queries, (answers, queries)
-        if not (yield from taken.settle(len)):  # only a sub-query set can be empty here
-            raise fail("every sub-query candidate was malformed" if answers.started
-                       else "both resolution branches produced no candidates")
-        best = yield from taken.best()
+        best = yield from taken.best(lambda: fail(  # only a sub-query set can be empty here
+            "every sub-query candidate was malformed" if answers.started
+            else "both resolution branches produced no candidates"
+        ))
         node.chosen_kind = kind
         setattr(node, f"{kind}_candidates", (replace(best, retained=True),))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .engine import BuildResult, ChainRecord, TreeNode, best_candidate
@@ -26,6 +25,7 @@ from .history import (
     FINAL_ANSWER_BLOCK, STEP_HEADER, HistoryTemplate, render_chain, render_history, resolution_line,
     serialize_state,
 )
+from .snapshot import write_atomic
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
@@ -230,11 +230,10 @@ def export_dpo(result: BuildResult, margin: float = 0.1) -> List[DpoPair]:
 
 
 def write_jsonl(records: Sequence[dict], path: str) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+    """One compact JSON line per record, streamed to ``path`` atomically (``write_atomic``)."""
+    write_atomic(path, lambda handle: handle.writelines(
+        json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n" for record in records
+    ))
 
 
 def write_sft_jsonl(examples: Sequence[SftExample], path: str) -> None:

@@ -25,7 +25,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Tuple, Union, get_args, get_origin
+from typing import Any, Callable, Mapping, Optional, TextIO, Tuple, Union, get_args, get_origin
 
 from .engine import BuildResult
 from .errors import ExportError
@@ -120,13 +120,22 @@ def dumps_snapshot(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
 
 
+def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
+    """Make ``path`` the text ``write`` writes, newlines as given, by way of a temp file
+    beside it: a crash or an error leaves the old file whole and no temp file behind."""
+    tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            write(handle)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_snapshot(record: dict, path: str) -> None:
-    """Atomic write of a snapshot, manifest or report: a crash never leaves it truncated."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(dumps_snapshot(record), encoding="utf-8")
-    tmp.replace(target)
+    """Atomic write of a snapshot, manifest or report (``write_atomic``)."""
+    write_atomic(path, lambda handle: handle.write(dumps_snapshot(record)))
 
 
 def snapshot_from_dict(record: dict) -> BuildResult:

@@ -10,14 +10,17 @@ completions during expansion: votes + candidate generations + rollout steps.
 from __future__ import annotations
 
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragtree.batch import expand_batch
+from ragtree.batch import Manifest, expand_batch
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
+from ragtree.errors import BackendUnavailable
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import load_snapshot
 from ragtree.templates import PolicyRole
@@ -149,21 +152,35 @@ def build_shapes(draw) -> ExpansionConfig:
     )
 
 
+SHAPE_QUESTIONS = [Question(id=f"shape-{a}", text=f"what follows {a}?", gold_answers=(b,))
+                   for a, b in [("alpha", "beta"), ("beta", "gamma")]]
+
+
+def shape_batch(cfg: ExpansionConfig, concurrency: int, out: Path, first_policy=None) -> Manifest:
+    """A batch of the two shape questions at ``concurrency``, on the bench backends.
+    Given ``first_policy``, the first question's calls go to ``first_policy(bench policy)``."""
+    run = ExpansionConfig(**{**cfg.__dict__, "concurrency": concurrency})
+    policy = make_bench_policy({q.text: q.gold_answers[0] for q in SHAPE_QUESTIONS},
+                               rollout_searches=cfg.t_max - 1)
+
+    class FirstApart(TreeBuilder):
+        def build_tree(self, question, *boundary):
+            if first_policy is None or question is not SHAPE_QUESTIONS[0]:
+                return super().build_tree(question, *boundary)
+            return TreeBuilder(first_policy(policy), self.retriever, run).build_tree(question, *boundary)
+
+    return expand_batch(SHAPE_QUESTIONS, lambda: FirstApart(policy, make_bench_retriever(), run),
+                        str(out), concurrency=concurrency)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cfg=build_shapes())
 def test_every_build_shape_writes_the_serial_snapshots_at_the_closed_form(cfg):
     # a batch at c = 2 or 4 writes the c = 1 batch's bytes, and each question spends
     # exactly the closed-form count
-    questions = [Question(id=f"shape-{a}", text=f"what follows {a}?", gold_answers=(b,))
-                 for a, b in [("alpha", "beta"), ("beta", "gamma")]]
-    gold = {q.text: q.gold_answers[0] for q in questions}
-
     def snapshots(concurrency: int, out: Path) -> list:
-        run = ExpansionConfig(**{**cfg.__dict__, "concurrency": concurrency})
-        policy = make_bench_policy(gold, rollout_searches=cfg.t_max - 1)
-        manifest = expand_batch(questions, lambda: TreeBuilder(policy, make_bench_retriever(), run),
-                                str(out), concurrency=concurrency)
-        assert manifest.counts["ok"] == len(questions)
+        manifest = shape_batch(cfg, concurrency, out)
+        assert manifest.counts["ok"] == len(SHAPE_QUESTIONS)
         return [Path(item.snapshot) for item in manifest.items]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -173,3 +190,39 @@ def test_every_build_shape_writes_the_serial_snapshots_at_the_closed_form(cfg):
         for path in concurrent:
             ledger = load_snapshot(str(path)).ledger
             assert ledger.expansion_count(cfg.strategy) == theoretical_counts(cfg, cfg.t_max)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=build_shapes(), failing=st.integers(0, 4))
+def test_a_failed_call_fails_only_its_own_question(cfg, failing):
+    # one of the first question's first five policy calls raises: that question is
+    # failed with its error, the other writes the clean serial bytes at the closed
+    # form, and at most c - 1 of the failed question's calls start after the error
+    lock, starts, failed_at = threading.Lock(), [], []
+
+    class Failing:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request):
+            with lock:
+                nth = len(starts)
+                starts.append(nth)
+            time.sleep(0.001)  # each call is out long enough for the stop to reach it
+            if nth == failing:
+                time.sleep(0.02)  # and the build queues calls behind it, which it must refuse
+                with lock:
+                    failed_at.append(len(starts))
+                raise BackendUnavailable(f"call {failing} failed")
+            return self.inner.complete(request)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = shape_batch(cfg, 1, Path(tmp, "clean"))
+        faulty = shape_batch(cfg, cfg.concurrency, Path(tmp, "faulty"), Failing)
+        first, second = faulty.items
+        assert first.status == "failed" and f"call {failing} failed" in first.error
+        assert second.status == "ok"
+        assert Path(second.snapshot).read_bytes() == Path(clean.items[1].snapshot).read_bytes()
+        ledger = load_snapshot(second.snapshot).ledger
+        assert ledger.expansion_count(cfg.strategy) == theoretical_counts(cfg, cfg.t_max)
+    assert len(starts) - failed_at[0] <= cfg.concurrency - 1

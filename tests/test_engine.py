@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
 from ragtree.agent import evaluate_dataset
 from ragtree.batch import expand_batch
-from ragtree import engine, scripted
+from ragtree import batch, engine, scripted
 from ragtree.driver import Build, gather
 from ragtree.engine import (
     Boundary, Candidate, ExpansionConfig, TerminationVotes, TreeBuilder, TreeNode, _Build,
@@ -184,6 +184,25 @@ class TestRetention:
         builder = make_builder(scenario, retriever)
         with pytest.raises(NodeExpansionFailed):
             drive(builder.expand_termination, scenario.question, State(scenario.question), 1)
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_a_set_with_no_candidate_raises_the_given_error(self, scenario, retriever,
+                                                            concurrency):
+        # best() on a set whose samples all came back malformed raises the caller's
+        # error once they are read, rather than waiting on no candidate
+        scenario.config = ExpansionConfig(k=2, n=1, majority_samples=1, malformed_retries=0)
+        scenario.set_candidates("sub_question", 1, ["<malformed>", "<malformed>"])
+        builder = make_builder(scenario, retriever)
+
+        def main(build: _Build):
+            empty = builder._candidates(build, PolicyRole.SUB_QUESTION, scenario.question.text,
+                                        1, "sub_question", State(scenario.question))
+            return (yield from empty.best(lambda: LookupError("no candidate was read")))
+
+        with Boundary(concurrency) as boundary:
+            build = _Build(scenario.question, builder.policy, retriever, boundary)
+            with pytest.raises(LookupError, match="no candidate was read"):
+                boundary.run([build.run(main(build))])
 
 
 class TestRetrievalGate:
@@ -1248,6 +1267,27 @@ class TestRunBoundary:
         costs = scripted.strategy_costs(self.QUESTIONS[:3], cfg, ("pruning", "full_node"), 1)
         assert [cost.measured for cost in costs] == [cost.theoretical for cost in costs]
         assert made == [2]
+
+    def test_a_jobs_own_error_ends_the_run(self, monkeypatch, tmp_path):
+        # writing the second question's snapshot fails while other questions' builds
+        # are out: the error is raised, and the run stops its calls and its threads
+        concurrency, questions = 2, self.QUESTIONS[:4]
+        probe, cfg = self.shared_probe(), self.config(concurrency)
+        failed_at, real_save = [], batch.save_snapshot
+
+        def save_snapshot(record, path):
+            if Path(path).stem == questions[1].id:
+                failed_at.append(len(probe.events))
+                raise OSError("the disk is full")
+            real_save(record, path)
+
+        monkeypatch.setattr(batch, "save_snapshot", save_snapshot)
+        with pytest.raises(OSError, match="the disk is full"):
+            expand_batch(questions, lambda: TreeBuilder(probe, probe, cfg), str(tmp_path),
+                         concurrency=concurrency)
+        assert not [t for t in threading.enumerate() if t.name.startswith("ragtree-")]
+        started_after = [e for e in probe.events[failed_at[0]:] if e[0] == "start"]
+        assert len(started_after) <= concurrency - 1
 
     def test_an_interrupt_stops_the_whole_batch(self, tmp_path):
         # the second question's 10th call raises KeyboardInterrupt while the first

@@ -16,6 +16,7 @@ from ragtree.export import (
     export_sft,
     extract_chain,
     write_dpo_jsonl,
+    write_jsonl,
     write_sft_jsonl,
 )
 from ragtree.history import (
@@ -402,6 +403,17 @@ class TestDpoInvariantsAndWriters:
         write_dpo_jsonl(export_dpo(snapshot), str(dpo_a))
         write_dpo_jsonl(export_dpo(snapshot), str(dpo_b))
         assert dpo_a.read_bytes() == dpo_b.read_bytes()
+
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path):
+        # the second record cannot be encoded: the old file stays whole, and the
+        # temp file the new one was streamed to is gone
+        path = tmp_path / "sft.jsonl"
+        write_jsonl([{"id": "old", "segment": 0}], str(path))
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_jsonl([{"id": "new"}, {"id": object()}], str(path))
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_jsonl_field_layout(self, tmp_path):
         import json
