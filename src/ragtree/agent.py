@@ -19,6 +19,7 @@ from .metrics import exact_match, f1_score
 from .parsing import find_first_action, think_blocks
 from .policy import PolicyBackend, PolicyRequest
 from .retrieval import RetrievalRequest, RetrieverBackend
+from .snapshot import write_jsonl
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import Document, Question, State
 from .errors import RagTreeError, check_at_least
@@ -187,15 +188,15 @@ def evaluate_dataset(
 
     Unanswered episodes (caps, failures) score 0 and count in the means. Each
     question is one ``Build``, with its own retrieval memo, and one ``Boundary``
-    at ``concurrency`` c runs up to c of them at once (one at c = 1). Each
-    question's seed comes from its index, so items and transcripts keep the
-    input order, and backends that answer a request the same way each time give
-    the same contents at any concurrency. A question's transcript is kept only
-    when ``transcripts_path`` will write it. Limits out of range raise
-    :class:`ConfigurationError` before any backend call.
+    at ``concurrency`` c runs them, starting the next when no step is ready and
+    fewer than c calls are out (``Boundary.run``). An episode has at most one call
+    out, so c episodes run at once (one at c = 1). Each question's seed comes
+    from its index, so items and transcripts keep the input order, and backends
+    that answer a request the same way each time give the same contents at any
+    concurrency. A question's transcript is kept only when ``transcripts_path``
+    will write it. Limits out of range raise :class:`ConfigurationError` before
+    any backend call.
     """
-    from .export import write_jsonl  # the exporters import the engine, which imports this module
-
     check_at_least(("max_steps", max_steps, 1), ("max_searches", max_searches, 0),
                    ("top_k", top_k, 1), ("temperature", temperature, 0),
                    ("concurrency", concurrency, 1))
@@ -227,7 +228,7 @@ def evaluate_dataset(
         return (transcript if transcripts_path else None), item
 
     with Boundary(concurrency) as boundary:
-        done = boundary.run((run_one(index, q) for index, q in enumerate(questions)), concurrency)
+        done = boundary.run(run_one(index, q) for index, q in enumerate(questions))
     items = [item for _, item in done]
 
     denom = max(1, len(items))

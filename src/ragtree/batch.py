@@ -92,21 +92,24 @@ def expand_batch(
     """Expand every question, writing one snapshot per question plus a manifest,
     each atomically (``save_snapshot``).
 
-    With ``resume`` enabled, questions whose snapshot already exists and
-    validates are skipped without touching any backend; a snapshot that
+    With ``resume`` enabled, a question whose snapshot already exists and
+    validates is skipped without touching any backend; a snapshot that
     records a failure, holds a key the program does not write, belongs to
     another question (id, text or gold answers) or was built with another
     ``ExpansionConfig`` (the concurrency aside) does not validate, so its
     question is expanded again.
-    A skipped question's manifest item takes its ledger from its snapshot.
+    A skipped question's manifest item takes its ledger from its snapshot, and
+    the manifest keeps the input order.
     ``on_progress`` hears of each question as it is skipped or finishes, on the
     caller's thread.
     ``builder_factory`` is called once, and its builder builds every question: a
     builder keeps no per-build state, so concurrent builds on it still get their
     own ledgers and retrieval memos. One ``Boundary`` at the builder's own
     ``config.concurrency`` c runs every build on the caller's thread and makes its
-    calls, so the batch has at most c requests in flight and c threads: up to
-    ``concurrency`` builds run at once, one at a time at c = 1.
+    calls, so the batch has at most c requests in flight and c threads. The next
+    question starts when no step is ready and fewer than c calls are out
+    (``Boundary.run``), so at c = 1 one question runs at a time.
+    ``concurrency`` sets nothing; it is only checked.
     Backends only need to be shareable. Two ids that map to one snapshot file,
     or an id that maps to the manifest's file, raise :class:`DatasetError`
     before anything is built or written, as does a ``concurrency`` below 1
@@ -126,44 +129,32 @@ def expand_batch(
             )
         owners[path] = question.id
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    manifest = Manifest()
-
     builder = builder_factory()
-    config = builder.config
-    pending: List[Question] = []
-    for question in questions:
-        path = snapshot_path(out_dir, question.id)
-        kept = _valid_snapshot(path, question, config) if resume else None
-        if kept is not None:
-            manifest.items.append(ManifestItem.built("skipped", path, kept))
-            if on_progress:
-                on_progress(question.id, "skipped")
-        else:
-            pending.append(question)
 
     def expand_one(question: Question) -> Steps[ManifestItem]:
         path = snapshot_path(out_dir, question.id)
-        try:
-            result = yield from builder.build_tree(question, boundary)
-        except NodeExpansionFailed as exc:
-            failure = {"layer": exc.layer, "reason": exc.reason}
-            failed = BuildResult(question, builder.config, ledger=None, failure=failure)
-            save_snapshot(build_result_to_dict(failed), str(path))
-            item = ManifestItem(question.id, "failed", str(path), error=str(exc))
-        except RagTreeError as exc:
-            path.unlink(missing_ok=True)  # an older build must not pass for this run's
-            item = ManifestItem(question.id, "failed", str(path), error=str(exc))
+        kept = _valid_snapshot(path, question, builder.config) if resume else None
+        if kept is not None:
+            item = ManifestItem.built("skipped", path, kept)
         else:
-            save_snapshot(build_result_to_dict(result), str(path))
-            item = ManifestItem.built("ok", path, result)
+            try:
+                result = yield from builder.build_tree(question, boundary)
+            except NodeExpansionFailed as exc:
+                failure = {"layer": exc.layer, "reason": exc.reason}
+                failed = BuildResult(question, builder.config, ledger=None, failure=failure)
+                save_snapshot(build_result_to_dict(failed), str(path))
+                item = ManifestItem(question.id, "failed", str(path), error=str(exc))
+            except RagTreeError as exc:
+                path.unlink(missing_ok=True)  # an older build must not pass for this run's
+                item = ManifestItem(question.id, "failed", str(path), error=str(exc))
+            else:
+                save_snapshot(build_result_to_dict(result), str(path))
+                item = ManifestItem.built("ok", path, result)
         if on_progress:
             on_progress(item.question_id, item.status)
         return item
 
-    with Boundary(config.concurrency) as boundary:
-        manifest.items.extend(boundary.run(map(expand_one, pending), concurrency))
-    # Manifest order follows the input dataset order exactly.
-    order = {q.id: i for i, q in enumerate(questions)}
-    manifest.items.sort(key=lambda item: order[item.question_id])
+    with Boundary(builder.config.concurrency) as boundary:
+        manifest = Manifest(boundary.run(map(expand_one, questions)))
     save_snapshot(manifest.to_dict(), str(manifest_path))
     return manifest

@@ -103,14 +103,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         return TreeBuilder(policy, retriever, config.expansion, templates, history)
 
     resume = config.resume if args.resume is None else args.resume
-    manifest = expand_batch(
-        questions,
-        builder_factory,
-        args.out,
-        resume=resume,
-        concurrency=config.concurrency,
-        on_progress=lambda qid, status: print(f"{status:8s} {qid}"),
-    )
+    manifest = expand_batch(questions, builder_factory, args.out, resume=resume,
+                            on_progress=lambda qid, status: print(f"{status:8s} {qid}"))
     counts = manifest.counts
     print(f"expanded: {counts['ok']} ok, {counts['failed']} failed, {counts['skipped']} skipped")
     return 1 if counts["failed"] else 0

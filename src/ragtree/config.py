@@ -21,8 +21,21 @@ from .templates import PromptTemplateSet, load_templates
 from .types import Question, check_choices
 
 
+class _HttpSettings:
+    """What the policy and retriever settings check when made: their ``Literal``
+    choices, an HTTP timeout above 0, and retries and backoff of at least 0."""
+
+    def __post_init__(self):
+        check_choices(self)
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, not {self.timeout!r}")
+        for name in ("max_retries", "backoff_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)!r}")
+
+
 @dataclass(frozen=True)
-class PolicySettings:
+class PolicySettings(_HttpSettings):
     kind: Literal["http", "scripted"] = "http"
     base_url: str = "http://127.0.0.1:8000/v1"
     model: str = "policy-model"
@@ -34,21 +47,15 @@ class PolicySettings:
     self_answer_base_url: Optional[str] = None
     self_answer_model: Optional[str] = None
 
-    def __post_init__(self):
-        check_choices(self)
-
 
 @dataclass(frozen=True)
-class RetrieverSettings:
+class RetrieverSettings(_HttpSettings):
     kind: Literal["http", "lexical"] = "http"
     base_url: str = "http://127.0.0.1:8001"
     corpus_path: Optional[str] = None
     timeout: float = 30.0
     max_retries: int = 3
     backoff_s: float = 0.25
-
-    def __post_init__(self):
-        check_choices(self)
 
 
 @dataclass(frozen=True)

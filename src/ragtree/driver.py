@@ -112,18 +112,19 @@ class Boundary:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def run(self, jobs: Iterable[Steps[T]], admit: int = 1) -> List[T]:
+    def run(self, jobs: Iterable[Steps[T]]) -> List[T]:
         """Each job's value, in order. A job is a generator that waits on builds
         (``Build.run``), run as a task of the run's job build, which makes no call.
-        With senders, up to ``admit`` jobs are live at once and the next starts as one
-        ends; a serial boundary runs them one at a time. An error a job raises stops
-        the job build, which closes the other jobs, and is raised; an interrupt stops
-        the run and is raised."""
+        The next job starts when no job is live, or when no task is ready and fewer
+        than c calls are out: a serial boundary runs the jobs one at a time, and
+        senders start as many as keep c calls out. An error a job raises stops the
+        job build, which closes the other jobs, and is raised; an interrupt stops the
+        run and is raised."""
         waiting, tasks, build = iter(jobs), [], Build(None, None, self)
-        admit = admit if self._senders else 1
         try:
             while build.failure is None:
-                steps = next(waiting, None) if len(build.live) < admit else None
+                free = not build.live or (not self._ready and self._out < len(self._senders))
+                steps = next(waiting, None) if free else None
                 if steps is not None:
                     tasks.append(build.spawn(steps))
                 elif not build.live:

@@ -15,7 +15,6 @@ that were both scored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +24,7 @@ from .history import (
     FINAL_ANSWER_BLOCK, STEP_HEADER, HistoryTemplate, render_chain, render_history, resolution_line,
     serialize_state,
 )
-from .snapshot import write_atomic
+from .snapshot import write_jsonl
 from .types import Step
 
 SFT_STRATEGIES = ("retained", "most", "least")
@@ -227,13 +226,6 @@ def export_dpo(result: BuildResult, margin: float = 0.1) -> List[DpoPair]:
 
 
 # --------------------------------------------------------------------- writers
-
-
-def write_jsonl(records: Sequence[dict], path: str) -> None:
-    """One compact JSON line per record, streamed to ``path`` atomically (``write_atomic``)."""
-    write_atomic(path, lambda handle: handle.writelines(
-        json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n" for record in records
-    ))
 
 
 def write_sft_jsonl(examples: Sequence[SftExample], path: str) -> None:

@@ -18,10 +18,10 @@ T = TypeVar("T")
 class HttpJsonClient:
     """POSTs JSON through one ``requests.Session`` per thread.
 
-    Transport errors and 5xx responses are retried with exponential backoff
-    (``backoff_s * 2**attempt``); 4xx responses are configuration errors and
-    are not retried, nor is a body of the wrong shape. ``endpoint`` names the
-    service in error messages.
+    Transport errors and 5xx, 408 (request timeout) and 429 (too many requests)
+    responses are retried with exponential backoff (``backoff_s * 2**attempt``);
+    other 4xx responses are configuration errors and are not retried, nor is a
+    body of the wrong shape. ``endpoint`` names the service in error messages.
     """
 
     endpoint = "endpoint"
@@ -55,7 +55,7 @@ class HttpJsonClient:
             else:
                 if resp.status_code < 300:
                     break
-                if 400 <= resp.status_code < 500:
+                if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
                     raise ConfigurationError(
                         f"{self.endpoint} rejected request ({resp.status_code}): {resp.text[:500]}"
                     )

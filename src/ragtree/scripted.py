@@ -120,7 +120,7 @@ class StrategyCost:
     depth: int
     measured: int  # mean expansion count per question, rounded down
     theoretical: int
-    seconds: float  # mean build wall time per question
+    seconds: float  # the strategy's run wall time per question
 
 
 def strategy_costs(
@@ -136,8 +136,9 @@ def strategy_costs(
     ``theoretical_counts``. full_node builds to ``full_node_t_max`` instead,
     because its cost is exponential in depth. One ``Boundary`` at the config's
     ``concurrency`` runs every build on the caller's thread and makes its calls,
-    each strategy's questions in one ``run``, one at a time. Every input is
-    checked before the first build.
+    each strategy's questions in one ``run``. At c > 1 its questions may overlap,
+    so ``seconds`` is the run's wall time per question. Every input is checked
+    before the first build.
     """
     if not questions:
         raise DatasetError("no questions to bench")

@@ -25,11 +25,14 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional, TextIO, Tuple, Union, get_args, get_origin
+from typing import (TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, TextIO, Tuple,
+                    Union, get_args, get_origin)
 
-from .engine import BuildResult
 from .errors import ExportError
 from .types import State, has_type, type_hints
+
+if TYPE_CHECKING:
+    from .engine import BuildResult
 
 SCHEMA_VERSION = 4
 
@@ -133,12 +136,21 @@ def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_jsonl(records: Sequence[dict], path: str) -> None:
+    """One compact JSON line per record, streamed to ``path`` atomically (``write_atomic``)."""
+    write_atomic(path, lambda handle: handle.writelines(
+        json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n" for record in records
+    ))
+
+
 def save_snapshot(record: dict, path: str) -> None:
     """Atomic write of a snapshot, manifest or report (``write_atomic``)."""
     write_atomic(path, lambda handle: handle.write(dumps_snapshot(record)))
 
 
 def snapshot_from_dict(record: dict) -> BuildResult:
+    from .engine import BuildResult  # the engine imports the agent, which writes with this module
+
     version = record.get("schema_version")
     if version != SCHEMA_VERSION:
         stale = version in range(1, SCHEMA_VERSION)

@@ -850,6 +850,24 @@ class TestBadSettings:
         assert err.startswith("error: invalid config: ") and needle in err, err
         assert not (tmp_path / "snapshots").exists()
 
+    @pytest.mark.parametrize("section", ["policy", "retriever"])
+    @pytest.mark.parametrize(
+        "setting, needle",
+        [({"timeout": 0}, "timeout must be > 0"), ({"timeout": -5.0}, "timeout must be > 0"),
+         ({"max_retries": -1}, "max_retries must be >= 0"),
+         ({"backoff_s": -1}, "backoff_s must be >= 0")],
+        ids=["zero-timeout", "negative-timeout", "negative-retries", "negative-backoff"],
+    )
+    def test_out_of_range_http_setting_is_refused_before_any_backend_call(
+        self, tmp_path, capsys, monkeypatch, section, setting, needle
+    ):
+        # at the HTTP client these fail late: urllib3 refuses the timeout, no request is
+        # sent, or the first retry cannot sleep
+        forbid_backends(monkeypatch)
+        code = self._expand(tmp_path, self._config_file(tmp_path, **{section: setting}))
+        self._assert_error(capsys, code, f"invalid config: config.{section}: {needle}")
+        assert not (tmp_path / "snapshots").exists()
+
     def test_unknown_key_in_config_section(self, tmp_path, capsys):
         for key in ("bogus", "scripted_rollout_searches", "scripted_terminate_after"):
             code = self._expand(tmp_path, self._config_file(tmp_path, policy={key: 1}))

@@ -1238,10 +1238,68 @@ class TestRunBoundary:
 
         with Boundary(2) as boundary:
             first = boundary.run([job(boundary, "gamma", 2), job(boundary, "beta", 1),
-                                  job(boundary, "alpha", 1)], admit=2)
-            second = boundary.run([job(boundary, "beta", 2), job(boundary, "gamma", 1)], admit=2)
+                                  job(boundary, "alpha", 1)])
+            second = boundary.run([job(boundary, "beta", 2), job(boundary, "gamma", 1)])
         assert first == ["gamma", "beta", "alpha"]
         assert second == ["beta", "gamma"]
+
+    def test_the_next_job_starts_while_a_call_is_out(self):
+        # job a's call waits for job b's to start: with a slot free and no task ready,
+        # the run starts b while a's call is out
+        b_started = threading.Event()
+
+        class Policy:
+            def complete(self, label):
+                if label == "b":
+                    b_started.set()
+                    return True
+                return b_started.wait(timeout=2)
+
+        def job(boundary: Boundary, label: str):
+            def step():
+                return (yield label)
+
+            return Build(Policy(), None, boundary).run(step())
+
+        with Boundary(2) as boundary:
+            assert boundary.run([job(boundary, "a"), job(boundary, "b")]) == [True, True]
+
+    def test_a_failed_build_with_calls_out_lets_the_next_job_start(self):
+        # job a's build fails while its two other calls are out: with no task ready and
+        # c calls still counted, b starts only because no job is live
+        release = threading.Event()
+
+        class Policy:
+            def complete(self, label):
+                if label == "fail":
+                    raise BackendUnavailable("down")
+                if label == "hold":
+                    release.wait(timeout=5)
+                return label
+
+        def call(label: str):
+            return (yield label)
+
+        def job(boundary: Boundary, labels: list):
+            build = Build(Policy(), None, boundary)
+
+            def main():
+                tasks = [build.spawn(call(label)) for label in labels]
+                yield from gather(tasks)
+                return [task.value for task in tasks]
+
+            try:
+                return (yield from build.run(main()))
+            except BackendUnavailable as exc:
+                return f"failed: {exc}"
+
+        with Boundary(2) as boundary:
+            try:
+                values = boundary.run([job(boundary, ["fail", "hold", "hold"]),
+                                       job(boundary, ["b"]), job(boundary, ["c"])])
+            finally:
+                release.set()
+        assert values == ["failed: down", ["b"], ["c"]]
 
     def test_a_serial_boundary_runs_one_question_at_a_time(self, tmp_path):
         probe, cfg = self.shared_probe(), self.config(1)

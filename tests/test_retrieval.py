@@ -91,6 +91,18 @@ class TestHttpRetriever:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("status", [429, 408], ids=["too-many-requests", "request-timeout"])
+    def test_a_rate_limit_or_timeout_reply_is_retried(self, status):
+        # a rate-limited endpoint asks the client to come back later, as a 5xx does
+        server = StubRetrieverServer(LexicalRetriever(TEST_CORPUS), fail_first=1, fail_status=status)
+        try:
+            backend = HttpRetrieverBackend(base_url=server.base_url, max_retries=3, backoff_s=0.01)
+            docs = backend.retrieve(RetrievalRequest(query="gamma", top_k=1))
+            assert [d.title for d in docs] == ["gamma"]
+            assert server.requests_seen == 2
+        finally:
+            server.close()
+
     def test_exhausted_retries_raise_backend_unavailable(self):
         server = StubRetrieverServer(LexicalRetriever(TEST_CORPUS), fail_first=10)
         try:
