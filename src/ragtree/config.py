@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Literal, Optional
 from .engine import ExpansionConfig
 from .errors import ConfigurationError, DatasetError, json_objects
 from .history import HistoryTemplate
+from .httpclient import check_http_settings
 from .policy import HttpPolicyBackend, PolicyBackend, RoutedPolicyBackend
 from .retrieval import HttpRetrieverBackend, LexicalRetriever, RetrieverBackend, load_corpus_jsonl
 from .snapshot import decode, encode
@@ -22,16 +23,11 @@ from .types import Question, check_choices
 
 
 class _HttpSettings:
-    """What the policy and retriever settings check when made: their ``Literal``
-    choices, an HTTP timeout above 0, and retries and backoff of at least 0."""
+    """Checked when made: the ``Literal`` choices, and the HTTP client's ranges."""
 
     def __post_init__(self):
         check_choices(self)
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, not {self.timeout!r}")
-        for name in ("max_retries", "backoff_s"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)!r}")
+        check_http_settings(self.timeout, self.max_retries, self.backoff_s)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ A step is a generator of backend calls (sans-I/O, PEP 342): it yields a
 ``PolicyRequest`` or a ``RetrievalRequest`` and is sent the reply, or has the
 call's error thrown in; or it yields a list of tasks, and is resumed once one
 of them has ended. Each step runs as a ``Task`` of a ``Build``, and a run's
-``Boundary`` advances every task of every build on the caller's thread.
+``Boundary`` advances every task of every build on the caller's thread. A
+build's errors rank by its serial run, where each spawned task runs whole at its
+spawn (Cilk-5's serial elision, PLDI 1998). A task's place in that run is its
+spawner's place at the spawn, then a count of the tasks it has spawned so far:
+places compare as tuples, so a child ranks before the rest of its spawner.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ Steps = Generator[object, object, T]  # a step; its value is its return value
 class Task:
     """One generator of a run, advanced by its boundary's driver alone."""
 
-    __slots__ = ("gen", "build", "done", "value", "waiters", "waiting")
+    __slots__ = ("gen", "build", "at", "done", "value", "waiters", "waiting")
 
-    def __init__(self, gen: Steps, build: Build):
-        self.gen, self.build, self.done, self.value = gen, build, False, None
+    def __init__(self, gen: Steps, build: Build, at: Tuple[int, ...]):
+        self.gen, self.build, self.at, self.done, self.value = gen, build, at, False, None
         self.waiters: list = []  # (task, the list it waited on)
         self.waiting: Optional[list] = None  # the list this task waits on
 
@@ -39,43 +43,46 @@ def gather(tasks: Sequence[Task]) -> Steps[None]:
 
 
 class Build:
-    """Tasks that stop as one, the backends they call, and their retrieval memo.
+    """Tasks placed in one serial run, the backends they call, and their retrieval memo.
 
-    ``run(main)`` runs ``main`` as the main line until every task has ended, and
-    gives its value or the ``failure``, the error a task raised. Only ``run`` waits
-    for every task; a task waits for the tasks it names. Another task's error
-    stops the build at once: its generators are closed and its queued calls
-    refused (:class:`BuildStopped`). The main line's error waits for the tasks
-    still out, whose error replaces it, as in a serial build.
+    ``run(main)`` runs ``main`` until every task has ended, and gives its value or
+    the ``failure``, the error with the earliest place (``failed_at``). A serial
+    run never reaches a task at or behind that place, so an error closes such
+    tasks and refuses their queued calls (:class:`BuildStopped`); the tasks ahead
+    run on, and an error of theirs replaces it. Only ``run`` waits for every task.
 
-    Retrievals are memoized by their ``RetrievalRequest``: a hit takes no slot, a
-    request in flight waits for its reply, and the requests waiting on a failure
-    get its error. Retrieval must be a pure function of the request.
+    Retrievals are memoized by their ``RetrievalRequest``, so retrieval must be a
+    pure function of the request: a hit takes no slot, and a request in flight
+    waits for its reply or its error, or is made again if it was refused.
     """
 
     def __init__(self, policy, retriever, boundary: Boundary):
         self.policy, self.retriever, self.boundary = policy, retriever, boundary
         self.memo: Dict[RetrievalRequest, object] = {}  # documents, or the tasks awaiting them
         self.live: Set[Task] = set()
-        self.main: Optional[Task] = None
-        self.stopped = False
         self.failure: Optional[Exception] = None
+        self.failed_at: Tuple[float, ...] = (float("inf"),)  # behind every place until a failure
 
     def spawn(self, gen: Steps) -> Task:
-        """Start ``gen`` as a task of the build."""
-        task = Task(gen, self)
+        """Start ``gen`` as a task, placed after what its spawner in the build has done."""
+        spawner, at = self.boundary._running, (0,)  # a root
+        if spawner is not None and spawner.build is self:
+            at, spawner.at = spawner.at + (0,), spawner.at[:-1] + (spawner.at[-1] + 1,)
+        task = Task(gen, self, at)
         self.live.add(task)
         self.boundary._ready.append((task, None, None))
         return task
 
+    def behind(self, at: Tuple[int, ...]) -> bool:  # at or behind the failure
+        return at >= self.failed_at
+
     def run(self, main: Steps[T]) -> Steps[T]:
-        self.main = self.spawn(main)
+        main_task = self.spawn(main)
         while self.live:
             yield [next(iter(self.live))]
-        main, self.main = self.main, None  # a task refers to its build
         if self.failure is not None:
             raise self.failure
-        return main.value
+        return main_task.value
 
 
 class Boundary:
@@ -85,17 +92,16 @@ class Boundary:
     no thread starts. Above 1 it queues each call at once for c sender threads,
     which put every reply on one queue that it reads: c calls of any builds are
     in flight whenever that many are ready, and only the driver runs the steps'
-    Python. Either way ``_make`` makes the call, or refuses it once its build or
-    the run has stopped. The first error a sender meets stops that build; an
-    interrupt (an error that is not an ``Exception``) stops the run, and no queued
-    call starts after it. A run that raised halts the boundary, which then refuses
-    every call at any c. ``with Boundary(c) as boundary:`` joins every thread it
-    started.
+    Python. Either way ``_make`` makes the call, or refuses it behind its build's
+    failure or once the run halts, at an interrupt (an error that is not an
+    ``Exception``) or a raise: then no queued call starts, nor any call at any c.
+    ``with Boundary(c) as boundary:`` joins every thread it started.
     """
 
     def __init__(self, concurrency: int = 1):
         self._ready: Deque[Tuple[Task, object, Optional[BaseException]]] = deque()
         self._out = 0  # calls queued for the senders and not yet answered
+        self._running: Optional[Task] = None  # the task being resumed, which spawns
         self._halted = False
         self._senders: List[threading.Thread] = []
         if concurrency > 1:
@@ -117,9 +123,8 @@ class Boundary:
         (``Build.run``), run as a task of the run's job build, which makes no call.
         The next job starts when no job is live, or when no task is ready and fewer
         than c calls are out: a serial boundary runs the jobs one at a time, and
-        senders start as many as keep c calls out. An error a job raises stops the
-        job build, which closes the other jobs, and is raised; an interrupt stops the
-        run and is raised."""
+        senders start as many as keep c calls out. The jobs share one place, so a
+        job's error closes the other jobs and is raised, as is an interrupt."""
         waiting, tasks, build = iter(jobs), [], Build(None, None, self)
         try:
             while build.failure is None:
@@ -143,8 +148,9 @@ class Boundary:
             raise
 
     def _resume(self, task: Task, reply: object, error: Optional[BaseException]) -> None:
-        if task.done:  # closed with its build
+        if task.done:  # closed behind its build's failure
             return
+        self._running = task
         try:
             item = task.gen.send(reply) if error is None else task.gen.throw(error)
         except StopIteration as stop:
@@ -161,6 +167,7 @@ class Boundary:
                 task.waiting = item
                 for other in item:
                     other.waiters.append((task, item))
+        self._running = None
 
     def _ended(self, task: Task) -> None:
         task.done, task.waiting = True, None
@@ -173,14 +180,13 @@ class Boundary:
 
     def _raised(self, task: Task, error: Exception) -> None:
         build = task.build
-        if build.failure is None or not isinstance(error, BuildStopped):
-            build.failure = error  # a refusal follows the error that stopped the build
         self._ended(task)
-        if task is not build.main:
-            build.stopped = True
+        if task.at <= build.failed_at:  # ahead of the failure, or the place a sender recorded
+            build.failure, build.failed_at = error, task.at
             for other in list(build.live):
-                other.gen.close()
-                self._ended(other)
+                if build.behind(other.at):
+                    other.gen.close()
+                    self._ended(other)
 
     def _call(self, task: Task, request) -> None:
         """Make or queue the call ``task`` yielded; a retrieval its build has made is
@@ -205,9 +211,9 @@ class Boundary:
             self._answer(task, request, *self._make(task, call, request))
 
     def _make(self, task: Task, call, request) -> Tuple[object, Optional[BaseException]]:
-        """``call(request)``'s reply and None, or None and the error it raised; the
-        call of a stopped build or run is not made but refused (:class:`BuildStopped`)."""
-        if self._halted or task.build.stopped:
+        """``call(request)``'s reply and None, or None and the error it raised; a halted
+        run's call, or that of a task behind its build's failure, is refused."""
+        if self._halted or task.build.behind(task.at):
             return None, BuildStopped("the build has stopped")
         try:
             return call(request), None
@@ -222,23 +228,24 @@ class Boundary:
             if error is None:
                 task.build.memo[request] = tuple(reply)
             for other in [task, *parked]:
-                self._ready.append((other, None if error else list(reply), error))
+                if other is task or not isinstance(error, BuildStopped):
+                    self._ready.append((other, None if error else list(reply), error))
+                else:  # refused for its maker, behind the failure: a parked task asks again
+                    self._call(other, request)
         else:
             self._ready.append((task, reply, error))
 
     def _send(self) -> None:
-        """A sender: make each queued call and queue its reply or error. An error
-        stops the build (an interrupt, the run) only once queued, so the driver reads
-        it before the refusals it causes."""
+        """A sender: make each queued call and queue its reply or error. An error's
+        place becomes its build's ``failed_at`` (an interrupt halts the run) once
+        queued, so the driver reads it before the refusals it causes."""
         for task, call, request in iter(self._calls.get, None):
             reply, error = self._make(task, call, request)
             self._replies.put((task, request, reply, error))
-            if error is None or isinstance(error, BuildStopped):
-                continue  # answered, or refused
-            if isinstance(error, Exception):
-                task.build.stopped = True
-            else:
+            if error is not None and not isinstance(error, Exception):
                 self._halted = True
+            elif error is not None and not task.build.behind(task.at):  # not a refusal
+                task.build.failed_at = task.at
 
     def close(self) -> None:
         """End the senders once they have made or refused every call queued."""

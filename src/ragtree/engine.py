@@ -31,7 +31,7 @@ results, before ``build_tree`` returns, which is also when a no_pruning fork
 copies the trunk's nodes. The build makes no call that a serial build would
 not make. Seeds are keyed by (kind, layer, index, attempt) and results are read
 in index order, so the tree, the counts and the snapshot are the same at any
-concurrency. The first backend error stops the build.
+concurrency. A failed build raises the error its serial run meets first.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
@@ -799,8 +799,8 @@ class TreeBuilder:
         is returned. Given the ``boundary`` of a run, the build is returned as a
         generator for that boundary's ``run``, whose value is the ``BuildResult``.
         Raises :class:`NodeExpansionFailed` when a layer cannot produce any
-        usable candidate, and the first backend error (a rollout's too); batch
-        drivers record either.
+        usable candidate, and a backend error (a rollout's too): of these, the one a
+        serial build meets first. Batch drivers record either.
         """
         if boundary is None:
             with Boundary(self.config.concurrency) as own:

@@ -28,7 +28,7 @@ class BackendUnavailable(RagTreeError):
 
 
 class BuildStopped(RagTreeError):
-    """A backend call refused because its build has already failed or ended."""
+    """A backend call refused: its task is behind its build's failure, or the run halted."""
 
 
 class NodeExpansionFailed(RagTreeError):

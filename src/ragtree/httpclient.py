@@ -15,6 +15,15 @@ from .errors import BackendUnavailable, ConfigurationError
 T = TypeVar("T")
 
 
+def check_http_settings(timeout: float, max_retries: int, backoff_s: float) -> None:
+    """Refuse (``ValueError``) a timeout of 0 or less, or negative retries or backoff."""
+    if not timeout > 0:
+        raise ValueError(f"timeout must be > 0, not {timeout!r}")
+    for name, value in (("max_retries", max_retries), ("backoff_s", backoff_s)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, not {value!r}")
+
+
 class HttpJsonClient:
     """POSTs JSON through one ``requests.Session`` per thread.
 
@@ -26,13 +35,11 @@ class HttpJsonClient:
 
     endpoint = "endpoint"
 
-    def __init__(
-        self, base_url: str, timeout: float = 30.0, max_retries: int = 3, backoff_s: float = 0.25
-    ):
+    def __init__(self, base_url: str, timeout: float = 30.0, max_retries: int = 3,
+                 backoff_s: float = 0.25):
+        check_http_settings(timeout, max_retries, backoff_s)
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
+        self.timeout, self.max_retries, self.backoff_s = timeout, max_retries, backoff_s
         self._local = threading.local()
 
     def _post(self, path: str, payload: dict, parse: Callable[[object], T],

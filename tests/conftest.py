@@ -4,6 +4,7 @@ and HTTP stubs."""
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,6 +55,16 @@ def episode(question: Question, policy, retriever, **options) -> AgentTranscript
     with Boundary() as boundary:
         build = Build(policy, retriever, boundary)
         return boundary.run([build.run(run_agent(question, **options))])[0]
+
+
+# CI's weekly and on-demand runs set RAGTREE_TEST_PROFILE=weekly, and every hypothesis
+# property then draws ten times the examples that a push or a pull request draws.
+EXAMPLE_SCALE = {"push": 1, "weekly": 10}[os.environ.get("RAGTREE_TEST_PROFILE", "push")]
+
+
+def examples(count: int) -> int:
+    """The examples a property draws: ``count``, scaled by the test profile."""
+    return count * EXAMPLE_SCALE
 
 
 @pytest.fixture(autouse=True)

@@ -12,15 +12,17 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from ragtree.batch import Manifest, expand_batch
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
-from ragtree.errors import BackendUnavailable
+from ragtree.errors import BackendUnavailable, RagTreeError
 from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.snapshot import load_snapshot
 from ragtree.templates import PolicyRole
@@ -173,7 +175,7 @@ def shape_batch(cfg: ExpansionConfig, concurrency: int, out: Path, first_policy=
                         str(out), concurrency=concurrency)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(cfg=build_shapes())
 def test_every_build_shape_writes_the_serial_snapshots_at_the_closed_form(cfg):
     # a batch at c = 2 or 4 writes the c = 1 batch's bytes, and each question spends
@@ -192,7 +194,7 @@ def test_every_build_shape_writes_the_serial_snapshots_at_the_closed_form(cfg):
             assert ledger.expansion_count(cfg.strategy) == theoretical_counts(cfg, cfg.t_max)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(cfg=build_shapes(), failing=st.integers(0, 4))
 def test_a_failed_call_fails_only_its_own_question(cfg, failing):
     # one of the first question's first five policy calls raises: that question is
@@ -226,3 +228,30 @@ def test_a_failed_call_fails_only_its_own_question(cfg, failing):
         ledger = load_snapshot(second.snapshot).ledger
         assert ledger.expansion_count(cfg.strategy) == theoretical_counts(cfg, cfg.t_max)
     assert len(starts) - failed_at[0] <= cfg.concurrency - 1
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(cfg=build_shapes(), salt=st.integers(0, 2**16))
+def test_a_failed_build_raises_the_serial_builds_error(cfg, salt):
+    # about one policy call in 10 fails, chosen by a hash of the request, and each
+    # call takes 0 to 2 ms, keyed on it too: at c = 2 or 4 a build raises the error
+    # that it raises at c = 1, or none when that one raises none
+    policy = make_bench_policy({QUESTION.text: "beta"}, rollout_searches=cfg.t_max - 1)
+
+    class Failing:
+        def complete(self, request):
+            key = zlib.crc32(f"{salt} {request.role.value} {request.seed} {request.prompt}".encode())
+            time.sleep(key % 3 / 1000)
+            if key % 10 == 0:
+                raise BackendUnavailable(f"{request.role.value} call {key} failed")
+            return policy.complete(request)
+
+    def raised(concurrency: int):
+        run = ExpansionConfig(**{**cfg.__dict__, "concurrency": concurrency})
+        try:
+            TreeBuilder(Failing(), make_bench_retriever(), run).build_tree(QUESTION)
+        except RagTreeError as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert raised(cfg.concurrency) == raised(1)

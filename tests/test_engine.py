@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, overlap_answer
+from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, examples, overlap_answer
 from ragtree.agent import evaluate_dataset
 from ragtree.batch import expand_batch
 from ragtree import batch, engine, scripted
@@ -578,7 +578,7 @@ SCORES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 
 class TestSettleRules:
     """A decision settled on part of the results is the one all of them make."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     @given(st.data())
     def test_an_early_winner_or_gate_is_the_final_one(self, data):
         n = data.draw(st.integers(1, 4), label="n")
@@ -606,7 +606,7 @@ class TestSettleRules:
         if final:
             assert final[_winner(complete)] is best
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(st.data())
     def test_an_early_vote_outcome_is_the_majority(self, data):
         kinds = data.draw(st.lists(st.sampled_from(["terminate", "continue", None]), min_size=1,
@@ -1056,8 +1056,9 @@ class TestBuildScheduler:
 
 
     def test_a_main_line_error_is_the_one_raised(self):
-        # the main line's call fails while three calls of another task are queued:
-        # they are refused, and the build raises the main line's error, not a refusal
+        # the main line's call fails while three calls of the tasks it spawned are
+        # queued: a serial run makes those first, so they are made, and the build
+        # raises the main line's error, not a refusal
         class Policy:
             def complete(self, request):
                 time.sleep(0.01 if request.seed == 0 else 0.05)
@@ -1077,6 +1078,86 @@ class TestBuildScheduler:
             build = Build(Policy(), None, boundary)
             with pytest.raises(BackendUnavailable, match="the main line's call failed"):
                 boundary.run([build.run(main(build))])
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    def test_the_serially_first_error_is_raised(self, concurrency):
+        # main spawns a, then b: b's call fails first, but a serial run makes both of
+        # a's calls before b's, so the build raises a's second call's error
+        class Policy:
+            def complete(self, label):
+                if label == "a: ok":
+                    time.sleep(0.02)
+                    return label
+                raise BackendUnavailable(label)
+
+        def calls(*labels: str):
+            for label in labels:
+                yield label
+
+        def main(build: Build):
+            yield from gather([build.spawn(calls("a: ok", "a: failed")),
+                               build.spawn(calls("b: failed"))])
+
+        with Boundary(concurrency) as boundary:
+            build = Build(Policy(), None, boundary)
+            with pytest.raises(BackendUnavailable, match="a: failed"):
+                boundary.run([build.run(main(build))])
+
+    def test_a_retrieval_refused_behind_the_failure_is_made_for_a_task_ahead(self):
+        # x's retrieval is queued behind q's call when f fails, so it is refused, but p,
+        # ahead of f, waits on that same retrieval: it is made for p, and the build
+        # raises f's error, as a serial run does, not the refusal
+        class Backends:
+            def complete(self, label):
+                time.sleep({"p": 0.005, "f": 0.03, "q": 0.05}[label])
+                if label == "f":
+                    raise BackendUnavailable("f failed")
+                return label
+
+            def retrieve(self, request):
+                return [request.query]
+
+        def call(*requests):
+            for request in requests:
+                reply = yield request
+            return reply
+
+        def main(build: Build):
+            found = RetrievalRequest(query="r", top_k=1)
+            tasks = [build.spawn(call(*requests))
+                     for requests in (("p", found), ("f",), ("q",), (found,))]
+            yield from gather(tasks)
+
+        with Boundary(2) as boundary:
+            backends = Backends()
+            build = Build(backends, backends, boundary)
+            with pytest.raises(BackendUnavailable, match="f failed"):
+                boundary.run([build.run(main(build))])
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    @pytest.mark.parametrize("strategy", ["no_pruning", "full_node"])
+    def test_a_resolutions_first_error_in_serial_order_is_raised(self, strategy, concurrency):
+        # both resolution sets are sampled at once, self-answers first: the first
+        # sub-query sample fails at once, but a serial run meets the first
+        # self-answer sample's error, 50 ms later, first
+        inner = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=0)
+        lock, seen = threading.Lock(), set()
+
+        class FirstSamplesFail:
+            def complete(self, request):
+                with lock:
+                    first = request.role not in seen
+                    seen.add(request.role)
+                if first and request.role is PolicyRole.SELF_ANSWER:
+                    time.sleep(0.05)
+                    raise BackendUnavailable("the first self-answer sample failed")
+                if first and request.role is PolicyRole.SUB_QUERY:
+                    raise BackendUnavailable("the first sub-query sample failed")
+                return inner.complete(request)
+
+        cfg = ExpansionConfig(k=2, n=1, t_max=1, strategy=strategy, concurrency=concurrency)
+        with pytest.raises(BackendUnavailable, match="self-answer"):
+            TreeBuilder(FirstSamplesFail(), make_bench_retriever(), cfg).build_tree(self.QUESTION)
 
 
 class TestSettledDecisions:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from ragtree.engine import (
     BuildResult, Candidate, ChainRecord, ExpansionConfig, RolloutResult, TerminationVotes, TreeNode,
     TreeBuilder,
@@ -204,7 +205,7 @@ class TestSftSlicingProperty:
     input ending where a retrieval's documents end and each non-final output at
     the next retrieval's sub-query line."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(steps=_steps, answer=_words, budget=st.integers(min_value=1, max_value=20))
     def test_segments_cut_at_the_retrievals(self, steps, answer, budget):
         config = ExpansionConfig(doc_char_budget=budget)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from ragtree.metrics import exact_match, f1_score, normalize_answer, score_answer
 
 
@@ -142,14 +143,14 @@ text_strategy = st.text(
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(text_strategy)
 def test_normalize_idempotent(text):
     once = normalize_answer(text)
     assert normalize_answer(once) == once
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(text_strategy, st.lists(text_strategy, min_size=1, max_size=4))
 def test_metric_ranges_and_implication(prediction, golds):
     em = exact_match(prediction, golds)
@@ -160,7 +161,7 @@ def test_metric_ranges_and_implication(prediction, golds):
         assert f1 == 1.0
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(text_strategy, text_strategy)
 def test_f1_symmetric_for_single_gold(a, b):
     assert f1_score(a, [b]) == pytest.approx(f1_score(b, [a]), abs=1e-12)

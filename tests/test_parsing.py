@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from ragtree.parsing import (
     find_first_action,
     parse_self_answer,
@@ -106,7 +107,7 @@ class TestAgentActions:
         assert think_blocks("<think> a </think> x <think> b </think>") == ("a", "b")
 
 
-@settings(max_examples=500)
+@settings(max_examples=examples(500))
 @given(st.text(max_size=200))
 def test_parsers_never_raise(raw):
     parse_termination(raw)
@@ -117,7 +118,7 @@ def test_parsers_never_raise(raw):
     think_blocks(raw)
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(st.text(max_size=50))
 def test_every_string_maps_to_exactly_one_termination_kind(raw):
     assert parse_termination(raw).kind in ("terminate", "continue", "malformed")

@@ -15,7 +15,7 @@ from ragtree.policy import (
     RoutedPolicyBackend,
     ScriptedPolicyBackend,
 )
-from ragtree.retrieval import LexicalRetriever
+from ragtree.retrieval import HttpRetrieverBackend, LexicalRetriever
 from ragtree.templates import PolicyRole, load_default_templates
 from ragtree.types import Question
 
@@ -112,6 +112,19 @@ class TestHttpBackend:
         )
         with pytest.raises(BackendUnavailable):
             backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p"))
+
+    @pytest.mark.parametrize(
+        "setting, needle",
+        [({"timeout": 0}, "timeout must be > 0"), ({"max_retries": -1}, "max_retries must be >= 0"),
+         ({"backoff_s": -1}, "backoff_s must be >= 0")],
+    )
+    def test_a_client_refuses_an_out_of_range_setting_when_made(self, setting, needle):
+        # not late, at the first request: urllib3 refuses the timeout, no request is
+        # sent, or the first retry cannot sleep
+        with pytest.raises(ValueError, match=needle):
+            HttpPolicyBackend("http://127.0.0.1:9", "m", **setting)
+        with pytest.raises(ValueError, match=needle):
+            HttpRetrieverBackend("http://127.0.0.1:9", **setting)
 
     def test_4xx_raises_configuration_error(self):
         import threading

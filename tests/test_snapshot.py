@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLD, Scenario, overlap_answer
+from conftest import GOLD, Scenario, examples, overlap_answer
 from ragtree.batch import expand_batch, snapshot_path
 from ragtree.engine import (
     BuildResult,
@@ -178,7 +178,7 @@ class TestCodec:
         st.lists(rollout, max_size=2).map(tuple), number, st.booleans(), documents.map(tuple),
     )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(value=st.one_of(step, candidate))
     def test_round_trip(self, value):
         assert decode(type(value), json.loads(json.dumps(encode(value)))) == value
