@@ -66,6 +66,20 @@ class AgentTranscript:
         }
 
 
+def episode_prompt(question: Question, templates: PromptTemplateSet, history_template: HistoryTemplate,
+                   state: Optional[State], pending_sub_question: Optional[str]) -> str:
+    """The prompt of an episode's first step, which every episode from that state shares."""
+    history = render_history(state or State(question), pending_sub_question, history_template)
+    return templates.render(PolicyRole.ROLLOUT, question=question.text, iter_history=history)
+
+
+def step_request(prompt: str, temperature: float, max_tokens: int,
+                 *seeds: Optional[int]) -> PolicyRequest:
+    """An episode step's request, one sample per seed of the episodes that share ``prompt``."""
+    return PolicyRequest(role=PolicyRole.ROLLOUT, prompt=prompt, temperature=temperature,
+                         max_tokens=max_tokens, seeds=seeds, stop=STOP_SEQUENCES)
+
+
 def run_agent(
     question: Question,
     templates: Optional[PromptTemplateSet] = None,
@@ -78,6 +92,7 @@ def run_agent(
     temperature: float = 0.7,
     seed: Optional[int] = None,
     max_tokens: int = PolicyRequest.max_tokens,
+    first: Optional[str] = None,
 ) -> Steps[AgentTranscript]:
     """One episode until ``<answer>``, a cap, or a failure, as a generator of its
     calls: it yields each ``PolicyRequest`` and ``RetrievalRequest`` and is sent the
@@ -85,36 +100,25 @@ def run_agent(
 
     ``initial_state`` / ``pending_sub_question`` seed the transcript with prior
     iteration history, which is how rollouts resume from a partial solution.
+    ``first``, when given, is the first step's completion at ``seed``, which the
+    caller asked for in one request with the other episodes from that state.
     A backend error fails the episode, and the transcript keeps it as ``error``.
     """
-    templates = templates or load_default_templates()
-    state = initial_state or State(question)
-    base_prompt = templates.render(
-        PolicyRole.ROLLOUT,
-        question=question.text,
-        iter_history=render_history(state, pending_sub_question, history_template),
-    )
-
+    base_prompt = episode_prompt(question, templates or load_default_templates(),
+                                 history_template, initial_state, pending_sub_question)
     transcript = AgentTranscript(question_id=question.id)
     continuation = ""
     for step in range(max_steps):
-        request = PolicyRequest(
-            role=PolicyRole.ROLLOUT,
-            prompt=base_prompt + continuation,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            seed=None if seed is None else seed + step,
-            stop=STOP_SEQUENCES,
-        )
+        request = step_request(base_prompt + continuation, temperature, max_tokens,
+                               None if seed is None else seed + step)
         try:
-            response = yield request
+            text = first if step == 0 and first is not None else (yield request).text
         except RagTreeError as exc:
             transcript.failure = f"policy backend failed: {exc}"
             transcript.error = exc.with_traceback(None)
             break
         transcript.steps_taken += 1
 
-        text = response.text
         action = find_first_action(text)
         prefix = text if action is None else text[: action[2]]
         for block in think_blocks(prefix):

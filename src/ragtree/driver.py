@@ -62,6 +62,7 @@ class Build:
         self.live: Set[Task] = set()
         self.failure: Optional[Exception] = None
         self.failed_at: Tuple[float, ...] = (float("inf"),)  # behind every place until a failure
+        self._failing = threading.Lock()
 
     def spawn(self, gen: Steps) -> Task:
         """Start ``gen`` as a task, placed after what its spawner in the build has done."""
@@ -75,6 +76,12 @@ class Build:
 
     def behind(self, at: Tuple[int, ...]) -> bool:  # at or behind the failure
         return at >= self.failed_at
+
+    def fail_at(self, at: Tuple[int, ...]) -> bool:
+        """Move ``failed_at`` back to ``at`` in one step, unless ``at`` is behind it."""
+        with self._failing:
+            self.failed_at = min(self.failed_at, at)
+            return self.failed_at == at
 
     def run(self, main: Steps[T]) -> Steps[T]:
         main_task = self.spawn(main)
@@ -181,8 +188,8 @@ class Boundary:
     def _raised(self, task: Task, error: Exception) -> None:
         build = task.build
         self._ended(task)
-        if task.at <= build.failed_at:  # ahead of the failure, or the place a sender recorded
-            build.failure, build.failed_at = error, task.at
+        if build.fail_at(task.at):  # ahead of the failure, or the place a sender recorded
+            build.failure = error
             for other in list(build.live):
                 if build.behind(other.at):
                     other.gen.close()
@@ -237,15 +244,15 @@ class Boundary:
 
     def _send(self) -> None:
         """A sender: make each queued call and queue its reply or error. An error's
-        place becomes its build's ``failed_at`` (an interrupt halts the run) once
-        queued, so the driver reads it before the refusals it causes."""
+        place becomes its build's ``failed_at``, if earlier (an interrupt halts the
+        run), once queued, so the driver reads it before the refusals it causes."""
         for task, call, request in iter(self._calls.get, None):
             reply, error = self._make(task, call, request)
             self._replies.put((task, request, reply, error))
             if error is not None and not isinstance(error, Exception):
                 self._halted = True
-            elif error is not None and not task.build.behind(task.at):  # not a refusal
-                task.build.failed_at = task.at
+            elif error is not None:
+                task.build.fail_at(task.at)
 
     def close(self) -> None:
         """End the senders once they have made or refused every call queued."""

@@ -16,9 +16,10 @@ baseline.
 
 Each step of a build is a generator of its backend calls, run as a task of the
 build by the run's ``driver.Boundary`` on one thread, so no step waits on a
-thread. A layer sends all its termination votes at once, then all ``k`` samples
-of a candidate set; each new candidate's retrieval and rollouts start as soon as
-that candidate is read, while the later samples are still in flight. Each
+thread. Samples that share a prompt and differ only by seed are one request: a
+layer's termination votes, then a candidate set's ``k`` samples, and the first
+steps of a candidate's ``n`` rollouts. Each new candidate's retrieval and rollouts
+start as soon as it is read, while a malformed sample is asked again alone. Each
 decision (terminate or continue, which sub-question, whether to retrieve, which
 execution) settles as soon as the results read so far decide it, and the next
 one starts while the rest come in: a rollout scores between 0 and 1, so bounds
@@ -35,13 +36,13 @@ concurrency. A failed build raises the error its serial run meets first.
 
 Expansion-count accounting (used by the bench command and the acceptance
 tests): the count for the pruning and no-pruning strategies is the number of
-policy completions spent on expansion, i.e. termination votes + candidate
-generations + rollout steps. Retrieval calls and chain-finalization answers
-are tracked separately and not counted. The full-node count is the number of
-leaf-layer nodes. Under a scripted regime with ``majority_samples == k``,
-fixed-horizon rollouts of exactly ``l`` steps, no dedup collisions, no early
-termination and no retrieval skip, the measured counts close exactly with the
-published closed forms (see ``theoretical_counts``).
+policy samples spent on expansion, i.e. termination votes + candidate generations
++ rollout steps, however many requests carried them. Retrieval calls and
+chain-finalization answers are tracked separately and not counted. The full-node
+count is the number of leaf-layer nodes. Under a scripted regime with
+``majority_samples == k``, fixed-horizon rollouts of exactly ``l`` steps, no dedup
+collisions, no early termination and no retrieval skip, the measured counts close
+exactly with the published closed forms (see ``theoretical_counts``).
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, TypeVar
 
-from .agent import run_agent
+from .agent import episode_prompt, run_agent, step_request
 from .driver import Boundary, Build, Steps, Task, gather
 from .errors import NodeExpansionFailed
 from .history import HistoryTemplate, render_history
 from .metrics import normalize_answer, score_answer
 from .parsing import parse_self_answer, parse_sub_query, parse_sub_question, parse_termination
-from .policy import PolicyBackend, PolicyRequest
+from .policy import PolicyBackend, PolicyRequest, PolicyResponse
 from .retrieval import RetrievalRequest, RetrieverBackend
 from .templates import PolicyRole, PromptTemplateSet, load_default_templates
 from .types import UNWRITTEN, Document, Question, Retrieved, SelfAnswer, State, Step, check_choices
@@ -274,6 +275,11 @@ class BuildResult:
         return self.chains[0] if self.chains else None
 
 
+def _ask(request: PolicyRequest) -> Steps[PolicyResponse]:
+    """A task of one call, valued by its reply."""
+    return (yield request)
+
+
 def _vote_kind(raw: str) -> Optional[str]:
     """A termination vote's kind, or None for malformed output."""
     kind = parse_termination(raw).kind
@@ -444,23 +450,32 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ plumbing
 
-    def _sample(self, build: _Build, role: PolicyRole, prompt: str,
-                parse: Callable[[str], Optional[T]], layer: int, counter: str, seed_parts: Tuple,
-                temperature: Optional[float] = None) -> Steps[Optional[T]]:
-        """Complete until ``parse`` accepts the output (returns non-None), retrying
-        malformed output up to ``malformed_retries`` times; seeds end in the attempt."""
-        if temperature is None:
-            temperature = self.config.sampling_temperature
-        for attempt in range(self.config.malformed_retries + 1):
-            response = yield PolicyRequest(
-                role=role, prompt=prompt, temperature=temperature, max_tokens=self.config.max_tokens,
-                seed=derive_seed(self.config.seed, build.question.id, *seed_parts, attempt),
-            )
-            build.bump(layer, counter)
-            parsed = parse(response.text)
-            if parsed is not None:
-                return parsed
-        return None
+    def _samples(self, build: _Build, role: PolicyRole, prompt: str,
+                 parse: Callable[[str], Optional[T]], layer: int, counter: str,
+                 seed_parts: Sequence[Tuple], temperature: Optional[float] = None) -> List[Task]:
+        """A task per sample of ``prompt`` (per ``seed_parts``), valued by the output that
+        ``parse`` accepts (returns non-None) or None. The first attempts are one request;
+        a malformed sample is re-asked alone up to ``malformed_retries`` times. Seeds end
+        in the attempt."""
+        cfg = self.config
+        temperature = cfg.sampling_temperature if temperature is None else temperature
+
+        def request(attempt: int, *parts: Tuple) -> PolicyRequest:
+            seeds = [derive_seed(cfg.seed, build.question.id, *each, attempt) for each in parts]
+            return PolicyRequest(role=role, prompt=prompt, temperature=temperature,
+                                 max_tokens=cfg.max_tokens, seeds=seeds)
+
+        def sample(index: int, parts: Tuple) -> Steps[Optional[T]]:
+            yield from gather([first])
+            text = first.value.texts[index]
+            for attempt in range(1, cfg.malformed_retries + 2):
+                build.bump(layer, counter)
+                if (parsed := parse(text)) is not None or attempt > cfg.malformed_retries:
+                    return parsed
+                text = (yield request(attempt, parts)).text
+
+        first = build.spawn(_ask(request(0, *seed_parts)))
+        return [build.spawn(sample(index, parts)) for index, parts in enumerate(seed_parts)]
 
     def _score(self, build: _Build, answer: Optional[str]) -> float:
         if answer is None:
@@ -475,9 +490,11 @@ class TreeBuilder:
         return max(1, self.config.t_max - effective_depth + 1)
 
     def run_rollout(self, state: State, pending_sub_question: Optional[str], layer: int,
-                    seed_parts: Tuple, build: _Build) -> Steps[RolloutResult]:
-        """Simulate one completion from the given state and score its final answer.
-        Malformed or capped output scores 0; a backend error propagates, as from a vote."""
+                    seed_parts: Tuple, build: _Build,
+                    first: Optional[str] = None) -> Steps[RolloutResult]:
+        """Simulate one completion from the given state and score its final answer;
+        ``first``, given, is its first step's completion. Malformed or capped output
+        scores 0; a backend error propagates, as from a vote."""
         effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
         horizon = self._rollout_horizon(effective_depth)
         transcript = yield from run_agent(
@@ -492,6 +509,7 @@ class TreeBuilder:
             temperature=self.config.sampling_temperature,
             max_tokens=self.config.max_tokens,
             seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
+            first=first,
         )
         if transcript.error is not None:
             raise transcript.error
@@ -510,30 +528,20 @@ class TreeBuilder:
 
     # ------------------------------------------------------------------ candidates
 
-    def _candidates(
-        self,
-        build: _Build,
-        role: PolicyRole,
-        question: str,
-        layer: int,
-        kind: str,
-        state: Optional[State] = None,
-        sub_question: Optional[str] = None,
-    ) -> _Candidates:
+    def _candidates(self, build: _Build, role: PolicyRole, question: str, layer: int, kind: str,
+                    state: Optional[State] = None, sub_question: Optional[str] = None) -> _Candidates:
         """Start sampling ``k`` candidates for ``question`` from the role's template,
         retrying malformed output; duplicates are dropped as they are read, and a
         sub-query carries its documents. Given a ``state``, each candidate is
         scored by ``n`` rollouts from ``state`` plus the candidate: a pending
-        sub-question, or a step that resolves ``sub_question``. All samples
-        start at once, and each new candidate's retrieval and rollouts as it is read.
+        sub-question, or a step that resolves ``sub_question``. The samples are one
+        request, and each new candidate's retrieval and rollouts start as it is read;
+        the rollouts' first steps are one request too.
         """
         cfg = self.config
         prompt = self.templates.render(role, question=question)
-        samples = [
-            build.spawn(self._sample(build, role, prompt, _CANDIDATE_PARSERS[role], layer,
-                                     "policy_calls", ("cand", kind, layer, index)))
-            for index in range(cfg.k)
-        ]
+        samples = self._samples(build, role, prompt, _CANDIDATE_PARSERS[role], layer, "policy_calls",
+                                [("cand", kind, layer, index) for index in range(cfg.k)])
 
         def begin(content: str, index: int) -> Steps[Tuple[Candidate, List[Task]]]:
             """The candidate, with its documents, and its rollouts started."""
@@ -549,10 +557,18 @@ class TreeBuilder:
                 base, pending = state, content
             else:
                 base, pending = state.with_step(self._step_for(candidate, sub_question)), None
-            return candidate, [
-                build.spawn(self.run_rollout(base, pending, layer, (layer, kind, index, r), build))
-                for r in range(cfg.n)
-            ]
+            parts = [(layer, kind, index, r) for r in range(cfg.n)]
+            first = build.spawn(_ask(step_request(
+                episode_prompt(build.question, self.templates, self.history_template, base, pending),
+                cfg.sampling_temperature, cfg.max_tokens,
+                *(derive_seed(cfg.seed, build.question.id, "rollout", *each) for each in parts))))
+
+            def rollout(r: int) -> Steps[RolloutResult]:
+                yield from gather([first])
+                return (yield from self.run_rollout(base, pending, layer, parts[r], build,
+                                                    first.value.texts[r]))
+
+            return candidate, [build.spawn(rollout(r)) for r in range(cfg.n)]
 
         return _Candidates(build, samples, begin)
 
@@ -564,11 +580,11 @@ class TreeBuilder:
 
     def _finalize_answer(self, build: _Build, state: State, layer: int) -> Steps[Optional[str]]:
         """Generate the terminal answer for a chain (vote-terminated or at the cap)."""
-        prompt = self._termination_prompt(state)
-        return (yield from self._sample(
-            build, PolicyRole.TERMINATION, prompt, lambda raw: parse_termination(raw).answer,
-            layer, "finalize_calls", ("finalize", layer), self.config.answer_temperature,
-        ))
+        (answer,) = self._samples(build, PolicyRole.TERMINATION, self._termination_prompt(state),
+                                  lambda raw: parse_termination(raw).answer, layer, "finalize_calls",
+                                  [("finalize", layer)], self.config.answer_temperature)
+        yield from gather([answer])
+        return answer.value
 
     # ------------------------------------------------------------------ decision expansion
 
@@ -584,11 +600,8 @@ class TreeBuilder:
         build.bump(layer, "nodes_expanded")
         cfg = self.config
         prompt = self._termination_prompt(state)
-        votes = [
-            build.spawn(self._sample(build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
-                                     "policy_calls", ("vote", layer, v)))
-            for v in range(cfg.majority_samples)
-        ]
+        votes = self._samples(build, PolicyRole.TERMINATION, prompt, _vote_kind, layer,
+                              "policy_calls", [("vote", layer, v) for v in range(cfg.majority_samples)])
         node = TreeNode(layer, state, TerminationVotes())
         while True:
             kinds = [vote.value for vote in votes if vote.done]

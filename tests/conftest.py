@@ -238,6 +238,7 @@ class CountingRetriever:
 class StubPolicyServer:
     """Chat-completions endpoint backed by a scripted policy.
 
+    A request for ``n`` choices is answered at seeds ``seed``, ``seed + 1``, ...
     ``fail_first`` makes the first N requests return HTTP 500 (retry tests).
     """
 
@@ -264,17 +265,20 @@ class StubPolicyServer:
                         self.wfile.write(b"boom")
                         return
                 prompt = payload["messages"][-1]["content"]
+                seed = payload.get("seed")
                 request = PolicyRequest(
                     role=infer_role(prompt),
                     prompt=prompt,
                     temperature=payload.get("temperature", 0.0),
                     max_tokens=payload.get("max_tokens", 512),
-                    seed=payload.get("seed"),
+                    seed=seed,
+                    seeds=tuple(seed + i for i in range(payload.get("n", 1))) if seed is not None else (),
                 )
                 response = outer.scripted.complete(request)
                 body = json.dumps(
                     {
-                        "choices": [{"message": {"role": "assistant", "content": response.text}}],
+                        "choices": [{"message": {"role": "assistant", "content": text}}
+                                    for text in response.texts],
                         "usage": {
                             "prompt_tokens": response.prompt_tokens,
                             "completion_tokens": response.completion_tokens,
@@ -303,8 +307,9 @@ class StubPolicyServer:
 @pytest.fixture
 def reply_server():
     """``serve(body)`` starts an endpoint that answers every POST with ``body`` as JSON
-    and returns its base URL; every endpoint started closes after the test."""
-    servers = []
+    and returns its base URL; ``serve.received`` holds the JSON bodies POSTed to any
+    of them, in order. Every endpoint started closes after the test."""
+    servers, received = [], []
 
     def serve(body) -> str:
         reply = json.dumps(body).encode("utf-8")
@@ -314,7 +319,7 @@ def reply_server():
                 pass
 
             def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                received.append(json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0)))))
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(reply)))
@@ -326,6 +331,7 @@ def reply_server():
         servers.append(server)
         return f"http://127.0.0.1:{server.server_port}"
 
+    serve.received = received
     yield serve
     for server in servers:
         server.shutdown()

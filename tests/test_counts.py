@@ -118,7 +118,8 @@ def test_full_node_leaf_counts(l, expected):
 
 def test_full_node_makes_every_request_of_a_layer():
     """Depth 1: k sub-questions, then k self-answers and k sub-queries for each of the
-    k + 1 branches (the question itself is the direct one), and 2k(k+1) leaves."""
+    k + 1 branches (the question itself is the direct one), and 2k(k+1) leaves.
+    Each set of k samples is one request."""
     k = 3
     cfg = ExpansionConfig(k=k, t_max=1, strategy="full_node", majority_samples=k)
     bench = make_bench_policy({QUESTION.text: "beta"}, rollout_searches=0)
@@ -130,17 +131,47 @@ def test_full_node_makes_every_request_of_a_layer():
             return bench.complete(request)
 
     result = TreeBuilder(Recording(), make_bench_retriever(), cfg).build_tree(QUESTION)
-    roles = [r.role for r in requests]
+    assert all(len(r.samples()) == k for r in requests)
+    roles = [r.role for r in requests for _ in r.samples()]
     assert roles.count(PolicyRole.SUB_QUESTION) == k
     assert roles.count(PolicyRole.SELF_ANSWER) == (k + 1) * k
     assert roles.count(PolicyRole.SUB_QUERY) == (k + 1) * k
     assert len(roles) == k + 2 * (k + 1) * k  # no votes, rollouts or finalization
+    assert len(requests) == 1 + 2 * (k + 1)  # one request per set
     direct = [
-        r for r in requests
+        sample for r in requests for sample in r.samples()
         if r.role == PolicyRole.SELF_ANSWER and f"### Question\n{QUESTION.text}\n" in r.prompt
     ]
     assert len(direct) == k
     assert result.ledger.leaf_nodes == 2 * k * (k + 1)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+@pytest.mark.parametrize("strategy, l, requests, samples, logical", [
+    ("pruning", 4, 485, 625, 624),
+    ("no_pruning", 4, 3635, 4685, 4680),
+    ("full_node", 2, 225, 675, 576),
+])
+def test_requests_per_question_at_table_settings(strategy, l, requests, samples, logical,
+                                                 concurrency):
+    # A layer's votes, a candidate set's samples and the first steps of a candidate's
+    # rollouts are one request each. Per layer of pruning that is 1 + 3(1 + k(1 + n(l - 1)))
+    # requests for 4k + 3knl samples, 121 for 156, plus the chain's finalize call.
+    # Every sample is still asked for, one request each before they were grouped.
+    cfg = ExpansionConfig(k=3, n=4, t_max=l, strategy=strategy, majority_samples=3,
+                          rollout_cap="fixed", concurrency=concurrency)
+    bench = make_bench_policy({QUESTION.text: "beta"}, rollout_searches=l - 1)
+    sent = []
+
+    class Recording:
+        def complete(self, request):
+            sent.append(request)  # list.append is atomic: the senders share it
+            return bench.complete(request)
+
+    result = TreeBuilder(Recording(), make_bench_retriever(), cfg).build_tree(QUESTION)
+    assert len(sent) == requests
+    assert result.ledger.expansion_count(strategy) == logical
+    assert sum(len(r.samples()) for r in sent) == sum(bench.calls_by_role.values()) == samples
 
 
 @st.composite

@@ -514,9 +514,9 @@ class TestBuildTree:
         late = derive_seed(0, scenario.question.id, "rollout", 1, "sub_question", 2, 1)
         inner = scenario.policy()
 
-        class FailingLate:
+        class FailingLate:  # the request of the first steps of "find c"'s rollouts
             def complete(self, request):
-                if request.seed == late:
+                if late in [sample.seed for sample in request.samples()]:
                     time.sleep(0.3)
                     raise BackendUnavailable("the last rollout failed")
                 return inner.complete(request)
@@ -853,14 +853,14 @@ class TestBuilderHoldsNoBuildState:
 
 class InFlightProbe:
     """Policy and retriever in one: each call sleeps ``delay_s`` first and is
-    logged as ("start"/"end", role), with the most calls in flight per role and
-    the threads that made the calls.
+    logged as ("start"/"end", role), and its seeds in ``requests``, with the most
+    samples in flight per role (a retrieval is one), the most calls in flight of
+    every role ("all"), and the threads that made the calls.
 
-    ``hold`` makes a call wait for others without relying on timing: it maps
-    (role, i), the i-th call of that role to start, to (role2, count), and that
-    call waits (for at most ``HOLD_S``) until ``count`` calls of role2 have
-    started; a key may also be a request's seed, which holds only the first call
-    with that seed (a no_pruning rebuild repeats seeds). A serial scheduler cannot
+    ``hold`` makes a call wait for others without relying on timing: it maps a
+    seed to (role2, count), and the first call that carries that seed (a
+    no_pruning rebuild repeats seeds) waits (for at most ``HOLD_S``) until
+    ``count`` samples of role2 have started. A serial scheduler cannot
     meet the condition, so it runs late, and ``held`` records of each held call
     whether its condition was met in time. The first rollout completion raises
     ``BackendUnavailable`` when ``fail_rollout``; ``failed_at`` is then the
@@ -876,21 +876,22 @@ class InFlightProbe:
         self.hold = hold or {}
         self.fail_rollout = fail_rollout
         self.events = []
-        self.started = {}  # role -> calls started
-        self.inflight = {}  # role -> calls in flight
-        self.peak = {}  # role -> most calls in flight at once; "all" counts every role
+        self.requests = []  # (role, the seeds of a policy call's samples), in start order
+        self.started = {}  # role -> samples started
+        self.inflight = {}  # role -> samples in flight; "all" -> calls of every role
+        self.peak = {}  # role or "all" -> the most in flight at once
         self.threads = set()  # the threads that called
         self.most_threads = 0  # the most threads alive at a call's start
         self.failed_at = None
-        self.held = {}  # (role, i) of a held call -> whether what it waited for came in time
+        self.held = {}  # the seed of a held call -> whether what it waited for came in time
         self._changed = threading.Condition()
 
-    def _call(self, role, call, request, seed=None):
+    def _call(self, role, call, request, seeds=(None,)):
+        counts = ((role, len(seeds)), ("all", 1))
         with self._changed:
-            nth = self.started.get(role, 0)
-            self.started[role] = nth + 1
-            for key in (role, "all"):
-                self.inflight[key] = self.inflight.get(key, 0) + 1
+            self.started[role] = self.started.get(role, 0) + len(seeds)
+            for key, count in counts:
+                self.inflight[key] = self.inflight.get(key, 0) + count
                 self.peak[key] = max(self.peak.get(key, 0), self.inflight[key])
             self.events.append(("start", role))
             self.threads.add(threading.current_thread())
@@ -899,8 +900,8 @@ class InFlightProbe:
             if fail:
                 self.fail_rollout = False
             self._changed.notify_all()
-            key = (role, nth) if (role, nth) in self.hold else seed
-            if key in self.hold and key not in self.held:
+            key = next((seed for seed in seeds if seed in self.hold and seed not in self.held), None)
+            if key is not None:
                 awaited, count = self.hold[key]
                 self.held[key] = self._changed.wait_for(
                     lambda: self.started.get(awaited, 0) >= count, self.HOLD_S
@@ -912,14 +913,17 @@ class InFlightProbe:
             return call(request)
         finally:
             with self._changed:
-                for key in (role, "all"):
-                    self.inflight[key] -= 1
+                for key, count in counts:
+                    self.inflight[key] -= count
                 self.events.append(("end", role))
                 if fail:
                     self.failed_at = len(self.events)
 
     def complete(self, request):
-        return self._call(request.role, self.policy.complete, request, request.seed)
+        seeds = [sample.seed for sample in request.samples()]
+        with self._changed:
+            self.requests.append((request.role, seeds))
+        return self._call(request.role, self.policy.complete, request, seeds)
 
     def retrieve(self, request):
         return self._call("retrieval", self.retriever.retrieve, request)
@@ -928,23 +932,23 @@ class InFlightProbe:
 class TestBuildScheduler:
     QUESTION = Question(id="sched-q", text="what follows alpha?", gold_answers=("beta",))
 
-    def probe_build(self, concurrency: int, strategy: str = "pruning",
+    def probe_build(self, concurrency: int, strategy: str = "pruning", policy=None,
                     **probe_options) -> InFlightProbe:
         cfg = ExpansionConfig(k=3, n=2, t_max=2, majority_samples=3, rollout_cap="fixed",
                               strategy=strategy, concurrency=concurrency)
-        policy = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
+        policy = policy or make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
         probe = InFlightProbe(policy, make_bench_retriever(), **probe_options)
         TreeBuilder(probe, probe, cfg).build_tree(self.QUESTION)
         return probe
 
     def test_votes_and_samples_fan_out(self):
-        # the first vote and the first sample each wait for a second one to start
-        first_waits = {
-            (role, 0): (role, 2) for role in (PolicyRole.TERMINATION, PolicyRole.SUB_QUESTION)
-        }
-        probe = self.probe_build(concurrency=2, hold=first_waits)
-        assert probe.peak[PolicyRole.TERMINATION] == 2
-        assert probe.peak[PolicyRole.SUB_QUESTION] == 2
+        # a layer's votes leave in one request, as do a candidate set's samples,
+        # so every sample of each is in flight at once
+        probe = self.probe_build(concurrency=2)
+        assert probe.peak[PolicyRole.TERMINATION] == 3
+        assert probe.peak[PolicyRole.SUB_QUESTION] == 3
+        votes = [derive_seed(0, self.QUESTION.id, "vote", 1, v, 0) for v in range(3)]
+        assert probe.requests[0] == (PolicyRole.TERMINATION, votes)
 
     @pytest.mark.parametrize("concurrency", [2, 4])
     def test_one_build_stays_within_its_bound(self, concurrency):
@@ -961,20 +965,35 @@ class TestBuildScheduler:
         assert probe.most_threads == threading.active_count() == threads
 
     def test_rollouts_start_while_samples_are_in_flight(self):
-        # the first layer's last (k-th) sub-question sample waits for a rollout to start
-        last_sample_waits = {(PolicyRole.SUB_QUESTION, 2): (PolicyRole.ROLLOUT, 1)}
-        events = self.probe_build(concurrency=2, hold=last_sample_waits).events
+        # the first layer's last (k-th) sub-question sample comes back malformed, so
+        # it is asked again alone, and that request waits for a rollout to start
+        def seed(attempt: int) -> int:
+            return derive_seed(0, self.QUESTION.id, "cand", "sub_question", 1, 2, attempt)
+
+        bench = make_bench_policy({self.QUESTION.text: "beta"}, rollout_searches=1)
+
+        class MalformedFirst:
+            def complete(self, request):
+                response = bench.complete(request)
+                response.texts = tuple("no tags" if sample.seed == seed(0) else text
+                                       for sample, text in zip(request.samples(), response.texts))
+                return response
+
+        probe = self.probe_build(concurrency=2, policy=MalformedFirst(),
+                                 hold={seed(1): (PolicyRole.ROLLOUT, 1)})
+        events = probe.events
         first_rollout = events.index(("start", PolicyRole.ROLLOUT))
         sample_ends = [i for i, e in enumerate(events) if e == ("end", PolicyRole.SUB_QUESTION)]
-        assert first_rollout < sample_ends[2]
+        assert first_rollout < sample_ends[1]  # the set's first request, then the sample's
+        assert probe.held == {seed(1): True}
 
     @pytest.mark.parametrize("concurrency", [2, 4])
     def test_the_next_step_leaves_before_the_last_rollout_returns(self, concurrency):
         # Every rollout scores 1 and every self-answer 0, so candidate 0 wins each
         # set and the layer searches. The last rollout step of layer 1's last
         # sub-question waits for the first self-answer sample, and that of its
-        # last sub-query for layer 2's first vote; a build that waits for every
-        # rollout of a step before the next meets neither.
+        # last sub-query for layer 2's first vote (the 4th vote sample); a build
+        # that waits for every rollout of a step before the next meets neither.
         def last_step(kind: str) -> int:
             return derive_seed(0, self.QUESTION.id, "rollout", 1, kind, 2, 1) + 1
 
@@ -985,9 +1004,9 @@ class TestBuildScheduler:
 
     def test_a_fork_waits_for_no_other_task(self):
         # Every rollout scores 1, so layer 2's first sub-question wins once its own
-        # rollouts are in. The first step of a rollout of the trunk's last layer-2
-        # sub-question waits for the 10th vote: round 1 sends 3, the trunk's round-2
-        # rebuild 6, and the 10th is the first of the round-1 deviation's rebuild,
+        # rollouts are in. The first steps of the rollouts of the trunk's last layer-2
+        # sub-question wait for the 10th vote sample: round 1 sends 3, the trunk's
+        # round-2 rebuild 6, and the 10th is the first of the round-1 deviation's rebuild,
         # which runs after the trunk forks at layer 2. A fork that waits for every
         # task of the build meets it only once the hold has timed out.
         held = derive_seed(0, self.QUESTION.id, "rollout", 2, "sub_question", 2, 0)
@@ -1102,6 +1121,73 @@ class TestBuildScheduler:
             build = Build(Policy(), None, boundary)
             with pytest.raises(BackendUnavailable, match="a: failed"):
                 boundary.run([build.run(main(build))])
+
+    def test_a_sender_never_moves_the_failure_later(self, monkeypatch):
+        # main spawns x, e, p and l; p spawns q, so the places run x, e, q, l. l's call
+        # fails in a sender, which finds l ahead of every failure and is held there
+        # until the driver has recorded e's earlier failure (e raises once l has
+        # ended). q's call, queued behind l's while x's holds the other sender, must
+        # then be refused: a sender that stores l's place after its check moves the
+        # failure back behind q, and q's call is made
+        made, tasks, places = [], {}, {}
+        recorded, q_taken = threading.Event(), threading.Event()
+        behind, raised = Build.behind, Boundary._raised
+
+        class Policy:
+            def complete(self, label):
+                made.append(label)
+                if label == "x":
+                    q_taken.wait(5)
+                if label == "l":
+                    raise BackendUnavailable("l failed")
+                return label
+
+        def sender_behind(build, at):
+            if not threading.current_thread().name.startswith("ragtree-send"):
+                return behind(build, at)
+            if at == places.get("q"):  # a sender takes q's call once e's failure is recorded
+                recorded.wait(5)
+                q_taken.set()
+                return behind(build, at)
+            result = behind(build, at)
+            if at == places["l"] and "l" in made:  # the check after l's call, before the store
+                recorded.wait(5)
+            return result
+
+        def driver_raised(boundary, task, error):
+            raised(boundary, task, error)
+            if task is tasks["e"]:
+                recorded.set()
+
+        monkeypatch.setattr(Build, "behind", sender_behind)
+        monkeypatch.setattr(Boundary, "_raised", driver_raised)
+
+        def call(label: str):
+            yield label
+
+        def fail_after_l():
+            yield from gather([tasks["l"]])
+            raise ValueError("e failed")
+
+        def spawn_q(build: Build):
+            tasks["q"] = build.spawn(call("q"))
+            places["q"] = tasks["q"].at
+            yield from ()
+
+        def main(build: Build):
+            for name, steps in (("x", call("x")), ("e", fail_after_l()), ("p", spawn_q(build)),
+                                ("l", call("l"))):
+                tasks[name] = build.spawn(steps)
+            places["l"] = tasks["l"].at
+            yield from gather(list(tasks.values()))
+
+        with Boundary(2) as boundary:
+            build = Build(Policy(), None, boundary)
+            with pytest.raises(ValueError, match="e failed"):
+                boundary.run([build.run(main(build))])
+        assert recorded.is_set() and q_taken.is_set()
+        assert sorted(made) == ["l", "x"]
+        assert build.failed_at == tasks["e"].at
 
     def test_a_retrieval_refused_behind_the_failure_is_made_for_a_task_ahead(self):
         # x's retrieval is queued behind q's call when f fails, so it is refused, but p,

@@ -47,6 +47,17 @@ class TestScripted:
         assert backend.calls_by_role[PolicyRole.ROLLOUT] == 2
         assert sum(backend.calls_by_role.values()) == 2
 
+    def test_each_sample_is_answered_and_counted_at_its_own_seed(self):
+        backend = _echo_backend()
+        group = backend.complete(PolicyRequest(role=PolicyRole.SUB_QUERY, prompt="p q", seeds=(4, 1, 9)))
+        alone = [backend.complete(PolicyRequest(role=PolicyRole.SUB_QUERY, prompt="p q", seed=seed))
+                 for seed in (4, 1, 9)]
+        assert group.texts == tuple(response.text for response in alone)
+        assert group.text == alone[0].text
+        assert group.prompt_tokens == sum(response.prompt_tokens for response in alone) == 6
+        assert group.completion_tokens == sum(response.completion_tokens for response in alone)
+        assert backend.calls_by_role[PolicyRole.SUB_QUERY] == 6
+
     def test_missing_handler_is_configuration_error(self):
         backend = ScriptedPolicyBackend({})
         with pytest.raises(ConfigurationError):
@@ -61,6 +72,19 @@ class TestRequestValidation:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", temperature=-0.1)
+
+    def test_seed_is_the_first_of_seeds(self):
+        group = PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seeds=[5, 6])
+        assert (group.seed, group.seeds) == (5, (5, 6))
+        assert [sample.seed for sample in group.samples()] == [5, 6]
+        assert all(sample.seeds == () for sample in group.samples())
+        with pytest.raises(ValueError, match="seed must be the first of seeds"):
+            PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=6, seeds=(5, 6))
+
+    def test_one_seed_is_a_one_sample_request(self):
+        one = PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seeds=(5,))
+        assert one == PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=5)
+        assert one.samples() == (one,)
 
 
 class TestHttpBackend:
@@ -210,6 +234,59 @@ class TestReplyShape:
         assert report.failures == 2
         failure = "policy backend failed: malformed policy endpoint response body"
         assert all(item["failure"].startswith(failure) for item in report.per_item)
+
+
+def _choices(*texts: str) -> dict:
+    return {"choices": [{"message": {"role": "assistant", "content": text}} for text in texts],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 6}}
+
+
+class TestSamplesPerRequest:
+    """A request of several samples asks for ``n`` choices; one sample sends no ``n``."""
+
+    def test_a_group_sends_n_and_its_first_seed(self, reply_server):
+        backend = HttpPolicyBackend(reply_server(_choices("a", "b", "c")), model="m")
+        response = backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p",
+                                                  seeds=(7, 3, 9), stop=("</answer>",)))
+        assert (response.text, response.texts) == ("a", ("a", "b", "c"))
+        assert (response.prompt_tokens, response.completion_tokens) == (5, 6)
+        assert reply_server.received == [{
+            "model": "m", "messages": [{"role": "user", "content": "p"}], "temperature": 0.0,
+            "max_tokens": 512, "seed": 7, "n": 3, "stop": ["</answer>"],
+        }]
+
+    def test_one_sample_sends_no_n(self, reply_server):
+        backend = HttpPolicyBackend(reply_server(_choices("a")), model="m")
+        backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seed=7))
+        backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p"))
+        assert reply_server.received == [
+            {"model": "m", "messages": [{"role": "user", "content": "p"}], "temperature": 0.0,
+             "max_tokens": 512, "seed": 7},
+            {"model": "m", "messages": [{"role": "user", "content": "p"}], "temperature": 0.0,
+             "max_tokens": 512},
+        ]
+
+    @pytest.mark.parametrize("seeds, texts", [((1, 2, 3), ("a", "b")), ((1, 2), ("a", "b", "c")),
+                                              ((1,), ("a", "b"))])
+    def test_other_than_one_choice_per_sample_fails_the_call(self, reply_server, seeds, texts):
+        backend = HttpPolicyBackend(reply_server(_choices(*texts)), model="m", max_retries=0)
+        with pytest.raises(BackendUnavailable, match=f"want {len(seeds)} str contents"):
+            backend.complete(PolicyRequest(role=PolicyRole.ROLLOUT, prompt="p", seeds=seeds))
+
+    def test_a_server_that_ignores_n_fails_each_build_not_the_batch(self, reply_server, tmp_path):
+        # it answers one choice to every request: each build fails at its first
+        # group (the layer's votes), and an evaluation, one sample a request, runs
+        policy = HttpPolicyBackend(reply_server(_choices("<answer> a </answer>")), model="m")
+        retriever = LexicalRetriever(TEST_CORPUS)
+        questions = [Question(id=f"q{i}", text=f"question {i}", gold_answers=("a",))
+                     for i in range(2)]
+        cfg = ExpansionConfig(k=2, n=1, t_max=1, majority_samples=2)
+        manifest = expand_batch(questions, lambda: TreeBuilder(policy, retriever, cfg),
+                                str(tmp_path))
+        assert manifest.counts == {"ok": 0, "failed": 2, "skipped": 0}
+        assert all("want 2 str contents, not ['str']" in item.error for item in manifest.items)
+        report = evaluate_dataset(questions, policy, retriever)
+        assert (report.failures, report.em) == (0, 1.0)
 
 
 class TestRoutedBackend:
