@@ -4,8 +4,8 @@ The agent repeatedly asks the policy to continue the transcript; a completion
 ending in ``<search> query </search>`` triggers a retrieval whose documents
 are appended inside ``<information>`` tags, and ``<answer> ... </answer>``
 terminates the episode. The same loop drives rollout simulations during tree
-expansion and the evaluation of trained models. It is a generator of its backend
-calls, which a ``driver.Boundary`` makes.
+expansion and the evaluation of trained models, from a prompt that the caller
+renders once (``episode_prompt``), and a ``driver.Boundary`` makes its calls.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class AgentTranscript:
         }
 
 
-def episode_prompt(question: Question, templates: PromptTemplateSet, history_template: HistoryTemplate,
-                   state: Optional[State], pending_sub_question: Optional[str]) -> str:
-    """The prompt of an episode's first step, which every episode from that state shares."""
-    history = render_history(state or State(question), pending_sub_question, history_template)
-    return templates.render(PolicyRole.ROLLOUT, question=question.text, iter_history=history)
+def episode_prompt(state: State, templates: PromptTemplateSet, history_template: HistoryTemplate,
+                   pending_sub_question: Optional[str] = None) -> str:
+    """The first step's prompt of every episode from ``state`` and ``pending_sub_question``."""
+    history = render_history(state, pending_sub_question, history_template)
+    return templates.render(PolicyRole.ROLLOUT, question=state.question.text, iter_history=history)
 
 
 def step_request(prompt: str, temperature: float, max_tokens: int,
@@ -82,10 +82,8 @@ def step_request(prompt: str, temperature: float, max_tokens: int,
 
 def run_agent(
     question: Question,
-    templates: Optional[PromptTemplateSet] = None,
+    prompt: str,
     history_template: HistoryTemplate = DEFAULT_TEMPLATE,
-    initial_state: Optional[State] = None,
-    pending_sub_question: Optional[str] = None,
     max_steps: int = 8,
     max_searches: int = 4,
     top_k: int = 3,
@@ -98,18 +96,16 @@ def run_agent(
     calls: it yields each ``PolicyRequest`` and ``RetrievalRequest`` and is sent the
     reply, or has the call's error thrown in.
 
-    ``initial_state`` / ``pending_sub_question`` seed the transcript with prior
-    iteration history, which is how rollouts resume from a partial solution.
+    ``prompt`` is the first step's ``episode_prompt``, whose history is how rollouts
+    resume from a partial solution; each later step appends to it.
     ``first``, when given, is the first step's completion at ``seed``, which the
-    caller asked for in one request with the other episodes from that state.
+    caller asked for in one request with the other episodes of ``prompt``.
     A backend error fails the episode, and the transcript keeps it as ``error``.
     """
-    base_prompt = episode_prompt(question, templates or load_default_templates(),
-                                 history_template, initial_state, pending_sub_question)
     transcript = AgentTranscript(question_id=question.id)
     continuation = ""
     for step in range(max_steps):
-        request = step_request(base_prompt + continuation, temperature, max_tokens,
+        request = step_request(prompt + continuation, temperature, max_tokens,
                                None if seed is None else seed + step)
         try:
             text = first if step == 0 and first is not None else (yield request).text
@@ -209,7 +205,7 @@ def evaluate_dataset(
     def run_one(index: int, question: Question) -> Steps[Tuple[Optional[AgentTranscript], dict]]:
         transcript = yield from Build(policy, retriever, boundary).run(run_agent(
             question,
-            templates=templates,
+            episode_prompt(State(question), templates, history_template),
             history_template=history_template,
             max_steps=max_steps,
             max_searches=max_searches,

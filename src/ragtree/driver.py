@@ -17,7 +17,8 @@ import threading
 from collections import deque
 from typing import Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .errors import BuildStopped
+from .errors import BackendUnavailable, BuildStopped
+from .policy import PolicyRequest
 from .retrieval import RetrievalRequest
 
 T = TypeVar("T")
@@ -219,11 +220,16 @@ class Boundary:
 
     def _make(self, task: Task, call, request) -> Tuple[object, Optional[BaseException]]:
         """``call(request)``'s reply and None, or None and the error it raised; a halted
-        run's call, or that of a task behind its build's failure, is refused."""
+        run's call, or that of a task behind its build's failure, is refused. A policy
+        reply without one text per sample fails its call, as a malformed body does."""
         if self._halted or task.build.behind(task.at):
             return None, BuildStopped("the build has stopped")
         try:
-            return call(request), None
+            reply = call(request)
+            if isinstance(request, PolicyRequest) and len(reply.texts) != (n := len(request.seeds) or 1):
+                raise BackendUnavailable(f"the policy backend answered {len(reply.texts)} texts "
+                                         f"for {n} samples")
+            return reply, None
         except BaseException as exc:  # the driver gives it to the task, or raises it
             return None, exc
 

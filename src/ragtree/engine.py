@@ -489,26 +489,22 @@ class TreeBuilder:
             return self.config.t_max
         return max(1, self.config.t_max - effective_depth + 1)
 
-    def run_rollout(self, state: State, pending_sub_question: Optional[str], layer: int,
-                    seed_parts: Tuple, build: _Build,
+    def run_rollout(self, prompt: str, depth: int, layer: int, seed: int, build: _Build,
                     first: Optional[str] = None) -> Steps[RolloutResult]:
-        """Simulate one completion from the given state and score its final answer;
-        ``first``, given, is its first step's completion. Malformed or capped output
-        scores 0; a backend error propagates, as from a vote."""
-        effective_depth = state.depth + (1 if pending_sub_question is not None else 0)
-        horizon = self._rollout_horizon(effective_depth)
+        """Simulate one episode of ``prompt`` at ``seed``, from a state ``depth`` steps deep,
+        and score its final answer; ``first``, given, is its first step's completion.
+        Malformed or capped output scores 0; a backend error propagates, as from a vote."""
+        horizon = self._rollout_horizon(depth)
         transcript = yield from run_agent(
             build.question,
-            templates=self.templates,
+            prompt,
             history_template=self.history_template,
-            initial_state=state,
-            pending_sub_question=pending_sub_question,
             max_steps=horizon,
             max_searches=max(0, horizon - 1),
             top_k=self.config.top_k,
             temperature=self.config.sampling_temperature,
             max_tokens=self.config.max_tokens,
-            seed=derive_seed(self.config.seed, build.question.id, "rollout", *seed_parts),
+            seed=seed,
             first=first,
         )
         if transcript.error is not None:
@@ -535,8 +531,8 @@ class TreeBuilder:
         sub-query carries its documents. Given a ``state``, each candidate is
         scored by ``n`` rollouts from ``state`` plus the candidate: a pending
         sub-question, or a step that resolves ``sub_question``. The samples are one
-        request, and each new candidate's retrieval and rollouts start as it is read;
-        the rollouts' first steps are one request too.
+        request, and each new candidate's retrieval and rollouts start as it is read: its
+        episode prompt and seeds are made once, and its rollouts' first steps are one request.
         """
         cfg = self.config
         prompt = self.templates.render(role, question=question)
@@ -557,15 +553,16 @@ class TreeBuilder:
                 base, pending = state, content
             else:
                 base, pending = state.with_step(self._step_for(candidate, sub_question)), None
-            parts = [(layer, kind, index, r) for r in range(cfg.n)]
-            first = build.spawn(_ask(step_request(
-                episode_prompt(build.question, self.templates, self.history_template, base, pending),
-                cfg.sampling_temperature, cfg.max_tokens,
-                *(derive_seed(cfg.seed, build.question.id, "rollout", *each) for each in parts))))
+            episode = episode_prompt(base, self.templates, self.history_template, pending)
+            depth = base.depth + (pending is not None)
+            seeds = [derive_seed(cfg.seed, build.question.id, "rollout", layer, kind, index, r)
+                     for r in range(cfg.n)]
+            first = build.spawn(_ask(step_request(episode, cfg.sampling_temperature, cfg.max_tokens,
+                                                  *seeds)))
 
             def rollout(r: int) -> Steps[RolloutResult]:
                 yield from gather([first])
-                return (yield from self.run_rollout(base, pending, layer, parts[r], build,
+                return (yield from self.run_rollout(episode, depth, layer, seeds[r], build,
                                                     first.value.texts[r]))
 
             return candidate, [build.spawn(rollout(r)) for r in range(cfg.n)]

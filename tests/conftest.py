@@ -13,14 +13,15 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from ragtree.agent import AgentTranscript, run_agent
+from ragtree.agent import AgentTranscript, episode_prompt, run_agent
 from ragtree.driver import Boundary, Build
 from ragtree.engine import ExpansionConfig, derive_seed
 from ragtree.errors import BackendUnavailable
+from ragtree.history import DEFAULT_TEMPLATE
 from ragtree.policy import PolicyRequest, ScriptedPolicyBackend
 from ragtree.retrieval import LexicalRetriever, RetrievalRequest, RetrieverBackend
-from ragtree.templates import PolicyRole
-from ragtree.types import Question
+from ragtree.templates import PolicyRole, load_default_templates
+from ragtree.types import Question, State
 
 # Gold with four tokens: a four-token prediction overlapping o of them has
 # F1 = o/4 exactly (precision o/4, recall o/4), so candidate rewards like
@@ -50,11 +51,16 @@ def infer_role(prompt: str) -> PolicyRole:
     raise ValueError("prompt does not match any known template")
 
 
-def episode(question: Question, policy, retriever, **options) -> AgentTranscript:
-    """``run_agent(question, **options)`` driven to its end on a serial boundary."""
+def episode(question: Question, policy, retriever, templates=None, initial_state=None,
+            **options) -> AgentTranscript:
+    """``run_agent(question, prompt, **options)`` driven to its end on a serial boundary,
+    where ``prompt`` is the episode prompt of ``initial_state`` (the question alone by
+    default) rendered from ``templates`` (the default set by default)."""
+    prompt = episode_prompt(initial_state or State(question), templates or load_default_templates(),
+                            options.get("history_template", DEFAULT_TEMPLATE))
     with Boundary() as boundary:
         build = Build(policy, retriever, boundary)
-        return boundary.run([build.run(run_agent(question, **options))])[0]
+        return boundary.run([build.run(run_agent(question, prompt, **options))])[0]
 
 
 # CI's weekly and on-demand runs set RAGTREE_TEST_PROFILE=weekly, and every hypothesis

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
+from ragtree import agent, engine
 from ragtree.batch import Manifest, expand_batch
 from ragtree.engine import ExpansionConfig, TreeBuilder, theoretical_counts
 from ragtree.errors import BackendUnavailable, RagTreeError
@@ -172,6 +173,22 @@ def test_requests_per_question_at_table_settings(strategy, l, requests, samples,
     assert len(sent) == requests
     assert result.ledger.expansion_count(strategy) == logical
     assert sum(len(r.samples()) for r in sent) == sum(bench.calls_by_role.values()) == samples
+
+
+@pytest.mark.parametrize("strategy, renders", [("pruning", 41), ("no_pruning", 305)])
+def test_each_prompt_history_is_rendered_once(strategy, renders, monkeypatch):
+    # A pruning layer renders its votes' prompt and the episode prompt of each of its
+    # 3k candidates, 10 renders, and the chain's finalize prompt is one more: 4 * 10 + 1.
+    # Each rollout continues its candidate's prompt and renders none.
+    calls = []
+    for module in (agent, engine):
+        def counted(*args, _render=module.render_history, **kwargs):
+            calls.append(args)
+            return _render(*args, **kwargs)
+
+        monkeypatch.setattr(module, "render_history", counted)
+    build(strategy, 4)
+    assert len(calls) == renders
 
 
 @st.composite

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLD, TEST_CORPUS, CountingRetriever, Scenario, examples, overlap_answer
-from ragtree.agent import evaluate_dataset
+from ragtree.agent import episode_prompt, evaluate_dataset
 from ragtree.batch import expand_batch
 from ragtree import batch, engine, scripted
 from ragtree.driver import Build, gather
@@ -49,6 +49,14 @@ def drive():
             return boundary.run([build.run(step(*args, build))])[0]
 
     return run
+
+
+def rollout_args(builder: TreeBuilder, state: State, pending, layer: int, parts: tuple) -> tuple:
+    """``run_rollout``'s arguments before the build, as ``_candidates`` makes them, for a
+    rollout from ``state`` with the sub-question ``pending`` (or None) at seed ``parts``."""
+    prompt = episode_prompt(state, builder.templates, builder.history_template, pending)
+    seed = derive_seed(builder.config.seed, state.question.id, "rollout", *parts)
+    return prompt, state.depth + (pending is not None), layer, seed
 
 
 def resolve(drive, builder: TreeBuilder, scenario: Scenario, force_both: bool = False,
@@ -312,7 +320,8 @@ class TestRollout:
     def test_immediate_correct_answer(self, scenario, retriever, drive):
         scenario.default_rollout_answer = GOLD
         builder = make_builder(scenario, retriever)
-        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, State(scenario.question), None, 1, ("t",)))
         assert result.score == 1.0
         assert result.final_answer == GOLD
         assert result.steps_taken == 1
@@ -323,21 +332,24 @@ class TestRollout:
             for role in PolicyRole
         }
         builder = TreeBuilder(ScriptedPolicyBackend(handlers), retriever, scenario.config)
-        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, State(scenario.question), None, 1, ("t",)))
         assert result.score == 0.0
         assert result.final_answer is None
 
     def test_partial_answer_scores_f1(self, scenario, retriever, drive):
         scenario.default_rollout_answer = "g1 g2"
         builder = make_builder(scenario, retriever)
-        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, State(scenario.question), None, 1, ("t",)))
         assert result.score == pytest.approx(2 * (1.0 * 0.5) / 1.5, abs=1e-6)
 
     def test_em_metric_configurable(self, scenario, retriever, drive):
         scenario.config = ExpansionConfig(k=1, n=1, t_max=2, majority_samples=1, score_metric="em")
         scenario.default_rollout_answer = "g1 g2"
         builder = make_builder(scenario, retriever)
-        result = drive(builder.run_rollout, scenario.question, State(scenario.question), None, 1, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, State(scenario.question), None, 1, ("t",)))
         assert result.score == 0.0  # partial overlap is not an exact match
 
     def test_residual_horizon_shrinks_with_depth(self, scenario, retriever, drive):
@@ -351,7 +363,8 @@ class TestRollout:
             scenario.question,
             tuple(SelfStep(i) for i in range(3)),
         )
-        result = drive(builder.run_rollout, scenario.question, deep_state, "pending?", 4, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, deep_state, "pending?", 4, ("t",)))
         # effective depth 4 of t_max 4: horizon 1
         assert result.steps_taken == 1
 
@@ -363,7 +376,8 @@ class TestRollout:
         cfg = ExpansionConfig(k=1, n=1, t_max=4, majority_samples=1, rollout_cap="fixed")
         builder = TreeBuilder(ScriptedPolicyBackend(handlers), retriever, cfg)
         deep_state = State(scenario.question, tuple(SelfStep(i) for i in range(3)))
-        result = drive(builder.run_rollout, scenario.question, deep_state, "pending?", 4, ("t",))
+        result = drive(builder.run_rollout, scenario.question,
+                       *rollout_args(builder, deep_state, "pending?", 4, ("t",)))
         assert result.steps_taken == 4
 
 
@@ -713,7 +727,8 @@ class TestRetrievalMemo:
         builder.build_tree(question)
         sent = len(retriever.requests)
         for index in range(2):
-            drive(builder.run_rollout, question, State(question), None, 0, ("direct", index))
+            drive(builder.run_rollout, question,
+                  *rollout_args(builder, State(question), None, 0, ("direct", index)))
         # each rollout searches twice, for two queries; neither the last build's
         # memo nor a builder-wide one serves them, only each call's own
         assert len(retriever.requests) - sent == 4
@@ -808,7 +823,8 @@ class TestBuilderHoldsNoBuildState:
         builder = TreeBuilder(policy, make_bench_retriever(), cfg)
         result = builder.build_tree(question)
         before = asdict(result.ledger)
-        drive(builder.run_rollout, question, State(question), None, 1, ("direct", 0))
+        drive(builder.run_rollout, question,
+              *rollout_args(builder, State(question), None, 1, ("direct", 0)))
         drive(builder.expand_termination, question, State(question), 1)
         assert asdict(result.ledger) == before
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import TEST_CORPUS, Scenario, StubPolicyServer
@@ -16,6 +18,7 @@ from ragtree.policy import (
     ScriptedPolicyBackend,
 )
 from ragtree.retrieval import HttpRetrieverBackend, LexicalRetriever
+from ragtree.scripted import make_bench_policy, make_bench_retriever
 from ragtree.templates import PolicyRole, load_default_templates
 from ragtree.types import Question
 
@@ -287,6 +290,23 @@ class TestSamplesPerRequest:
         assert all("want 2 str contents, not ['str']" in item.error for item in manifest.items)
         report = evaluate_dataset(questions, policy, retriever)
         assert (report.failures, report.em) == (0, 1.0)
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_a_backend_that_answers_one_seed_fails_each_build_not_the_batch(self, tmp_path,
+                                                                            concurrency):
+        # a backend written for one sample a request answers a group's first seed only
+        class OneSample:
+            def complete(self, request):
+                return inner.complete(replace(request, seeds=()))
+
+        inner = make_bench_policy({}, rollout_searches=1)
+        questions = [Question(id=f"q{i}", text=f"question {i}", gold_answers=("a",))
+                     for i in range(2)]
+        cfg = ExpansionConfig(k=2, n=2, t_max=2, majority_samples=2, concurrency=concurrency)
+        manifest = expand_batch(questions, lambda: TreeBuilder(OneSample(), make_bench_retriever(),
+                                                               cfg), str(tmp_path))
+        assert manifest.counts == {"ok": 0, "failed": 2, "skipped": 0}
+        assert all("answered 1 texts for 2 samples" in item.error for item in manifest.items)
 
 
 class TestRoutedBackend:
